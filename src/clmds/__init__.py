@@ -3,13 +3,13 @@
 from .anchors import (AnchorConfig, best_quadruple, candidate_vertices, select_anchors,
                       simplex_volume_sq)
 from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
-                   LevelArtifacts, ValidationError, euclidean_distances,
+                   LevelArtifacts, Stitch, ValidationError, euclidean_distances,
                    load_distance_matrix, load_feature_set, validate_distance_matrix)
 from .datagen import HolesSpec, gen_holes_dataset, gen_s_curve, voronoi_containment
 from .kernel import KernelConfig, kernel_matrix, kernel_to_distance, medoid_weighted_distance
 from .kmedoids import (KmedoidsConfig, kmedoids_best, kmedoids_once, relative_incoherence,
                        select_initial_medoids)
-from .mds import MdsConfig, WeightSpec, mds_embed, stress
+from .mds import MdsConfig, mds_embed, stress
 from .pipeline import (ClmdsConfig, SparseSelection, clmds_embed, estimate_out_of_sample,
                        hierarchy_merge, sparsify_select)
 from .transforms import (DegenerateGeometryError, PerspectiveDivideError, Transform2D,
@@ -21,8 +21,8 @@ __all__ = [
     "AnchorConfig", "Clustering", "ClmdsConfig", "ClmdsResult",
     "DegenerateGeometryError", "DistanceMatrix", "FeatureSet", "HierarchySpec",
     "HolesSpec", "KernelConfig", "KmedoidsConfig", "LevelArtifacts", "MdsConfig",
-    "PerspectiveDivideError", "SparseSelection", "Transform2D", "TransformPlan",
-    "ValidationError", "WeightSpec", "apply_transform", "best_quadruple", "candidate_vertices",
+    "PerspectiveDivideError", "SparseSelection", "Stitch", "Transform2D", "TransformPlan",
+    "ValidationError", "apply_transform", "best_quadruple", "candidate_vertices",
     "choose_best_transform", "classify_transform", "clmds_embed", "convex_hull_2d",
     "estimate_out_of_sample", "euclidean_distances", "fit_affine", "fit_homography",
     "fit_similarity", "translation", "gen_holes_dataset", "gen_s_curve", "hierarchy_merge", "kernel_matrix",

@@ -99,10 +99,17 @@ def candidate_vertices(D: DistanceMatrix, cluster, medoid: int,
 def best_quadruple(D: DistanceMatrix, candidates) -> np.ndarray:
     """Maximal-volume 4-subset of candidates (<=4 candidates pass through).
 
+    Before the search, each candidate at zero distance from a lower-indexed
+    one is dropped, so that a pool of at most 3 distinct locations, where
+    every volume is zero, keeps one anchor per location instead of the
+    lexicographically first quadruple (possibly 4 copies of one point).
     Ties break lexicographically on the sorted index tuple; negative
     Cayley-Menger values clamp to zero and rank below any positive volume.
     """
     candidates = np.sort(np.asarray(candidates, dtype=int))
+    if candidates.size > 4:
+        copies = np.tril(D.d[np.ix_(candidates, candidates)] == 0, k=-1).any(axis=1)
+        candidates = candidates[~copies]
     if candidates.size <= 4:
         return candidates
     quads = np.array(list(combinations(candidates.tolist(), 4)), dtype=int)

@@ -12,12 +12,13 @@ import tempfile
 import numpy as np
 
 from .anchors import AnchorConfig
-from .core import (Clustering, ClmdsResult, HierarchySpec, LevelArtifacts, ValidationError,
-                   euclidean_distances, load_distance_matrix, load_feature_set)
+from .core import (Clustering, ClmdsResult, HierarchySpec, LevelArtifacts, Stitch,
+                   ValidationError, euclidean_distances, load_distance_matrix,
+                   load_feature_set)
 from .datagen import HolesSpec, gen_holes_dataset, gen_s_curve, voronoi_containment
 from .kernel import KernelConfig, kernel_matrix, kernel_to_distance
 from .kmedoids import KmedoidsConfig
-from .mds import MdsConfig, WeightSpec
+from .mds import MdsConfig
 from .pipeline import ClmdsConfig, clmds_embed
 from .svgplot import render_scatter
 
@@ -27,14 +28,12 @@ _DEFAULTS = {
     "input": None,
     "input_kind": "distances",  # distances | features | descriptors
     "hierarchy": "8,1",
-    "init_strategy": "isolated",
     "n_iso": "1",
     "iter_med": "100",
     "max_swaps": "1000",
     "mds_n_init": "4",
     "mds_max_iter": "300",
     "mds_eps": "1e-6",
-    "weight": "1.0",
     "anchor_pool": "member_anchors",
     "sparsify": "none",
     "n_sparse": "",
@@ -45,7 +44,6 @@ _DEFAULTS = {
     "weighted": "false",
     "output_dir": ".",
     "plot": "false",
-    "threads": "0",
 }
 
 
@@ -84,9 +82,9 @@ def _parse_bool(raw: str, key: str) -> bool:
 def build_run_config(cfg: dict) -> ClmdsConfig:
     hierarchy = HierarchySpec(tuple(int(x) for x in cfg["hierarchy"].split(",")))
     seed = int(cfg["seed"])
-    km = KmedoidsConfig(k=hierarchy.levels[0], init_strategy=cfg["init_strategy"],
-                        n_iso=int(cfg["n_iso"]), iter_med=int(cfg["iter_med"]),
-                        max_swaps=int(cfg["max_swaps"]), seed=seed)
+    km = KmedoidsConfig(k=hierarchy.levels[0], n_iso=int(cfg["n_iso"]),
+                        iter_med=int(cfg["iter_med"]), max_swaps=int(cfg["max_swaps"]),
+                        seed=seed)
     mds = MdsConfig(n_init=int(cfg["mds_n_init"]), max_iter=int(cfg["mds_max_iter"]),
                     eps=float(cfg["mds_eps"]), seed=seed)
     sparsify = cfg["sparsify"]
@@ -95,7 +93,6 @@ def build_run_config(cfg: dict) -> ClmdsConfig:
     n_sparse = int(cfg["n_sparse"]) if cfg["n_sparse"] else None
     return ClmdsConfig(
         hierarchy=hierarchy, kmedoids=km, mds=mds, anchors=AnchorConfig(),
-        weights=WeightSpec(uniform=float(cfg["weight"])),
         sparsify=sparsify, n_sparse=n_sparse, seed=seed,
         anchor_pool=cfg["anchor_pool"], kernel_eta=int(cfg["eta"]),
     )
@@ -138,6 +135,11 @@ def _finest_anchor_rows(result: ClmdsResult) -> set[int]:
     return rows
 
 
+# A stitch is written as one JSON object with a key per field; array fields
+# become nested lists.
+_STITCH_FIELDS = dataclasses.fields(Stitch)
+
+
 def result_to_json(result: ClmdsResult) -> str:
     def level_dict(lv: LevelArtifacts) -> dict:
         return {
@@ -147,12 +149,8 @@ def result_to_json(result: ClmdsResult) -> str:
             "anchor_coords": None if lv.anchor_coords is None else
                 {str(k): list(v) for k, v in lv.anchor_coords.items()},
             "stitches": None if lv.stitches is None else [
-                {"group": s["group"], "kind": s["kind"],
-                 "matrix": np.asarray(s["matrix"]).tolist(),
-                 "anchor_indices": np.asarray(s["anchor_indices"]).tolist(),
-                 "anchors_local": np.asarray(s["anchors_local"]).tolist(),
-                 "anchors_global": np.asarray(s["anchors_global"]).tolist(),
-                 "n_anchors": s["n_anchors"]} for s in lv.stitches],
+                {f.name: np.asarray(getattr(s, f.name)).tolist() for f in _STITCH_FIELDS}
+                for s in lv.stitches],
             "local_stresses": lv.local_stresses,
             "anchor_stress": lv.anchor_stress,
         }
@@ -198,12 +196,8 @@ def load_result(out_dir: str) -> ClmdsResult:
             anchor_coords=None if lv["anchor_coords"] is None else
                 {int(k): tuple(v) for k, v in lv["anchor_coords"].items()},
             stitches=None if lv["stitches"] is None else [
-                {"group": s["group"], "kind": s["kind"],
-                 "matrix": np.array(s["matrix"]),
-                 "anchor_indices": np.array(s["anchor_indices"]),
-                 "anchors_local": np.array(s["anchors_local"]),
-                 "anchors_global": np.array(s["anchors_global"]),
-                 "n_anchors": s["n_anchors"]} for s in lv["stitches"]],
+                Stitch(**{f.name: np.array(v) if isinstance(v := s[f.name], list) else v
+                          for f in _STITCH_FIELDS}) for s in lv["stitches"]],
             local_stresses=lv["local_stresses"],
             anchor_stress=lv["anchor_stress"],
         ))
@@ -328,8 +322,6 @@ def main(argv=None) -> int:
     p_embed.add_argument("--output-dir")
     p_embed.add_argument("--plot", action="store_true")
     p_embed.add_argument("--seed", type=int)
-    p_embed.add_argument("--threads", type=int, default=0,
-                         help="0 = auto (results are thread-count independent)")
     p_embed.set_defaults(func=cmd_embed)
 
     p_gen = sub.add_parser("datagen", help="generate a synthetic dataset")

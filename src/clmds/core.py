@@ -146,6 +146,28 @@ class HierarchySpec:
         object.__setattr__(self, "levels", lv)
 
 
+@dataclass(frozen=True)
+class Stitch:
+    """How one member cluster was mapped into the frame of its group.
+
+    ``matrix`` is the 3x3 homogeneous transform, of ``kind`` "affine" or
+    "homography". It was fitted on the anchors ``anchor_indices``, whose
+    rows are ``anchors_local`` in the cluster's local MDS and
+    ``anchors_global`` in the group's anchor MDS.
+    """
+
+    group: int
+    kind: str
+    matrix: np.ndarray
+    anchor_indices: np.ndarray
+    anchors_local: np.ndarray
+    anchors_global: np.ndarray
+
+    @property
+    def n_anchors(self) -> int:
+        return int(self.anchor_indices.shape[0])
+
+
 @dataclass
 class LevelArtifacts:
     """Everything recorded for one hierarchy level.
@@ -153,7 +175,7 @@ class LevelArtifacts:
     ``anchors`` holds one index array per cluster of this level's clustering.
     ``anchor_coords`` maps anchor point index -> embedded (x, y) at this level
     (absent for the finest level, which has no joint anchor embedding).
-    ``stitches`` holds one record per member cluster stitched into this level.
+    ``stitches`` holds one Stitch per member cluster stitched into this level.
     ``anchor_stress`` sums the relative stress (pair weights d^-2) of this
     level's anchor MDS runs.
     """
@@ -161,7 +183,7 @@ class LevelArtifacts:
     clustering: Clustering
     anchors: list[np.ndarray] | None = None
     anchor_coords: dict[int, tuple[float, float]] | None = None
-    stitches: list[dict] | None = None
+    stitches: list[Stitch] | None = None
     local_stresses: list[float] | None = None
     anchor_stress: float | None = None
 

@@ -17,8 +17,7 @@ from .core import Clustering, DistanceMatrix, ValidationError
 @dataclass(frozen=True)
 class KmedoidsConfig:
     k: int
-    init_strategy: str = "isolated"  # "random" | "isolated"
-    n_iso: int = 1
+    n_iso: int = 1  # farthest-point picks among the initial medoids; 0: all random
     iter_med: int = 100
     max_swaps: int = 1000
     seed: int = 0
@@ -26,8 +25,6 @@ class KmedoidsConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("k must be positive")
-        if self.init_strategy not in ("random", "isolated"):
-            raise ValidationError(f"unknown init strategy {self.init_strategy!r}")
         if self.n_iso < 0 or self.n_iso > self.k:
             raise ValidationError("n_iso must satisfy 0 <= n_iso <= k")
         if self.iter_med < 1 or self.max_swaps < 1:
@@ -55,11 +52,7 @@ def select_initial_medoids(D: DistanceMatrix, cfg: KmedoidsConfig,
     n = D.n_points
     if cfg.k > n:
         raise ValidationError(f"k={cfg.k} exceeds number of points {n}")
-    n_iso = cfg.n_iso
-    if cfg.init_strategy == "isolated":
-        n_iso = max(1, n_iso)
-    n_iso = min(n_iso, cfg.k)
-    chosen = farthest_point_sample(D.d, n_iso) if n_iso else []
+    chosen = farthest_point_sample(D.d, cfg.n_iso) if cfg.n_iso else []
     n_rand = cfg.k - len(chosen)
     if n_rand:
         if rng is None:

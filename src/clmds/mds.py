@@ -1,9 +1,11 @@
-"""Weighted metric MDS in two dimensions via stress majorization.
+"""Metric MDS in two dimensions via stress majorization.
 
 The Guttman-transform update is used, generalized to arbitrary
 non-negative pair weights; uniform weights take a fast path that avoids
-the pseudo-inverse. The weighted path computes the pseudo-inverse once
-per `mds_embed` call and its stress from precomputed sums.
+the pseudo-inverse. The per-cluster MDS is unweighted; only the anchor
+MDS passes a weight matrix (relative stress). The weighted path computes
+the pseudo-inverse once per `mds_embed` call and its stress from
+precomputed sums.
 """
 
 from __future__ import annotations
@@ -33,48 +35,13 @@ class MdsConfig:
             raise ValidationError("eps must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Pair weights: a uniform scalar, optionally overridden per cluster.
-
-    Pairs inside cluster k get per_cluster[k] (falling back to the uniform
-    value); pairs across clusters always use the uniform value.
-    """
-
-    uniform: float = 1.0
-    per_cluster: dict[int, float] | None = None
-
-    def __post_init__(self):
-        if self.uniform < 0:
-            raise ValidationError("weights must be non-negative")
-        if self.per_cluster is not None and any(w < 0 for w in self.per_cluster.values()):
-            raise ValidationError("weights must be non-negative")
-
-    def matrix(self, m: int, labels=None) -> np.ndarray:
-        w = np.full((m, m), self.uniform)
-        if self.per_cluster:
-            if labels is None:
-                raise ValidationError("per-cluster weights require cluster labels")
-            labels = np.asarray(labels)
-            same = labels[:, None] == labels[None, :]
-            for k, wk in self.per_cluster.items():
-                mask = same & (labels[:, None] == k)
-                w[mask] = wk
-        np.fill_diagonal(w, 0.0)
-        return w
-
-
-def _weight_matrix(D: DistanceMatrix, w, labels=None) -> np.ndarray:
+def _weight_matrix(D: DistanceMatrix, w) -> np.ndarray:
+    """The pair-weight matrix: uniform 1 for None, else a copy of w, zero diagonal."""
     m = D.n_points
-    if w is None:
-        w = WeightSpec()
-    if isinstance(w, WeightSpec):
-        wm = w.matrix(m, labels)
-    else:
-        wm = np.array(w, dtype=float)
-        if wm.shape != (m, m):
-            raise ValidationError("weight matrix shape mismatch")
-        np.fill_diagonal(wm, 0.0)
+    wm = np.ones((m, m)) if w is None else np.array(w, dtype=float)
+    if wm.shape != (m, m):
+        raise ValidationError("weight matrix shape mismatch")
+    np.fill_diagonal(wm, 0.0)
     if np.any(wm < 0):
         raise ValidationError("weights must be non-negative")
     if m > 1 and not np.any(wm > 0):
@@ -97,12 +64,12 @@ def _check_connected(wm: np.ndarray):
         raise ValidationError("weight pattern disconnects the point set")
 
 
-def stress(D: DistanceMatrix, coords: np.ndarray, w=None, labels=None) -> float:
+def stress(D: DistanceMatrix, coords: np.ndarray, w=None) -> float:
     """Weighted squared-error between input and embedded distances."""
     coords = np.asarray(coords, dtype=float)
     if coords.shape[0] != D.n_points:
         raise ValidationError("coords row count does not match distance matrix")
-    wm = _weight_matrix(D, w, labels)
+    wm = _weight_matrix(D, w)
     d = cdist(coords, coords)
     iu = np.triu_indices(D.n_points, k=1)
     return float(np.sum(wm[iu] * (D.d[iu] - d[iu]) ** 2))
@@ -209,18 +176,19 @@ def _classical_start(d: np.ndarray) -> np.ndarray | None:
     return vecs[:, -2:] * np.sqrt(top)
 
 
-def mds_embed(D: DistanceMatrix, w=None, cfg: MdsConfig | None = None,
-              labels=None) -> tuple[np.ndarray, float]:
+def mds_embed(D: DistanceMatrix, w=None,
+              cfg: MdsConfig | None = None) -> tuple[np.ndarray, float]:
     """Embed D in the plane, keeping the lowest-stress of n_init starts.
 
     The first start is the classical-scaling solution (when defined), the
     rest are random. Returns origin-centered coordinates and the achieved
     stress. One point maps to the origin; two points are placed exactly.
+    ``w`` is None for uniform pair weights or an explicit (m, m) matrix.
     """
     if cfg is None:
         cfg = MdsConfig()
     m = D.n_points
-    wm = _weight_matrix(D, w, labels)
+    wm = _weight_matrix(D, w)
     if m == 1:
         return np.zeros((1, 2)), 0.0
     if m == 2:

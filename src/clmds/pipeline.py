@@ -11,15 +11,11 @@ from scipy.spatial.distance import cdist
 
 from .anchors import AnchorConfig, best_quadruple, candidate_vertices, select_anchors
 from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
-                   LevelArtifacts, ValidationError)
+                   LevelArtifacts, Stitch, ValidationError)
 from .kernel import KernelConfig, medoid_weighted_distance
 from .kmedoids import KmedoidsConfig, kmedoids_best, relative_incoherence
-from .mds import MdsConfig, WeightSpec, mds_embed, relative_stress_weights
-from .transforms import (DegenerateGeometryError, PerspectiveDivideError, Transform2D,
-                         apply_transform, choose_best_transform, fit_similarity,
-                         translation)
-
-DIVIDE_TOL = 1e-12
+from .mds import MdsConfig, mds_embed, relative_stress_weights
+from .transforms import DIVIDE_TOL, choose_best_transform
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,6 @@ class ClmdsConfig:
     kmedoids: KmedoidsConfig | None = None  # k is taken from the hierarchy
     mds: MdsConfig = field(default_factory=MdsConfig)
     anchors: AnchorConfig = field(default_factory=AnchorConfig)
-    weights: WeightSpec = field(default_factory=WeightSpec)
     sparsify: object = "none"  # "none" | "random" | "cur" | sequence of indices
     n_sparse: int | None = None
     seed: int = 0
@@ -135,36 +130,6 @@ def hierarchy_merge(previous: Clustering, D: DistanceMatrix, target: int,
     return Clustering(assignment, merged_medoids)
 
 
-def _stitch_member(cluster_local, anchors_local, anchors_global):
-    """Map one member cluster into the enclosing frame, degrading gracefully.
-
-    1-2 anchors use translation/similarity; 3-4 go through the
-    classify/fit/distortion machinery; degenerate geometry falls back to a
-    similarity on the two farthest anchors, then to a translation.
-    """
-    cluster_local = np.asarray(cluster_local, dtype=float)
-    a_loc = np.asarray(anchors_local, dtype=float)
-    a_glo = np.asarray(anchors_global, dtype=float)
-    n = a_loc.shape[0]
-    if n == 1:
-        t = translation(a_glo[0] - a_loc[0])
-        return t, apply_transform(t, cluster_local)
-    if n == 2:
-        t = fit_similarity(a_loc, a_glo)
-        return t, apply_transform(t, cluster_local)
-    try:
-        return choose_best_transform(cluster_local, a_loc, a_glo)
-    except DegenerateGeometryError:
-        pass
-    d = cdist(a_loc, a_loc)
-    i, j = np.unravel_index(int(np.argmax(d)), d.shape)
-    if d[i, j] > 0:
-        t = fit_similarity(a_loc[[i, j]], a_glo[[i, j]])
-    else:
-        t = translation(a_glo.mean(axis=0) - a_loc.mean(axis=0))
-    return t, apply_transform(t, cluster_local)
-
-
 def _group_anchor_pool(D, cfg, points, medoid, anchor_union):
     if cfg.anchor_pool == "full_cluster":
         cand = candidate_vertices(D, points, medoid, cfg.anchors)
@@ -223,10 +188,7 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     for k in range(n_cl):
         members = c0.members(k)
         sub = DistanceMatrix(D.d[np.ix_(members, members)])
-        wk = cfg.weights.uniform
-        if cfg.weights.per_cluster:
-            wk = cfg.weights.per_cluster.get(k, wk)
-        xy, sig = mds_embed(sub, WeightSpec(uniform=wk), replace(cfg.mds, seed=seeds.next()))
+        xy, sig = mds_embed(sub, cfg=replace(cfg.mds, seed=seeds.next()))
         local_coords.append(xy)
         local_stresses.append(sig)
     timings["local_mds"] = time.perf_counter() - t0
@@ -274,12 +236,10 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
                 loc_rows = np.searchsorted(g["points"], a_idx)
                 a_loc = g["coords"][loc_rows]
                 a_glo = axy[[row_of[int(p)] for p in a_idx]]
-                tr, mapped = _stitch_member(g["coords"], a_loc, a_glo)
-                stitches.append({
-                    "group": gidx, "kind": tr.kind, "matrix": tr.matrix,
-                    "anchor_indices": a_idx, "anchors_local": a_loc,
-                    "anchors_global": a_glo, "n_anchors": int(a_idx.shape[0]),
-                })
+                tr, mapped = choose_best_transform(g["coords"], a_loc, a_glo)
+                stitches.append(Stitch(group=gidx, kind=tr.kind, matrix=tr.matrix,
+                                       anchor_indices=a_idx, anchors_local=a_loc,
+                                       anchors_global=a_glo))
                 for fc in g["finest"]:
                     comp[fc] = tr.matrix @ comp[fc]
                 pts_parts.append(g["points"])

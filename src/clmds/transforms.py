@@ -2,7 +2,9 @@
 
 All maps are 3x3 operators on homogeneous coordinates. Homographies are
 built through canonical quadrilaterals and a linear fractional transform;
-an affine least-squares fit is always available as fallback. The two are
+an affine least-squares fit is always available as fallback, and anchor
+sets too small or degenerate for an affine get a similarity or a
+translation (`choose_best_transform`). Homography and affine are
 judged on data neither was fitted to: the one that changes the cluster's
 own pairwise distances least wins. A 4-point homography interpolates its
 anchors, so an anchor residue would always favour it.
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from .core import ValidationError
 
@@ -223,10 +225,8 @@ def _distortion(mapped: np.ndarray, d_local: np.ndarray) -> float:
     return float(np.sum((pdist(mapped) - d_local) ** 2))
 
 
-def choose_best_transform(cluster_local: np.ndarray,
-                          anchors_local: np.ndarray,
-                          anchors_global: np.ndarray) -> tuple[Transform2D, np.ndarray]:
-    """Fit the classified transform, compare distortions, map the cluster.
+def _fit_classified(cluster_local, loc, glo, plan) -> tuple[Transform2D, np.ndarray]:
+    """Fit the classified transform; a homography competes with the affine.
 
     When a homography is selected, the 4-anchor least-squares affine is also
     fitted. Both map the whole cluster, and the one whose image changes the
@@ -236,9 +236,6 @@ def choose_best_transform(cluster_local: np.ndarray,
     anchor residue is zero by construction. A failed homography fit or a
     perspective-divide failure on any cluster point forces the affine.
     """
-    loc = np.asarray(anchors_local, dtype=float)
-    glo = np.asarray(anchors_global, dtype=float)
-    plan = classify_transform(loc, glo)
     eff_loc = loc[plan.order]
     eff_glo = glo[plan.order]
     if plan.kind == "homography":
@@ -249,14 +246,47 @@ def choose_best_transform(cluster_local: np.ndarray,
             mapped_h = apply_transform(homog, cluster_local)
         except (DegenerateGeometryError, PerspectiveDivideError):
             return affine, mapped_a
-        d_local = pdist(np.asarray(cluster_local, dtype=float))
+        d_local = pdist(cluster_local)
         r_a = _distortion(mapped_a, d_local)
         if _distortion(mapped_h, d_local) < r_a * (1.0 - DISTORTION_TIE_RTOL):
             return homog, mapped_h
         return affine, mapped_a
-    if eff_loc.shape[0] >= 3:
-        affine = fit_affine(eff_loc, eff_glo)
-    else:
-        affine = fit_similarity(eff_loc[:2], eff_glo[:2]) if eff_loc.shape[0] == 2 \
-            else translation(eff_glo[0] - eff_loc[0])
+    affine = fit_affine(eff_loc, eff_glo)
     return affine, apply_transform(affine, cluster_local)
+
+
+def choose_best_transform(cluster_local: np.ndarray,
+                          anchors_local: np.ndarray,
+                          anchors_global: np.ndarray) -> tuple[Transform2D, np.ndarray]:
+    """Map a cluster into the enclosing frame through its 1-4 anchors.
+
+    Returns the transform and the mapped cluster. One fallback ladder serves
+    every anchor count:
+
+    1. 3-4 anchors whose local hull keeps at least 3 vertices get the
+       classified transform (homography or affine, see `_fit_classified`);
+    2. 1-2 anchors, a hull reduced to a segment, or a fit that raises
+       DegenerateGeometryError (collinear or coincident anchors in either
+       frame) get a similarity through the two farthest anchors;
+    3. when all anchors coincide locally, a translation by the difference
+       of the anchor means.
+    """
+    cluster_local = np.asarray(cluster_local, dtype=float)
+    loc = np.asarray(anchors_local, dtype=float)
+    glo = np.asarray(anchors_global, dtype=float)
+    if loc.shape != glo.shape:
+        raise ValidationError("anchor lists must have matching shapes")
+    if loc.shape[0] >= 3:
+        plan = classify_transform(loc, glo)
+        if plan.order.shape[0] >= 3:
+            try:
+                return _fit_classified(cluster_local, loc, glo, plan)
+            except DegenerateGeometryError:
+                pass
+    d = cdist(loc, loc)
+    i, j = np.unravel_index(int(np.argmax(d)), d.shape)
+    if d[i, j] > 0:
+        t = fit_similarity(loc[[i, j]], glo[[i, j]])
+    else:
+        t = translation(glo.mean(axis=0) - loc.mean(axis=0))
+    return t, apply_transform(t, cluster_local)

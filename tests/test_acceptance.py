@@ -122,28 +122,28 @@ def test_criterion_3_stitching_exactness():
                           mds=MdsConfig(n_init=2, seed=run), seed=run)
         res = clmds_embed(D, cfg)
         for s in res.per_level[1].stitches:
-            if s["n_anchors"] < 3:
+            if s.n_anchors < 3:
                 continue  # similarity/translation fallbacks, out of scope here
-            t = Transform2D(s["kind"], s["matrix"])
-            mapped = apply_transform(t, s["anchors_local"])
-            err = float(np.max(np.abs(mapped - s["anchors_global"])))
-            if s["kind"] == "homography":
+            t = Transform2D(s.kind, s.matrix)
+            mapped = apply_transform(t, s.anchors_local)
+            err = float(np.max(np.abs(mapped - s.anchors_global)))
+            if s.kind == "homography":
                 n_homog += 1
                 worst_h = max(worst_h, err)
                 continue
-            plan = classify_transform(s["anchors_local"], s["anchors_global"])
+            plan = classify_transform(s.anchors_local, s.anchors_global)
             eff = plan.order
             if eff.shape[0] == 4:
                 # genuine 4-correspondence affine (either classified affine
                 # or a failed-homography fallback)
                 n_affine4 += 1
-                residue = float(np.sum((mapped - s["anchors_global"]) ** 2))
-                oracle = _lstsq_residue_oracle(s["anchors_local"], s["anchors_global"])
+                residue = float(np.sum((mapped - s.anchors_global) ** 2))
+                oracle = _lstsq_residue_oracle(s.anchors_local, s.anchors_global)
                 affine_opt_ok &= residue <= oracle + 1e-9 * max(1.0, oracle)
             else:
                 # anchor set reduced to its local hull: exact on those points
                 n_affine3 += 1
-                e3 = float(np.max(np.abs(mapped[eff] - s["anchors_global"][eff])))
+                e3 = float(np.max(np.abs(mapped[eff] - s.anchors_global[eff])))
                 worst_a3 = max(worst_a3, e3)
     ok = (n_homog > 0 and worst_h < 1e-6 and affine_opt_ok
           and (n_affine3 == 0 or worst_a3 < 1e-9))

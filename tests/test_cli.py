@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from clmds import voronoi_containment
-from clmds.cli import load_result, main, parse_config
+from clmds import Stitch, voronoi_containment
+from clmds.cli import load_result, main, parse_config, result_to_json
 
 
 def write_features(tmp_path, seed=0):
@@ -32,10 +32,10 @@ def embed_args(inp, out, extra=()):
 def test_config_defaults_and_overrides(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("hierarchy = 5,2,1  # comment\nseed = 7\n\n# full-line comment\n")
-    cfg = parse_config(str(cfgfile), ["seed=9", "weight=2.0"])
+    cfg = parse_config(str(cfgfile), ["seed=9", "mds_eps=1e-5"])
     assert cfg["hierarchy"] == "5,2,1"
     assert cfg["seed"] == "9"  # override wins
-    assert cfg["weight"] == "2.0"
+    assert cfg["mds_eps"] == "1e-5"
     assert cfg["sparsify"] == "none"  # untouched default
 
 
@@ -77,6 +77,11 @@ def test_embed_roundtrip_and_metric(tmp_path, capsys):
     result = load_result(str(out))
     assert result.coords.shape == (36, 2)
     assert voronoi_containment(result) == 1.0
+    # the loaded stitch records serialize back to the file's entries
+    stitches = result.per_level[1].stitches
+    assert len(stitches) == 3 and all(isinstance(s, Stitch) for s in stitches)
+    written = json.loads((out / "result.json").read_text())["per_level"]
+    assert json.loads(result_to_json(result))["per_level"] == written
     code, stdout, _ = run(["metrics", "voronoi", "--result-dir", out], capsys)
     assert code == 0
     assert stdout.strip() == "voronoi_containment 1.000000"

@@ -28,7 +28,7 @@ def brute_force_irel(D, k):
 
 def test_fps_selects_extremes_on_a_line():
     D = line_matrix([0.0, 1.0, 10.0])
-    meds = select_initial_medoids(D, KmedoidsConfig(k=2, n_iso=2, init_strategy="isolated"))
+    meds = select_initial_medoids(D, KmedoidsConfig(k=2, n_iso=2))
     assert set(meds.tolist()) == {0, 2}
 
 
@@ -40,7 +40,7 @@ def test_k_equals_n_returns_all_indices():
 
 def test_random_init_reproducible_under_seed():
     D = line_matrix(np.arange(10.0))
-    cfg = KmedoidsConfig(k=3, init_strategy="random", n_iso=0, seed=42)
+    cfg = KmedoidsConfig(k=3, n_iso=0, seed=42)
     a = select_initial_medoids(D, cfg)
     b = select_initial_medoids(D, cfg)
     assert np.array_equal(a, b)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from clmds import (FeatureSet, MdsConfig, ValidationError, WeightSpec,
-                   euclidean_distances, mds_embed, stress, validate_distance_matrix)
+from clmds import (FeatureSet, MdsConfig, ValidationError, euclidean_distances, mds_embed,
+                   stress, validate_distance_matrix)
 from clmds.mds import _smacof, _weight_matrix, relative_stress_weights
 
 
@@ -85,13 +85,18 @@ def test_monotone_stress_descent():
 
 
 def test_weighted_path_matches_uniform_when_weights_equal():
+    # all-ones weights, from one start, through the pseudo-inverse update
+    # (uniform_w=None) and through the uniform fast path (uniform_w=1.0)
     _, D = planar_problem(10, seed=6)
-    cfg = MdsConfig(seed=1)
-    a, sa = mds_embed(D, WeightSpec(uniform=1.0), cfg)
-    # per-cluster override with the same value everywhere, forcing weighted path
-    labels = np.zeros(10, dtype=int)
-    b, sb = mds_embed(D, WeightSpec(uniform=1.0, per_cluster={0: 2.0}), cfg, labels=labels)
-    assert sb == pytest.approx(2.0 * sa, rel=1e-6)
+    noisy = validate_distance_matrix(D.d * (1.0 + 0.2 * np.cos(np.add.outer(
+        np.arange(10), np.arange(10)))))
+    wm = _weight_matrix(noisy, None)
+    x0 = np.random.default_rng(1).uniform(-1, 1, size=(10, 2))
+    a, sa = _smacof(noisy.d, wm, x0, 100, 1e-12, 1.0)
+    b, sb = _smacof(noisy.d, wm, x0, 100, 1e-12, None)
+    assert sa > 1e-3
+    assert np.allclose(a, b, rtol=0, atol=1e-9)
+    assert sb == pytest.approx(sa, rel=1e-9)
 
 
 def test_relative_stress_weights_rule():
@@ -120,7 +125,7 @@ def test_weighted_path_stress_matches_direct_sum():
 def test_zero_weight_rejection_and_disconnection():
     _, D = planar_problem(6, seed=7)
     with pytest.raises(ValidationError):
-        mds_embed(D, WeightSpec(uniform=0.0))
+        mds_embed(D, np.zeros((6, 6)))
     w = np.zeros((6, 6))
     w[0, 1] = w[1, 0] = 1.0  # two components
     with pytest.raises(ValidationError):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from clmds import (ClmdsConfig, FeatureSet, HierarchySpec, KmedoidsConfig,
-                   MdsConfig, ValidationError, WeightSpec, clmds_embed,
+                   MdsConfig, ValidationError, clmds_embed,
                    euclidean_distances, hierarchy_merge, kernel_matrix,
                    kernel_to_distance, kmedoids_best, sparsify_select,
                    voronoi_containment)
@@ -132,13 +133,6 @@ def test_determinism_of_embedding():
     assert np.array_equal(a.clustering.assignment, b.clustering.assignment)
 
 
-def test_per_cluster_weights_accepted():
-    fs, D = three_blob_problem(seed=6)
-    res = clmds_embed(D, base_config(weights=WeightSpec(uniform=1.0,
-                                                        per_cluster={0: 4.0})))
-    assert np.all(np.isfinite(res.coords))
-
-
 def test_tiny_clusters_stitch_by_translation_or_similarity():
     # 3 far singleton/pair groups force the 1- and 2-anchor stitch paths
     pts = np.array([[0.0, 0.0], [0.1, 0.0],
@@ -151,16 +145,20 @@ def test_tiny_clusters_stitch_by_translation_or_similarity():
     assert sizes == [1, 2, 3]
 
 
-@pytest.mark.parametrize("levels", [(4, 1), (6, 2, 1)])
+@pytest.mark.parametrize("levels", [(4, 1), (6, 2, 1), (6, 3, 1)])
 def test_duplicated_points_embed_finite(levels):
     # 3 distinct points x 20 copies: clusters of duplicates, so the anchor
-    # MDS sees zero dissimilarities between distinct anchors
+    # MDS sees zero dissimilarities between distinct anchors, and a group
+    # holding only copies of 2 locations has no tetrahedron of positive volume
     pts = np.repeat([[0.0, 0.0, 0.0], [3.0, 0.0, 1.0], [0.0, 2.0, 0.5]], 20, axis=0)
     D = euclidean_distances(FeatureSet(pts))
     res = clmds_embed(D, ClmdsConfig(hierarchy=HierarchySpec(levels), seed=0))
     assert res.coords.shape == (60, 2)
     assert np.all(np.isfinite(res.coords))
     assert all(np.isfinite(lv.anchor_stress) for lv in res.per_level[1:])
+    # the three locations span a plane, so the embedding keeps their distances
+    first = res.coords[::20]
+    assert np.allclose(cdist(first, first), D.d[::20, ::20], rtol=1e-6, atol=0)
 
 
 def test_kernel_weighted_anchor_distances_path():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from clmds import (DegenerateGeometryError, PerspectiveDivideError, Transform2D,
@@ -222,3 +224,39 @@ def test_transform2d_invariants():
     with pytest.raises(ValidationError):
         Transform2D("affine", bad)
     Transform2D("homography", bad)  # fine for a homography
+
+
+# Property tests of the stitch ladder. Anchors and cluster points lie on a
+# small integer lattice, so coincident anchors come up often, and half of
+# the local anchor sets are drawn on one line.
+_lattice_point = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def _stitch_case(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        base, step = draw(_lattice_point), draw(_lattice_point)
+        t = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        loc = np.array(base, dtype=float) + np.outer(t, step)
+    else:
+        loc = np.array(draw(st.lists(_lattice_point, min_size=n, max_size=n)), dtype=float)
+    glo = np.array(draw(st.lists(_lattice_point, min_size=n, max_size=n)), dtype=float)
+    glo *= draw(st.sampled_from([0.25, 1.0, 7.0]))
+    rest = draw(st.lists(_lattice_point, max_size=6))
+    cluster = np.vstack([loc, np.array(rest, dtype=float).reshape(-1, 2)])
+    return cluster, loc, glo
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_stitch_case())
+def test_stitch_ladder_maps_any_anchor_set(case):
+    cluster, loc, glo = case
+    t, mapped = choose_best_transform(cluster, loc, glo)
+    assert np.all(np.isfinite(mapped))
+    assert np.array_equal(mapped, apply_transform(t, cluster))
+    # one anchor, or two anchors distinct in both frames, are interpolated;
+    # coincident global anchors clamp the similarity's scale to stay invertible
+    distinct = loc.shape[0] == 2 and np.any(loc[0] != loc[1]) and np.any(glo[0] != glo[1])
+    if loc.shape[0] == 1 or distinct:
+        assert np.allclose(apply_transform(t, loc), glo, rtol=0, atol=1e-10)
