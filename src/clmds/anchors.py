@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -13,8 +12,6 @@ MAX_EXHAUSTIVE = 70  # cluster size above which candidate vertices are pruned
 
 # Cayley-Menger normalization for a 3-simplex: 1 / (2^3 * (3!)^2)
 _CM_FACTOR = 1.0 / 288.0
-
-_DET_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -58,16 +55,23 @@ def simplex_volume_sq(D4: np.ndarray) -> float:
     return _CM_FACTOR * float(np.linalg.det(b))
 
 
-def _volumes_sq_batch(d: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """Squared volumes for many vertex quadruples, via batched determinants."""
-    out = np.empty(quads.shape[0])
-    for lo in range(0, quads.shape[0], _DET_CHUNK):
-        q = quads[lo:lo + _DET_CHUNK]
-        b = np.ones((q.shape[0], 5, 5))
-        b[:, 0, 0] = 0.0
-        b[:, 1:, 1:] = d[q[:, :, None], q[:, None, :]] ** 2
-        out[lo:lo + _DET_CHUNK] = _CM_FACTOR * np.linalg.det(b)
-    return out
+def _triple_table(n: int) -> tuple[np.ndarray, ...]:
+    """Every index triple j < k < l of range(n), in lexicographic order.
+
+    Returns the row gathers (j, k, l), the flat indices (jk, jl, kl) into
+    an n x n matrix, and start[i], the position of the first triple with
+    j >= i; the triples of range(i, n) are the suffix from start[i].
+    """
+    k_pair, l_pair = np.triu_indices(n, 1)  # pairs k < l, lexicographic
+    # the pairs with k > j are a suffix of the pair table
+    pair_start = np.searchsorted(k_pair, np.arange(n), side="right")
+    counts = k_pair.size - pair_start
+    j = np.repeat(np.arange(n), counts)
+    offsets = np.cumsum(counts) - counts
+    pos = np.arange(j.size) - offsets[j] + pair_start[j]
+    k, l = k_pair[pos], l_pair[pos]
+    start = np.append(offsets, j.size)
+    return j, k, l, j * n + k, j * n + l, k * n + l, start
 
 
 def candidate_vertices(D: DistanceMatrix, cluster, medoid: int,
@@ -103,20 +107,43 @@ def best_quadruple(D: DistanceMatrix, candidates) -> np.ndarray:
     one is dropped, so that a pool of at most 3 distinct locations, where
     every volume is zero, keeps one anchor per location instead of the
     lexicographically first quadruple (possibly 4 copies of one point).
-    Ties break lexicographically on the sorted index tuple; negative
-    Cayley-Menger values clamp to zero and rank below any positive volume.
+
+    The squared volume of a quadruple (a, j, k, l) is det G / 36, where
+    G is the 3x3 Gram matrix of its edges from a, taken from squared
+    distances alone: G_jk = (d_aj^2 + d_ak^2 - d_jk^2) / 2. This equals the
+    Cayley-Menger value of `simplex_volume_sq`. The search visits each
+    origin a in turn with all later triples j < k < l, so quadruples come
+    in lexicographic order of the sorted index tuple: ties go to the
+    lexicographically smallest one. Negative values (non-Euclidean
+    dissimilarities, rounding) clamp to zero and rank below any positive
+    volume.
     """
     candidates = np.sort(np.asarray(candidates, dtype=int))
     if candidates.size > 4:
         copies = np.tril(D.d[np.ix_(candidates, candidates)] == 0, k=-1).any(axis=1)
         candidates = candidates[~copies]
-    if candidates.size <= 4:
+    n = candidates.size
+    if n <= 4:
         return candidates
-    quads = np.array(list(combinations(candidates.tolist(), 4)), dtype=int)
-    vols = np.maximum(_volumes_sq_batch(D.d, quads), 0.0)
-    # combinations() emits tuples in lexicographic order, so the first
-    # argmax is the lexicographically smallest maximizer
-    return quads[int(np.argmax(vols))]
+    j, k, l, jk, jl, kl, start = _triple_table(n)
+    sq = D.d[np.ix_(candidates, candidates)] ** 2
+    flat = sq.ravel()
+    # all volumes <= 0 clamp to zero and the first quadruple wins
+    best_det, best = 0.0, [0, 1, 2, 3]
+    for a in range(n - 3):
+        s = slice(start[a + 1], None)  # the triples after origin a
+        row = sq[a]
+        gjj, gkk, gll = row[j[s]], row[k[s]], row[l[s]]
+        gjk = 0.5 * (gjj + gkk - flat[jk[s]])
+        gjl = 0.5 * (gjj + gll - flat[jl[s]])
+        gkl = 0.5 * (gkk + gll - flat[kl[s]])
+        det = (gjj * (gkk * gll - gkl * gkl) - gjk * (gjk * gll - gkl * gjl)
+               + gjl * (gjk * gkl - gkk * gjl))
+        i = int(np.argmax(det))  # first maximizer: lexicographic within a
+        if det[i] > best_det:  # strict: an earlier origin keeps a tie
+            t = start[a + 1] + i
+            best_det, best = det[i], [a, j[t], k[t], l[t]]
+    return candidates[best]
 
 
 def select_anchors(D: DistanceMatrix, c: Clustering,

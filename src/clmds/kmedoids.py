@@ -63,48 +63,48 @@ def select_initial_medoids(D: DistanceMatrix, cfg: KmedoidsConfig,
 
 
 def _assign(d: np.ndarray, medoids: np.ndarray) -> np.ndarray:
-    # argmin breaks ties by lowest cluster index; a medoid always stays
-    # in its own cluster (relevant only under exact distance ties)
-    a = np.argmin(d[:, medoids], axis=1)
+    # rows d[medoids] stand for the columns d[:, medoids]: every matrix the
+    # pipeline builds is exactly symmetric (validate_distance_matrix and
+    # euclidean_distances make it so, and sub-matrices inherit it), and a
+    # contiguous row gather is the cheaper one
+    a = np.argmin(d[medoids], axis=0)
+    # argmin breaks ties by lowest cluster index; a medoid always stays in
+    # its own cluster, so with distinct medoids no cluster is ever empty
     a[medoids] = np.arange(medoids.shape[0])
     return a
 
 
-def _repair_empty(d: np.ndarray, medoids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """Reseed each empty cluster from the largest one, then reassign."""
-    k = medoids.shape[0]
-    counts = np.bincount(assignment, minlength=k)
-    for kk in np.flatnonzero(counts == 0):
-        donor = int(np.argmax(counts))
-        members = np.setdiff1d(np.flatnonzero(assignment == donor), medoids)
-        far = members[int(np.argmax(d[members, medoids[donor]]))]
-        medoids[kk] = far
-        assignment = _assign(d, medoids)
-        counts = np.bincount(assignment, minlength=k)
-    return assignment
-
-
 def kmedoids_once(D: DistanceMatrix, initial_medoids, max_swaps: int = 1000) -> Clustering:
-    """Run the alternating assignment / medoid-update loop to convergence."""
+    """Run the alternating assignment / medoid-update loop to convergence.
+
+    Each update recomputes the medoid only of clusters whose membership
+    changed since the previous update (all of them the first time): an
+    unchanged cluster would get the same argmin. The result equals a full
+    update every iteration, on the exactly symmetric matrices the pipeline
+    builds (see `_assign`).
+    """
     d = D.d
     medoids = np.array(initial_medoids, dtype=int)
     if len(set(medoids.tolist())) != len(medoids):
         raise ValidationError("initial medoids must be distinct")
     if np.any(medoids < 0) or np.any(medoids >= d.shape[0]):
         raise ValidationError("initial medoid index out of range")
+    assignment = _assign(d, medoids)
+    changed = np.ones(medoids.shape[0], dtype=bool)
     for _ in range(max_swaps):
-        assignment = _assign(d, medoids)
-        assignment = _repair_empty(d, medoids, assignment)
         new = medoids.copy()
-        for k in range(medoids.shape[0]):
+        for k in np.flatnonzero(changed):
             members = np.flatnonzero(assignment == k)
             sums = d[np.ix_(members, members)].sum(axis=1)
             new[k] = members[int(np.argmin(sums))]  # ties: lowest point index
         if np.array_equal(new, medoids):
             break
         medoids = new
-    assignment = _assign(d, medoids)
-    assignment = _repair_empty(d, medoids, assignment)
+        previous, assignment = assignment, _assign(d, medoids)
+        moved = assignment != previous
+        changed[:] = False
+        changed[previous[moved]] = True
+        changed[assignment[moved]] = True
     return Clustering(assignment, medoids)
 
 

@@ -54,14 +54,20 @@ class ClmdsConfig:
 
 
 class _SeedStream:
-    """Deterministic stream of integer sub-seeds derived from a master seed."""
+    """Deterministic stream of integer sub-seeds derived from a master seed.
+
+    Call n draws from the child of SeedSequence(seed) with spawn key
+    n(n+3)/2 (0, 2, 5, 9, ...): the keys of an earlier definition that
+    spawned n+1 children on call n and kept the last, built directly.
+    """
 
     def __init__(self, seed: int):
-        self._ss = np.random.SeedSequence(seed)
+        self._seed = seed
         self._n = 0
 
     def next(self) -> int:
-        child = self._ss.spawn(self._n + 1)[self._n]
+        n = self._n
+        child = np.random.SeedSequence(self._seed, spawn_key=(n * (n + 3) // 2,))
         self._n += 1
         return int(child.generate_state(1, dtype=np.uint64)[0] >> 1)
 
@@ -162,11 +168,15 @@ def clmds_embed(D: DistanceMatrix, cfg: ClmdsConfig,
     if cfg.kernel_similarity is not None:
         kernel_sub = cfg.kernel_similarity[np.ix_(sel.sparse, sel.sparse)]
     sub_cfg = replace(cfg, sparsify="none", n_sparse=None, kernel_similarity=kernel_sub)
+    sparsify_s = time.perf_counter() - t0
     sparse_result = _core_run(sub, sub_cfg)
+    sparse_result.timings["sparsify"] = sparsify_s
     sparse_result.sparse_indices = sel.sparse
     sparse_result.estimation_available = features is not None
     if features is not None:
+        t1 = time.perf_counter()
         sparse_result = estimate_out_of_sample(features, sparse_result, sel)
+        sparse_result.timings["estimate"] = time.perf_counter() - t1
     sparse_result.timings["total"] = time.perf_counter() - t0
     return sparse_result
 
@@ -193,12 +203,17 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
         local_stresses.append(sig)
     timings["local_mds"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     anchors0 = select_anchors(D, c0, cfg.anchors)
+    timings["anchors"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     if cfg.kernel_similarity is not None:
         d_anchor = medoid_weighted_distance(cfg.kernel_similarity, c0,
                                             KernelConfig(eta=cfg.kernel_eta))
     else:
         d_anchor = D
+    timings["anchor_mds"] = time.perf_counter() - t0
 
     per_level = [LevelArtifacts(clustering=c0, anchors=anchors0,
                                 local_stresses=local_stresses)]
@@ -212,6 +227,7 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     comp = [np.eye(3) for _ in range(n_cl)]
 
     t0 = time.perf_counter()
+    anchor_mds_s = 0.0
     for li, target in enumerate(levels[1:], start=1):
         final = li == len(levels) - 1
         group_medoids = np.array([g["medoid"] for g in groups], dtype=int)
@@ -223,9 +239,11 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
         for gidx in range(target):
             members = [groups[i] for i in np.flatnonzero(grouping == gidx)]
             anchor_union = np.concatenate([g["anchors"] for g in members])
+            t1 = time.perf_counter()
             sub = DistanceMatrix(d_anchor.d[np.ix_(anchor_union, anchor_union)])
             axy, astress = mds_embed(sub, relative_stress_weights(sub.d),
                                      replace(cfg.mds, seed=seeds.next()))
+            anchor_mds_s += time.perf_counter() - t1
             anchor_stresses.append(astress)
             row_of = {int(p): r for r, p in enumerate(anchor_union)}
             for p, r in row_of.items():
@@ -269,7 +287,9 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
             anchor_stress=float(np.sum(anchor_stresses)),
         ))
         groups = new_groups
-    timings["stitching"] = time.perf_counter() - t0
+    timings["anchor_mds"] += anchor_mds_s
+    # the hierarchy loop less its anchor MDS: merges, pool anchors, stitches
+    timings["stitching"] = time.perf_counter() - t0 - anchor_mds_s
 
     top = groups[0]
     coords = np.empty((n, 2))

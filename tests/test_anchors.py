@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from clmds import (AnchorConfig, Clustering, FeatureSet, ValidationError,
-                   candidate_vertices, euclidean_distances, select_anchors,
-                   simplex_volume_sq)
+                   best_quadruple, candidate_vertices, euclidean_distances,
+                   select_anchors, simplex_volume_sq)
 
 
 def coord_volume_sq(pts):
@@ -119,3 +119,44 @@ def test_anchor_count_is_min_4_cluster_size():
     for k in range(3):
         assert anchors[k].shape[0] == min(4, c.members(k).size)
         assert set(anchors[k].tolist()) <= set(c.members(k).tolist())
+
+
+def curved_sheet(rng, n, dims=12):
+    """Points on a smooth 2-d sheet bent through R^dims: thin tetrahedra."""
+    uv = rng.uniform(-1.0, 1.0, size=(n, 2))
+    freq = rng.uniform(0.5, 2.0, size=(2, dims))
+    phase = rng.uniform(0.0, np.pi, size=dims)
+    return np.sin(uv @ freq + phase)
+
+
+@pytest.mark.parametrize("family, sizes", [("gaussian-3d", (5, 9, 14, 22, 40)),
+                                           ("sheet-12d", (6, 11, 19, 30))])
+def test_best_quadruple_matches_brute_force(family, sizes):
+    rng = np.random.default_rng(21)
+    for n in sizes:
+        pts = rng.normal(size=(n, 3)) if family == "gaussian-3d" else curved_sheet(rng, n)
+        D = euclidean_distances(FeatureSet(pts))
+        quads = list(combinations(range(n), 4))
+        vols = np.array([max(simplex_volume_sq(D.d[np.ix_(q, q)]), 0.0) for q in quads])
+        order = np.argsort(-vols, kind="stable")
+        top, second = vols[order[0]], vols[order[1]]
+        got = best_quadruple(D, np.arange(n))
+        if top - second > 1e-9 * top:
+            assert tuple(got.tolist()) == quads[order[0]]
+        else:
+            got_v = simplex_volume_sq(D.d[np.ix_(got, got)])
+            assert got_v == pytest.approx(top, rel=1e-9)
+
+
+def test_best_quadruple_planar_pool_returns_four_distinct():
+    pts = np.random.default_rng(4).normal(size=(15, 2))
+    D = euclidean_distances(FeatureSet(pts))
+    got = best_quadruple(D, np.arange(15))
+    assert got.size == 4 and np.unique(got).size == 4
+
+
+def test_best_quadruple_keeps_one_anchor_per_location():
+    locations = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    pts = locations[np.arange(12) % 3]  # three locations, four copies each
+    D = euclidean_distances(FeatureSet(pts))
+    assert np.array_equal(best_quadruple(D, np.arange(12)), [0, 1, 2])

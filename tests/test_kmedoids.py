@@ -140,3 +140,54 @@ def test_custom_initial_medoids_override():
     c = kmedoids_best(D, KmedoidsConfig(k=2, iter_med=5, seed=0), initial_medoids=[0, 2])
     assert set(c.medoids.tolist()) <= {0, 1, 2, 3}
     assert c.n_clusters == 2
+
+
+def reference_kmedoids_once(d, initial_medoids, max_swaps=1000):
+    """The loop before incremental updates: every medoid recomputed on every
+    iteration, assignment by a column gather, empty clusters reseeded."""
+    def assign(medoids):
+        a = np.argmin(d[:, medoids], axis=1)
+        a[medoids] = np.arange(medoids.shape[0])
+        return a
+
+    def repair_empty(medoids, assignment):
+        k = medoids.shape[0]
+        counts = np.bincount(assignment, minlength=k)
+        for kk in np.flatnonzero(counts == 0):
+            donor = int(np.argmax(counts))
+            members = np.setdiff1d(np.flatnonzero(assignment == donor), medoids)
+            medoids[kk] = members[int(np.argmax(d[members, medoids[donor]]))]
+            assignment = assign(medoids)
+            counts = np.bincount(assignment, minlength=k)
+        return assignment
+
+    medoids = np.array(initial_medoids, dtype=int)
+    for _ in range(max_swaps):
+        assignment = repair_empty(medoids, assign(medoids))
+        new = medoids.copy()
+        for k in range(medoids.shape[0]):
+            members = np.flatnonzero(assignment == k)
+            sums = d[np.ix_(members, members)].sum(axis=1)
+            new[k] = members[int(np.argmin(sums))]
+        if np.array_equal(new, medoids):
+            break
+        medoids = new
+    return repair_empty(medoids, assign(medoids)), medoids
+
+
+@pytest.mark.parametrize("duplicated", [False, True])
+def test_incremental_updates_match_full_updates(duplicated):
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n = int(rng.integers(8, 120))
+        pts = rng.normal(size=(n, int(rng.integers(1, 4))))
+        if duplicated:  # exact distance ties, zero distances included
+            pts = np.round(pts[rng.integers(0, max(2, n // 3), size=n)], 1)
+        D = euclidean_distances(FeatureSet(pts))
+        k = int(rng.integers(1, min(n, 12) + 1))
+        init = rng.choice(n, size=k, replace=False)
+        max_swaps = 1000 if trial % 4 else int(rng.integers(1, 4))
+        c = kmedoids_once(D, init, max_swaps)
+        ref_assignment, ref_medoids = reference_kmedoids_once(D.d, init, max_swaps)
+        assert np.array_equal(c.assignment, ref_assignment)
+        assert np.array_equal(c.medoids, ref_medoids)

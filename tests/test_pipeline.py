@@ -7,6 +7,7 @@ from clmds import (ClmdsConfig, FeatureSet, HierarchySpec, KmedoidsConfig,
                    euclidean_distances, hierarchy_merge, kernel_matrix,
                    kernel_to_distance, kmedoids_best, sparsify_select,
                    voronoi_containment)
+from clmds.pipeline import _SeedStream
 
 
 def blobs(centers, per=12, spread=0.15, seed=0, dims=3):
@@ -234,7 +235,26 @@ def test_k_exceeding_n_errors():
 
 
 def test_timings_recorded():
-    _, D = three_blob_problem(seed=13)
-    res = clmds_embed(D, base_config())
-    for key in ("kmedoids", "local_mds", "stitching", "total"):
-        assert res.timings[key] >= 0.0
+    fs, D = three_blob_problem(seed=13)
+    stages = ("kmedoids", "local_mds", "anchors", "anchor_mds", "stitching")
+    sparse_stages = stages + ("sparsify", "estimate")
+    for cfg, keys in ((base_config(), stages),
+                      (base_config(sparsify="random", n_sparse=18, seed=2), sparse_stages)):
+        res = clmds_embed(D, cfg, features=fs)
+        assert set(res.timings) == set(keys) | {"total"}
+        assert all(res.timings[key] >= 0.0 for key in keys)
+        # the stages are disjoint, so they cannot add up to more than the total
+        assert sum(res.timings[key] for key in keys) <= res.timings["total"]
+
+
+def test_seed_stream_keeps_the_spawned_sub_seeds():
+    # the definition the stream reproduces: call n spawns n+1 children from
+    # the master sequence and keeps the last one
+    def spawned(seed, count):
+        ss = np.random.SeedSequence(seed)
+        return [int(ss.spawn(n + 1)[n].generate_state(1, dtype=np.uint64)[0] >> 1)
+                for n in range(count)]
+
+    for seed in (0, 1, 12345):
+        stream = _SeedStream(seed)
+        assert [stream.next() for _ in range(200)] == spawned(seed, 200)
