@@ -12,11 +12,11 @@ import tempfile
 import numpy as np
 
 from .anchors import AnchorConfig
-from .core import (Clustering, ClmdsResult, HierarchySpec, LevelArtifacts, Stitch,
-                   ValidationError, euclidean_distances, load_distance_matrix,
-                   load_feature_set)
+from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
+                   LevelArtifacts, Stitch, ValidationError, euclidean_distances,
+                   load_distance_matrix, load_feature_set)
 from .datagen import HolesSpec, gen_holes_dataset, gen_s_curve, voronoi_containment
-from .kernel import KernelConfig, kernel_matrix, kernel_to_distance
+from .kernel import KernelConfig, kernel_matrix, kernel_to_distance, unit_descriptors
 from .kmedoids import KmedoidsConfig
 from .mds import MdsConfig
 from .pipeline import ClmdsConfig, clmds_embed
@@ -91,11 +91,42 @@ def build_run_config(cfg: dict) -> ClmdsConfig:
     if sparsify not in ("none", "random", "cur"):
         sparsify = [int(x) for x in sparsify.split(",")]
     n_sparse = int(cfg["n_sparse"]) if cfg["n_sparse"] else None
+    weighted = cfg["input_kind"] == "descriptors" and _parse_bool(cfg["weighted"], "weighted")
     return ClmdsConfig(
         hierarchy=hierarchy, kmedoids=km, mds=mds, anchors=AnchorConfig(),
         sparsify=sparsify, n_sparse=n_sparse, seed=seed,
-        anchor_pool=cfg["anchor_pool"], kernel_eta=int(cfg["eta"]),
+        anchor_pool=cfg["anchor_pool"], kernel_similarity=weighted,
+        kernel_eta=int(cfg["eta"]),
     )
+
+
+class FeatureDistances:
+    """Distances among feature vectors, built only for the points asked for:
+    Euclidean, or induced by the kernel of `kernel` on descriptors.
+
+    Every row is checked on construction, also those outside any block,
+    since out-of-sample estimation uses them all.
+    """
+
+    def __init__(self, features: FeatureSet, kernel: KernelConfig | None = None):
+        if kernel is not None:
+            unit_descriptors(features, kernel)
+        self.features, self.kernel = features, kernel
+
+    @property
+    def n_points(self) -> int:
+        return self.features.n_points
+
+    @property
+    def d(self) -> np.ndarray:
+        """The full N x N matrix (sparsify="cur" ranks its row norms)."""
+        return self.submatrix(np.arange(self.n_points)).d
+
+    def submatrix(self, idx) -> DistanceMatrix:
+        fs = FeatureSet(self.features.vectors[idx])
+        if self.kernel is None:
+            return euclidean_distances(fs)
+        return kernel_to_distance(kernel_matrix(fs, self.kernel))
 
 
 def _fmt(x: float) -> str:
@@ -252,15 +283,12 @@ def cmd_embed(args) -> int:
         D = load_distance_matrix(cfg["input"])
     elif kind == "features":
         features = load_feature_set(cfg["input"])
-        D = euclidean_distances(features)
+        D = FeatureDistances(features)
     elif kind == "descriptors":
         features = load_feature_set(cfg["input"])
         kcfg = KernelConfig(zeta=float(cfg["zeta"]), eta=int(cfg["eta"]),
                             normalize=_parse_bool(cfg["normalize"], "normalize"))
-        k = kernel_matrix(features, kcfg)
-        D = kernel_to_distance(k)
-        if _parse_bool(cfg["weighted"], "weighted"):
-            run_cfg = dataclasses.replace(run_cfg, kernel_similarity=k)
+        D = FeatureDistances(features, kcfg)
     else:
         raise ValidationError(f"unknown input kind {kind!r}")
 

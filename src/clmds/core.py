@@ -43,17 +43,42 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Validated symmetric dissimilarity matrix with zero diagonal."""
+    """Exactly symmetric square dissimilarity matrix.
+
+    ``similarity``, when set, is the kernel matrix the distances were
+    induced from (see `kernel.kernel_to_distance`); it travels with the
+    distances through `submatrix`.
+    """
 
     d: np.ndarray
+    similarity: np.ndarray | None = None
+
+    def __post_init__(self):
+        d = np.asarray(self.d)
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise ValidationError("distance matrix must be square")
+        # k-medoids reads rows for columns, which is exact only on an exactly
+        # symmetric matrix
+        if not np.array_equal(d, d.T):
+            raise ValidationError("distance matrix is not exactly symmetric; "
+                                  "build it with validate_distance_matrix")
+        if self.similarity is not None and np.shape(self.similarity) != d.shape:
+            raise ValidationError("similarity shape does not match the distance matrix")
+        object.__setattr__(self, "d", d)
 
     @property
     def n_points(self) -> int:
         return self.d.shape[0]
 
-    def submatrix(self, idx) -> np.ndarray:
-        idx = np.asarray(idx)
-        return self.d[np.ix_(idx, idx)]
+    def submatrix(self, idx) -> DistanceMatrix:
+        """The distances among the points idx, in that order; self when idx
+        is every point in order."""
+        idx = np.asarray(idx, dtype=int)
+        if np.array_equal(idx, np.arange(self.n_points)):
+            return self
+        block = np.ix_(idx, idx)
+        return DistanceMatrix(self.d[block],
+                              None if self.similarity is None else self.similarity[block])
 
 
 def validate_distance_matrix(raw) -> DistanceMatrix:

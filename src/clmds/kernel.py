@@ -24,6 +24,20 @@ class KernelConfig:
             raise ValidationError("eta must be a positive integer")
 
 
+def unit_descriptors(fs: FeatureSet, cfg: KernelConfig) -> np.ndarray:
+    """The descriptors as unit vectors: divided by their norms when
+    cfg.normalize, otherwise checked to be unit-norm already."""
+    q = fs.vectors
+    norms = np.linalg.norm(q, axis=1)
+    if cfg.normalize:
+        if np.any(norms == 0):
+            raise ValidationError("zero-norm descriptor cannot be normalized")
+        return q / norms[:, None]
+    if np.max(np.abs(norms - 1.0)) > _UNIT_NORM_TOL:
+        raise ValidationError("descriptors must be unit-normalized (or pass normalize=True)")
+    return q
+
+
 def kernel_matrix(fs: FeatureSet, cfg: KernelConfig | None = None) -> np.ndarray:
     """Polynomial similarity K_ij = (q_i . q_j)^zeta for unit-norm descriptors.
 
@@ -32,14 +46,7 @@ def kernel_matrix(fs: FeatureSet, cfg: KernelConfig | None = None) -> np.ndarray
     """
     if cfg is None:
         cfg = KernelConfig()
-    q = fs.vectors
-    norms = np.linalg.norm(q, axis=1)
-    if cfg.normalize:
-        if np.any(norms == 0):
-            raise ValidationError("zero-norm descriptor cannot be normalized")
-        q = q / norms[:, None]
-    elif np.max(np.abs(norms - 1.0)) > _UNIT_NORM_TOL:
-        raise ValidationError("descriptors must be unit-normalized (or pass normalize=True)")
+    q = unit_descriptors(fs, cfg)
     k = np.clip(q @ q.T, 0.0, None) ** cfg.zeta
     k = 0.5 * (k + k.T)
     np.fill_diagonal(k, 1.0)
@@ -60,11 +67,11 @@ def _check_kernel(k: np.ndarray):
 
 
 def kernel_to_distance(k: np.ndarray) -> DistanceMatrix:
-    """Induced distance D_ij = sqrt(1 - K_ij)."""
+    """Induced distance D_ij = sqrt(1 - K_ij), carrying k as its similarity."""
     k = _check_kernel(k)
     d = np.sqrt(np.clip(1.0 - k, 0.0, None))
     np.fill_diagonal(d, 0.0)
-    return validate_distance_matrix(d)
+    return DistanceMatrix(validate_distance_matrix(d).d, similarity=k)
 
 
 def medoid_weighted_distance(k: np.ndarray, c: Clustering,

@@ -46,27 +46,39 @@ def farthest_point_sample(d: np.ndarray, n: int) -> list[int]:
     return chosen
 
 
-def select_initial_medoids(D: DistanceMatrix, cfg: KmedoidsConfig,
-                           rng: np.random.Generator | None = None) -> np.ndarray:
-    """Initial medoids: n_iso by farthest point sampling, the rest random."""
+def _farthest_picks_and_pool(D: DistanceMatrix, cfg: KmedoidsConfig):
+    """The n_iso farthest-point picks and the points left to draw from.
+
+    Neither depends on the rng, so restarts compute them once.
+    """
     n = D.n_points
     if cfg.k > n:
         raise ValidationError(f"k={cfg.k} exceeds number of points {n}")
     chosen = farthest_point_sample(D.d, cfg.n_iso) if cfg.n_iso else []
-    n_rand = cfg.k - len(chosen)
+    return chosen, np.setdiff1d(np.arange(n), chosen)
+
+
+def _draw_initial_medoids(chosen: list[int], pool: np.ndarray, k: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    n_rand = k - len(chosen)
     if n_rand:
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
-        pool = np.setdiff1d(np.arange(n), chosen)
         chosen = chosen + list(rng.choice(pool, size=n_rand, replace=False))
     return np.array(chosen, dtype=int)
 
 
+def select_initial_medoids(D: DistanceMatrix, cfg: KmedoidsConfig,
+                           rng: np.random.Generator | None = None) -> np.ndarray:
+    """Initial medoids: n_iso by farthest point sampling, the rest random."""
+    chosen, pool = _farthest_picks_and_pool(D, cfg)
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    return _draw_initial_medoids(chosen, pool, cfg.k, rng)
+
+
 def _assign(d: np.ndarray, medoids: np.ndarray) -> np.ndarray:
-    # rows d[medoids] stand for the columns d[:, medoids]: every matrix the
-    # pipeline builds is exactly symmetric (validate_distance_matrix and
-    # euclidean_distances make it so, and sub-matrices inherit it), and a
-    # contiguous row gather is the cheaper one
+    # rows d[medoids] stand for the columns d[:, medoids]: DistanceMatrix
+    # admits only exactly symmetric arrays, and a contiguous row gather is
+    # the cheaper one
     a = np.argmin(d[medoids], axis=0)
     # argmin breaks ties by lowest cluster index; a medoid always stays in
     # its own cluster, so with distinct medoids no cluster is ever empty
@@ -80,8 +92,7 @@ def kmedoids_once(D: DistanceMatrix, initial_medoids, max_swaps: int = 1000) -> 
     Each update recomputes the medoid only of clusters whose membership
     changed since the previous update (all of them the first time): an
     unchanged cluster would get the same argmin. The result equals a full
-    update every iteration, on the exactly symmetric matrices the pipeline
-    builds (see `_assign`).
+    update every iteration (see `_assign`).
     """
     d = D.d
     medoids = np.array(initial_medoids, dtype=int)
@@ -130,11 +141,11 @@ def kmedoids_best(D: DistanceMatrix, cfg: KmedoidsConfig,
         raise ValidationError(f"k={cfg.k} exceeds number of points {D.n_points}")
     if initial_medoids is not None:
         return kmedoids_once(D, initial_medoids, cfg.max_swaps)
+    chosen, pool = _farthest_picks_and_pool(D, cfg)
     best = None
     best_irel = np.inf
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.iter_med):
-        rng = np.random.default_rng(child)
-        init = select_initial_medoids(D, cfg, rng=rng)
+        init = _draw_initial_medoids(chosen, pool, cfg.k, np.random.default_rng(child))
         c = kmedoids_once(D, init, cfg.max_swaps)
         irel = relative_incoherence(D, c)
         if irel < best_irel:

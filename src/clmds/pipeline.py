@@ -40,7 +40,7 @@ class ClmdsConfig:
     n_sparse: int | None = None
     seed: int = 0
     anchor_pool: str = "member_anchors"  # or "full_cluster"
-    kernel_similarity: np.ndarray | None = None  # opt-in medoid-weighted anchor MDS
+    kernel_similarity: bool = False  # medoid-weighted anchor MDS from D.similarity
     kernel_eta: int = 1
 
     def __post_init__(self):
@@ -51,6 +51,9 @@ class ClmdsConfig:
         mode = self.sparsify if isinstance(self.sparsify, str) else "list"
         if mode not in ("none", "random", "cur", "list"):
             raise ValidationError(f"unknown sparsify mode {self.sparsify!r}")
+        if not isinstance(self.kernel_similarity, bool):
+            raise ValidationError("kernel_similarity must be a bool; the kernel travels "
+                                  "with the distances (DistanceMatrix.similarity)")
 
 
 class _SeedStream:
@@ -112,8 +115,7 @@ def _merge_groups(D: DistanceMatrix, medoids: np.ndarray, target: int,
     if target == 1:
         grouping = np.zeros(medoids.shape[0], dtype=int)
     else:
-        sub = DistanceMatrix(D.d[np.ix_(medoids, medoids)])
-        gc = kmedoids_best(sub, replace(km_cfg, k=target, seed=seed))
+        gc = kmedoids_best(D.submatrix(medoids), replace(km_cfg, k=target, seed=seed))
         grouping = gc.assignment
     merged_medoids = np.empty(target, dtype=int)
     for g in range(target):
@@ -147,38 +149,34 @@ def clmds_embed(D: DistanceMatrix, cfg: ClmdsConfig,
                 features: FeatureSet | None = None) -> ClmdsResult:
     """Run the full pipeline on a distance matrix.
 
-    With sparsification enabled, the pipeline runs on the sparse subset;
-    when descriptor vectors are supplied the remaining points get
-    estimated coordinates, otherwise the result covers the sparse subset
-    only (estimation needs vectors).
+    The pipeline embeds the sparse subset (every point when sparsify is
+    "none") through `D.submatrix`, so D may be any object with `n_points`
+    and `submatrix(idx) -> DistanceMatrix` that builds only the distances
+    asked for; `sparsify="cur"` also reads the full matrix `D.d`. Points
+    left out get estimated coordinates when descriptor vectors are
+    supplied; otherwise the result covers the sparse subset only
+    (estimation needs vectors).
     """
     n = D.n_points
     if cfg.hierarchy.levels[0] > n:
         raise ValidationError("finest cluster count exceeds number of points")
     t0 = time.perf_counter()
-    mode = cfg.sparsify if isinstance(cfg.sparsify, str) else "list"
-    if mode == "none":
-        result = _core_run(D, cfg)
-        result.timings["total"] = time.perf_counter() - t0
-        return result
     sel = sparsify_select(D, cfg.sparsify, cfg.n_sparse, seed=cfg.seed,
                           n_min=cfg.hierarchy.levels[0])
-    sub = DistanceMatrix(D.d[np.ix_(sel.sparse, sel.sparse)])
-    kernel_sub = None
-    if cfg.kernel_similarity is not None:
-        kernel_sub = cfg.kernel_similarity[np.ix_(sel.sparse, sel.sparse)]
-    sub_cfg = replace(cfg, sparsify="none", n_sparse=None, kernel_similarity=kernel_sub)
-    sparsify_s = time.perf_counter() - t0
-    sparse_result = _core_run(sub, sub_cfg)
-    sparse_result.timings["sparsify"] = sparsify_s
-    sparse_result.sparse_indices = sel.sparse
-    sparse_result.estimation_available = features is not None
-    if features is not None:
-        t1 = time.perf_counter()
-        sparse_result = estimate_out_of_sample(features, sparse_result, sel)
-        sparse_result.timings["estimate"] = time.perf_counter() - t1
-    sparse_result.timings["total"] = time.perf_counter() - t0
-    return sparse_result
+    t1 = time.perf_counter()
+    sub = D.submatrix(sel.sparse)
+    t2 = time.perf_counter()
+    result = _core_run(sub, cfg)
+    result.timings.update(sparsify=t1 - t0, distances=t2 - t1)
+    if sel.complement.size:
+        result.sparse_indices = sel.sparse
+        result.estimation_available = features is not None
+        if features is not None:
+            t3 = time.perf_counter()
+            result = estimate_out_of_sample(features, result, sel)
+            result.timings["estimate"] = time.perf_counter() - t3
+    result.timings["total"] = time.perf_counter() - t0
+    return result
 
 
 def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
@@ -187,6 +185,9 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     levels = cfg.hierarchy.levels
     n_cl = levels[0]
     timings = {}
+    if cfg.kernel_similarity and D.similarity is None:
+        raise ValidationError("kernel_similarity needs kernel-induced distances "
+                              "(kernel_to_distance)")
 
     t0 = time.perf_counter()
     c0 = kmedoids_best(D, replace(cfg.kmedoids, k=n_cl, seed=seeds.next()))
@@ -197,8 +198,7 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     local_coords, local_stresses = [], []
     for k in range(n_cl):
         members = c0.members(k)
-        sub = DistanceMatrix(D.d[np.ix_(members, members)])
-        xy, sig = mds_embed(sub, cfg=replace(cfg.mds, seed=seeds.next()))
+        xy, sig = mds_embed(D.submatrix(members), cfg=replace(cfg.mds, seed=seeds.next()))
         local_coords.append(xy)
         local_stresses.append(sig)
     timings["local_mds"] = time.perf_counter() - t0
@@ -208,8 +208,8 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     timings["anchors"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if cfg.kernel_similarity is not None:
-        d_anchor = medoid_weighted_distance(cfg.kernel_similarity, c0,
+    if cfg.kernel_similarity:
+        d_anchor = medoid_weighted_distance(D.similarity, c0,
                                             KernelConfig(eta=cfg.kernel_eta))
     else:
         d_anchor = D
@@ -240,7 +240,7 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
             members = [groups[i] for i in np.flatnonzero(grouping == gidx)]
             anchor_union = np.concatenate([g["anchors"] for g in members])
             t1 = time.perf_counter()
-            sub = DistanceMatrix(d_anchor.d[np.ix_(anchor_union, anchor_union)])
+            sub = d_anchor.submatrix(anchor_union)
             axy, astress = mds_embed(sub, relative_stress_weights(sub.d),
                                      replace(cfg.mds, seed=seeds.next()))
             anchor_mds_s += time.perf_counter() - t1

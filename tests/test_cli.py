@@ -1,11 +1,16 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clmds import Stitch, voronoi_containment
-from clmds.cli import load_result, main, parse_config, result_to_json
+from clmds import (KernelConfig, Stitch, clmds_embed, euclidean_distances, kernel_matrix,
+                   kernel_to_distance, load_feature_set, voronoi_containment)
+from clmds.cli import (build_run_config, load_result, main, parse_config,
+                       result_to_coords_csv, result_to_json)
 
 
 def write_features(tmp_path, seed=0):
@@ -210,3 +215,76 @@ def test_datagen_then_embed_end_to_end(tmp_path, capsys):
     result = load_result(str(out))
     assert result.coords.shape == (120, 2)
     assert np.all(np.isfinite(result.coords))
+
+
+@pytest.mark.parametrize("kind", ["features", "descriptors"])
+@pytest.mark.parametrize("sparsify", ["none", "random", "3,5,8,13,21,34,55,89,91,97,99,100,"
+                                      "101,102,103,104,105,106,107,108", "cur"])
+def test_embed_equals_the_full_matrix_library_call(tmp_path, capsys, kind, sparsify):
+    # the CLI builds only the distances it embeds; the library call below
+    # builds the whole matrix and lets the pipeline take its block
+    data = tmp_path / "data"
+    assert run(["datagen", "holes", "--n", "110", "--holes", "4", "--seed", "3",
+                "--output-dir", data], capsys)[0] == 0
+    sets = [f"input={data / 'features.csv'}", f"input_kind={kind}", "hierarchy=4,2,1",
+            "iter_med=10", "mds_n_init=2", f"sparsify={sparsify}", "n_sparse=40",
+            "normalize=true", "weighted=true", "zeta=2.0", "eta=2"]
+    out = tmp_path / "out"
+    argv = ["embed", "--output-dir", out]
+    for item in sets:
+        argv += ["--set", item]
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+
+    fs = load_feature_set(data / "features.csv")
+    cfg = build_run_config(parse_config(None, sets))
+    assert cfg.kernel_similarity == (kind == "descriptors")
+    if kind == "features":
+        D = euclidean_distances(fs)
+    else:
+        D = kernel_to_distance(kernel_matrix(fs, KernelConfig(zeta=2.0, eta=2, normalize=True)))
+    expected = result_to_coords_csv(clmds_embed(D, cfg, features=fs))
+    written = (out / "coords.csv").read_text()
+    if kind == "features":
+        assert written == expected
+        return
+    # the BLAS product behind kernel_matrix may round a block's dot products
+    # differently from the full matrix's (by 1 ulp, at these sizes), so the
+    # coordinates are compared to 1e-9 and every other column exactly
+    got, want = (np.array([line.split(",") for line in text.splitlines()[1:]], dtype=float)
+                 for text in (written, expected))
+    assert np.array_equal(np.delete(got, [1, 2], axis=1), np.delete(want, [1, 2], axis=1))
+    assert np.max(np.abs(got[:, 1:3] - want[:, 1:3])) <= 1e-9
+
+
+@pytest.mark.parametrize("normalize, bad_row, message", [
+    ("true", np.zeros(4), "zero-norm descriptor"),
+    ("false", np.array([0.5, 0.0, 0.0, 0.0]), "unit-normalized"),
+])
+def test_bad_descriptor_outside_the_sparse_set_is_rejected(tmp_path, capsys, normalize,
+                                                           bad_row, message):
+    rng = np.random.default_rng(6)
+    raw = np.abs(rng.normal(size=(30, 4)))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    raw[29] = bad_row  # estimation would use it, though the sparse list leaves it out
+    inp = tmp_path / "desc.csv"
+    inp.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in raw) + "\n")
+    argv = ["embed", "--set", f"input={inp}", "--set", "input_kind=descriptors",
+            "--set", f"normalize={normalize}", "--set", "hierarchy=3,1",
+            "--set", "sparsify=" + ",".join(str(i) for i in range(20)),
+            "--output-dir", str(tmp_path / "out")]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert message in err
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+@pytest.mark.skipif(not BENCH.is_file(), reason="no perfbench/ beside the tests")
+def test_benchmark_smoke_runs():
+    # fails when an output check fails, or when a function the benchmark
+    # wraps by name was renamed and so never fired
+    proc = subprocess.run([sys.executable, str(BENCH), "--smoke"], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from clmds import (FeatureSet, HierarchySpec, ValidationError, euclidean_distances,
+from clmds import (DistanceMatrix, FeatureSet, HierarchySpec, ValidationError,
+                   euclidean_distances, kernel_matrix, kernel_to_distance,
                    load_distance_matrix, load_feature_set, validate_distance_matrix)
 
 
@@ -99,3 +100,35 @@ def test_loaders_accept_comments_and_both_delimiters(tmp_path):
     q.write_text("# features\n0 0\n3 4\n")
     fs = load_feature_set(q)
     assert fs.n_points == 2 and fs.n_dims == 2
+
+
+def test_distance_matrix_rejects_non_square_and_asymmetric():
+    with pytest.raises(ValidationError, match="square"):
+        DistanceMatrix(np.zeros((3, 4)))
+    rng = np.random.default_rng(0)
+    d = euclidean_distances(FeatureSet(rng.normal(size=(60, 3)))).d
+    noisy = d * rng.uniform(0.7, 1.3, size=d.shape)  # +-30%, not symmetric
+    with pytest.raises(ValidationError, match="validate_distance_matrix"):
+        DistanceMatrix(noisy)
+    # the smallest asymmetry is refused as well
+    d = d.copy()
+    d[0, 1] = np.nextafter(d[0, 1], np.inf)
+    with pytest.raises(ValidationError):
+        DistanceMatrix(d)
+
+
+def test_submatrix_is_the_block_and_carries_the_similarity():
+    rng = np.random.default_rng(2)
+    raw = rng.normal(size=(30, 4))
+    k = kernel_matrix(FeatureSet(raw / np.linalg.norm(raw, axis=1, keepdims=True)))
+    dm = kernel_to_distance(k)
+    assert dm.similarity is k
+    assert dm.submatrix(np.arange(30)) is dm
+    assert dm.submatrix(list(range(30))) is dm
+    for idx in (np.array([3, 7, 8, 21]), np.array([21, 3, 8]), np.arange(29)):
+        sub = dm.submatrix(idx)
+        assert isinstance(sub, DistanceMatrix)
+        assert np.array_equal(sub.d, dm.d[np.ix_(idx, idx)])
+        assert np.array_equal(sub.similarity, k[np.ix_(idx, idx)])
+    plain = euclidean_distances(FeatureSet(raw))
+    assert plain.similarity is None and plain.submatrix([0, 5]).similarity is None

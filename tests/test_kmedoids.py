@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import clmds.kmedoids as kmedoids_mod
 from clmds import (Clustering, FeatureSet, KmedoidsConfig, ValidationError,
                    euclidean_distances, kmedoids_best, kmedoids_once,
                    relative_incoherence, select_initial_medoids, validate_distance_matrix)
@@ -191,3 +192,34 @@ def test_incremental_updates_match_full_updates(duplicated):
         ref_assignment, ref_medoids = reference_kmedoids_once(D.d, init, max_swaps)
         assert np.array_equal(c.assignment, ref_assignment)
         assert np.array_equal(c.medoids, ref_medoids)
+
+
+def test_restarts_draw_the_same_initial_medoids(monkeypatch):
+    # the farthest-point picks and the pool are computed once per call, and
+    # every restart must still start where a per-restart selection started
+    def per_restart_selection(d, cfg, rng):
+        chosen = [int(np.argmax(d.sum(axis=1)))]
+        while len(chosen) < cfg.n_iso:
+            min_dist = d[:, chosen].min(axis=1)
+            min_dist[chosen] = -np.inf
+            chosen.append(int(np.argmax(min_dist)))
+        pool = np.setdiff1d(np.arange(d.shape[0]), chosen)
+        drawn = rng.choice(pool, size=cfg.k - cfg.n_iso, replace=False)
+        return np.array(chosen + list(drawn), dtype=int)
+
+    rng = np.random.default_rng(3)
+    D = euclidean_distances(FeatureSet(rng.normal(size=(80, 3))))
+    cfg = KmedoidsConfig(k=7, n_iso=3, iter_med=20, seed=11)
+    seen = []
+    real_once = kmedoids_mod.kmedoids_once
+
+    def recording_once(D, initial_medoids, max_swaps):
+        seen.append(np.array(initial_medoids))
+        return real_once(D, initial_medoids, max_swaps)
+
+    monkeypatch.setattr(kmedoids_mod, "kmedoids_once", recording_once)
+    kmedoids_best(D, cfg)
+    expected = [per_restart_selection(D.d, cfg, np.random.default_rng(child))
+                for child in np.random.SeedSequence(cfg.seed).spawn(cfg.iter_med)]
+    assert len(seen) == 20
+    assert all(np.array_equal(a, b) for a, b in zip(seen, expected))

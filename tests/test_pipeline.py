@@ -7,6 +7,7 @@ from clmds import (ClmdsConfig, FeatureSet, HierarchySpec, KmedoidsConfig,
                    euclidean_distances, hierarchy_merge, kernel_matrix,
                    kernel_to_distance, kmedoids_best, sparsify_select,
                    voronoi_containment)
+from clmds.cli import FeatureDistances
 from clmds.pipeline import _SeedStream
 
 
@@ -169,7 +170,7 @@ def test_kernel_weighted_anchor_distances_path():
     fs = FeatureSet(raw / np.linalg.norm(raw, axis=1, keepdims=True))
     k = kernel_matrix(fs)
     D = kernel_to_distance(k)
-    res = clmds_embed(D, base_config(kernel_similarity=k, kernel_eta=2))
+    res = clmds_embed(D, base_config(kernel_similarity=True, kernel_eta=2))
     assert np.all(np.isfinite(res.coords))
     assert voronoi_containment(res) == 1.0
 
@@ -236,15 +237,19 @@ def test_k_exceeding_n_errors():
 
 def test_timings_recorded():
     fs, D = three_blob_problem(seed=13)
-    stages = ("kmedoids", "local_mds", "anchors", "anchor_mds", "stitching")
-    sparse_stages = stages + ("sparsify", "estimate")
-    for cfg, keys in ((base_config(), stages),
-                      (base_config(sparsify="random", n_sparse=18, seed=2), sparse_stages)):
-        res = clmds_embed(D, cfg, features=fs)
-        assert set(res.timings) == set(keys) | {"total"}
-        assert all(res.timings[key] >= 0.0 for key in keys)
-        # the stages are disjoint, so they cannot add up to more than the total
-        assert sum(res.timings[key] for key in keys) <= res.timings["total"]
+    stages = ("sparsify", "distances", "kmedoids", "local_mds", "anchors",
+              "anchor_mds", "stitching")
+    sparse_stages = stages + ("estimate",)
+    # a full matrix, and the CLI's feature input, whose distances are built
+    # inside clmds_embed
+    for dist in (D, FeatureDistances(fs)):
+        for cfg, keys in ((base_config(), stages),
+                          (base_config(sparsify="random", n_sparse=18, seed=2), sparse_stages)):
+            res = clmds_embed(dist, cfg, features=fs)
+            assert set(res.timings) == set(keys) | {"total"}
+            assert all(res.timings[key] >= 0.0 for key in keys)
+            # the stages are disjoint, so they cannot add up to more than the total
+            assert sum(res.timings[key] for key in keys) <= res.timings["total"]
 
 
 def test_seed_stream_keeps_the_spawned_sub_seeds():
