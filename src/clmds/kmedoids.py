@@ -86,6 +86,18 @@ def _assign(d: np.ndarray, medoids: np.ndarray) -> np.ndarray:
     return a
 
 
+def _members_by_cluster(assignment: np.ndarray, k: int):
+    """Point indices grouped by cluster, and each group's bounds.
+
+    Cluster c's members, in increasing index order, are
+    order[bounds[c]:bounds[c + 1]].
+    """
+    order = np.argsort(assignment, kind="stable")
+    bounds = np.zeros(k + 1, dtype=int)
+    np.cumsum(np.bincount(assignment, minlength=k), out=bounds[1:])
+    return order, bounds
+
+
 def kmedoids_once(D: DistanceMatrix, initial_medoids, max_swaps: int = 1000) -> Clustering:
     """Run the alternating assignment / medoid-update loop to convergence.
 
@@ -104,9 +116,10 @@ def kmedoids_once(D: DistanceMatrix, initial_medoids, max_swaps: int = 1000) -> 
     changed = np.ones(medoids.shape[0], dtype=bool)
     for _ in range(max_swaps):
         new = medoids.copy()
+        order, bounds = _members_by_cluster(assignment, medoids.shape[0])
         for k in np.flatnonzero(changed):
-            members = np.flatnonzero(assignment == k)
-            sums = d[np.ix_(members, members)].sum(axis=1)
+            members = order[bounds[k]:bounds[k + 1]]
+            sums = d[members[:, None], members].sum(axis=1)
             new[k] = members[int(np.argmin(sums))]  # ties: lowest point index
         if np.array_equal(new, medoids):
             break
@@ -123,10 +136,11 @@ def relative_incoherence(D: DistanceMatrix, c: Clustering) -> float:
     """Sum over clusters of the mean member-to-medoid distance."""
     if c.n_points != D.n_points:
         raise ValidationError("clustering size does not match distance matrix")
+    order, bounds = _members_by_cluster(c.assignment, c.n_clusters)
+    to_medoid = D.d[order, c.medoids[c.assignment[order]]]
     total = 0.0
     for k in range(c.n_clusters):
-        members = c.members(k)
-        total += D.d[members, c.medoids[k]].sum() / members.shape[0]
+        total += to_medoid[bounds[k]:bounds[k + 1]].sum() / (bounds[k + 1] - bounds[k])
     return total
 
 

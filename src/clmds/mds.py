@@ -5,7 +5,9 @@ non-negative pair weights; uniform weights take a fast path that avoids
 the pseudo-inverse. The per-cluster MDS is unweighted; only the anchor
 MDS passes a weight matrix (relative stress). The weighted path computes
 the pseudo-inverse once per `mds_embed` call and its stress from
-precomputed sums.
+precomputed sums. Both run every start of a call in one stacked loop,
+into buffers allocated once per call; each start gets exactly the result
+it would get alone.
 """
 
 from __future__ import annotations
@@ -75,10 +77,6 @@ def stress(D: DistanceMatrix, coords: np.ndarray, w=None) -> float:
     return float(np.sum(wm[iu] * (D.d[iu] - d[iu]) ** 2))
 
 
-def _stress_from_dists(d_emb, d_in, wm, iu) -> float:
-    return float(np.sum(wm[iu] * (d_in[iu] - d_emb[iu]) ** 2))
-
-
 def relative_stress_weights(d: np.ndarray) -> np.ndarray:
     """Pair weights w_ij = d_ij^-2, which make the stress relative.
 
@@ -106,8 +104,31 @@ def _guttman_v(wm: np.ndarray) -> np.ndarray:
     return np.diag(wm.sum(axis=1)) - wm
 
 
-def _weighted_stress(d_in, wm):
-    """Stress as a function of (coords, embedded distances), from fixed sums.
+def _uniform_stresses(d_in, wm, s):
+    """Stress of each stacked start, from the upper triangles of its distances.
+
+    Each start's sum is a reduction over its own 1-d row, as for one start
+    alone: a reduction over the stacked axis may round differently.
+    """
+    m = d_in.shape[0]
+    iu = np.triu_indices(m, k=1)
+    flat = iu[0] * m + iu[1]
+    d_in_iu, wm_iu = d_in[iu], wm[iu]
+    err = np.empty((s, flat.shape[0]))
+
+    def stresses(x, d):
+        n = d.shape[0]
+        e = err[:n]
+        np.take(d.reshape(n, m * m), flat, axis=1, out=e)
+        np.subtract(d_in_iu, e, out=e)
+        np.square(e, out=e)
+        np.multiply(wm_iu, e, out=e)
+        return [float(np.add.reduce(row)) for row in e]
+    return stresses
+
+
+def _weighted_stresses(d_in, wm, s):
+    """Stress of each stacked start, from fixed sums.
 
     Over pairs i < j, stress = sum w d_in^2 - 2 sum w d_in d + sum w d^2.
     The first sum is fixed, the second is half the full-matrix dot of
@@ -117,49 +138,97 @@ def _weighted_stress(d_in, wm):
     wd = wm * d_in
     sig_in = 0.5 * float(np.vdot(wd, d_in))
     v = _guttman_v(wm)
+    vx = np.empty((s, d_in.shape[0], 2))
 
-    def stress_of(x, d_emb):
-        return sig_in - float(np.vdot(wd, d_emb)) + float(np.vdot(x, v @ x))
-    return stress_of
+    def stresses(x, d):
+        n = d.shape[0]
+        np.matmul(v, x, out=vx[:n])
+        return [sig_in - float(np.vdot(wd, d[k])) + float(np.vdot(x[k], vx[k]))
+                for k in range(n)]
+    return stresses
+
+
+def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w, v_pinv=None):
+    """SMACOF from every (m, 2) start at once; returns (s, m, 2) coordinates
+    and s stresses.
+
+    The starts run as one (s, m, 2) stack, and each follows exactly the
+    iterates of a run from it alone: it stops on a stress increase (keeping
+    the previous iterate), on a relative decrease below eps, or at max_iter.
+    A stopped start's result is frozen and it leaves the stack. Uniform
+    weights (uniform_w, the common off-diagonal weight) update by a division,
+    general weights (uniform_w None) through the pseudo-inverse of V.
+    """
+    s, m = len(starts), d_in.shape[0]
+    if uniform_w is None:
+        if v_pinv is None:
+            v_pinv = np.linalg.pinv(_guttman_v(wm))
+        stresses = _weighted_stresses(d_in, wm, s)
+
+        def update(bx, out):
+            np.matmul(v_pinv, bx, out=out)
+    else:
+        stresses = _uniform_stresses(d_in, wm, s)
+
+        def update(bx, out):
+            np.divide(bx, m * uniform_w, out=out)
+    neg_wm = -wm
+    x, x_new, bx = (np.empty((s, m, 2)) for _ in range(3))
+    d, b = np.empty((s, m, m)), np.empty((s, m, m))
+    near = np.empty((s, m, m), dtype=bool)
+    for k, x0 in enumerate(starts):
+        np.subtract(x0, x0.mean(axis=0), out=x[k])
+        cdist(x[k], x[k], out=d[k])
+    sig = stresses(x, d)
+    out_x, out_sig = np.empty((s, m, 2)), [0.0] * s
+    live = list(range(s))  # the start each stack row holds
+    n = s
+    for _ in range(max_iter):
+        xv, xn, dv, bv, nv = x[:n], x_new[:n], d[:n], b[:n], near[:n]
+        # B = -W * ratio, ratio = d_in / d where d > _EPS_DIST and 0 elsewhere
+        np.greater(dv, _EPS_DIST, out=nv)
+        np.logical_not(nv, out=nv)
+        np.maximum(dv, _EPS_DIST, out=bv)
+        np.divide(d_in, bv, out=bv)
+        np.copyto(bv, 0.0, where=nv)
+        np.multiply(neg_wm, bv, out=bv)
+        diag = bv.reshape(n, m * m)[:, ::m + 1]
+        diag[...] = 0.0
+        np.negative(np.add.reduce(bv, axis=2), out=diag)
+        np.matmul(bv, xv, out=bx[:n])
+        update(bx[:n], xn)
+        # each start's x.mean(axis=0), bit for bit
+        xn -= np.add.reduce(xn, axis=1, keepdims=True) / m
+        for k in range(n):
+            cdist(xn[k], xn[k], out=dv[k])
+        new_sig = stresses(xn, dv)
+        keep = []
+        for k in range(n):
+            if new_sig[k] > sig[k]:  # majorization guarantees descent; guard fp noise
+                out_x[live[k]], out_sig[live[k]] = xv[k], sig[k]
+            elif sig[k] - new_sig[k] < eps * max(sig[k], _EPS_DIST):
+                out_x[live[k]], out_sig[live[k]] = xn[k], new_sig[k]
+            else:
+                keep.append(k)
+        x, x_new, sig = x_new, x, new_sig
+        if len(keep) < n:
+            if not keep:
+                break
+            n = len(keep)
+            x[:n], d[:n] = x[keep], d[keep]
+            sig = [sig[k] for k in keep]
+            live = [live[k] for k in keep]
+    else:  # max_iter reached: the starts still in the stack end at their iterate
+        for k in range(n):
+            out_x[live[k]], out_sig[live[k]] = x[k], sig[k]
+    # the weighted sums can cancel to -1e-15 at an exact fit
+    return out_x, [max(v, 0.0) for v in out_sig]
 
 
 def _smacof(d_in, wm, x0, max_iter, eps, uniform_w, v_pinv=None):
-    m = d_in.shape[0]
-    if uniform_w is None:
-        # weighted case: update via the pseudo-inverse of V
-        if v_pinv is None:
-            v_pinv = np.linalg.pinv(_guttman_v(wm))
-        stress_of = _weighted_stress(d_in, wm)
-
-        def update(bx):
-            return v_pinv @ bx
-    else:
-        iu = np.triu_indices(m, k=1)
-
-        def stress_of(x, d_emb):
-            return _stress_from_dists(d_emb, d_in, wm, iu)
-
-        def update(bx):
-            return bx / (m * uniform_w)
-    x = x0 - x0.mean(axis=0)
-    d_emb = cdist(x, x)
-    sig = stress_of(x, d_emb)
-    for _ in range(max_iter):
-        ratio = np.where(d_emb > _EPS_DIST, d_in / np.maximum(d_emb, _EPS_DIST), 0.0)
-        b = -wm * ratio
-        np.fill_diagonal(b, 0.0)
-        np.fill_diagonal(b, -b.sum(axis=1))
-        x_new = update(b @ x)
-        x_new -= x_new.mean(axis=0)
-        d_emb = cdist(x_new, x_new)
-        new_sig = stress_of(x_new, d_emb)
-        if new_sig > sig:  # majorization guarantees descent; guard fp noise
-            break
-        done = sig - new_sig < eps * max(sig, _EPS_DIST)
-        x, sig = x_new, new_sig
-        if done:
-            break
-    return x, max(sig, 0.0)  # the weighted sums can cancel to -1e-15 at an exact fit
+    """SMACOF from one start: the stacked loop with a stack of one."""
+    xs, sigs = _smacof_starts(d_in, wm, [x0], max_iter, eps, uniform_w, v_pinv)
+    return xs[0], sigs[0]
 
 
 def _classical_start(d: np.ndarray) -> np.ndarray | None:
@@ -201,12 +270,10 @@ def mds_embed(D: DistanceMatrix, w=None,
     starts = [_classical_start(D.d)]
     while len([s for s in starts if s is not None]) < cfg.n_init:
         starts.append(rng.uniform(-1.0, 1.0, size=(m, 2)))
-    v_pinv = np.linalg.pinv(_guttman_v(wm)) if uniform_w is None else None
-    best_x, best_sig = None, np.inf
-    for x0 in starts:
-        if x0 is None:
-            continue
-        x, sig = _smacof(D.d, wm, x0, cfg.max_iter, cfg.eps, uniform_w, v_pinv)
-        if sig < best_sig:
-            best_x, best_sig = x, sig
-    return best_x - best_x.mean(axis=0), best_sig
+    starts = [x0 for x0 in starts if x0 is not None]
+    xs, sigs = _smacof_starts(D.d, wm, starts, cfg.max_iter, cfg.eps, uniform_w)
+    best, best_sig = None, np.inf
+    for k, sig in enumerate(sigs):
+        if sig < best_sig:  # ties: the earliest start
+            best, best_sig = k, sig
+    return xs[best] - xs[best].mean(axis=0), best_sig

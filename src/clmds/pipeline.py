@@ -227,12 +227,14 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     comp = [np.eye(3) for _ in range(n_cl)]
 
     t0 = time.perf_counter()
-    anchor_mds_s = 0.0
+    anchor_mds_s = merge_s = 0.0
     for li, target in enumerate(levels[1:], start=1):
         final = li == len(levels) - 1
         group_medoids = np.array([g["medoid"] for g in groups], dtype=int)
+        t1 = time.perf_counter()
         grouping, merged_medoids = _merge_groups(
             D, group_medoids, target, cfg.kmedoids, seeds.next())
+        merge_s += time.perf_counter() - t1
         new_groups, stitches = [], []
         anchor_coord_map = {}
         anchor_stresses = []
@@ -288,8 +290,9 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
         ))
         groups = new_groups
     timings["anchor_mds"] += anchor_mds_s
-    # the hierarchy loop less its anchor MDS: merges, pool anchors, stitches
-    timings["stitching"] = time.perf_counter() - t0 - anchor_mds_s
+    timings["merge"] = merge_s
+    # the hierarchy loop less its anchor MDS and merges: pool anchors, stitches
+    timings["stitching"] = time.perf_counter() - t0 - anchor_mds_s - merge_s
 
     top = groups[0]
     coords = np.empty((n, 2))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from clmds import (FeatureSet, MdsConfig, ValidationError, euclidean_distances, mds_embed,
                    stress, validate_distance_matrix)
-from clmds.mds import _smacof, _weight_matrix, relative_stress_weights
+from clmds.mds import (_EPS_DIST, _classical_start, _smacof, _smacof_starts, _weight_matrix,
+                       relative_stress_weights)
 
 
 def planar_problem(m, seed=0):
@@ -137,3 +139,98 @@ def test_determinism_under_seed():
     a, _ = mds_embed(D, cfg=MdsConfig(seed=123))
     b, _ = mds_embed(D, cfg=MdsConfig(seed=123))
     assert np.array_equal(a, b)
+
+
+def _reference_smacof(d_in, wm, x0, max_iter, eps, uniform_w):
+    """One start run alone: the single-start loop the stacked loop replaced.
+
+    Returns the coordinates, the stress, and how the run stopped.
+    """
+    m = d_in.shape[0]
+    if uniform_w is None:
+        v = np.diag(wm.sum(axis=1)) - wm
+        v_pinv = np.linalg.pinv(v)
+        wd = wm * d_in
+        sig_in = 0.5 * float(np.vdot(wd, d_in))
+
+        def stress_of(x, d_emb):
+            return sig_in - float(np.vdot(wd, d_emb)) + float(np.vdot(x, v @ x))
+
+        def update(bx):
+            return v_pinv @ bx
+    else:
+        iu = np.triu_indices(m, k=1)
+
+        def stress_of(x, d_emb):
+            return float(np.sum(wm[iu] * (d_in[iu] - d_emb[iu]) ** 2))
+
+        def update(bx):
+            return bx / (m * uniform_w)
+    x = x0 - x0.mean(axis=0)
+    d_emb = cdist(x, x)
+    sig = stress_of(x, d_emb)
+    stop = "max_iter"
+    for _ in range(max_iter):
+        ratio = np.where(d_emb > _EPS_DIST, d_in / np.maximum(d_emb, _EPS_DIST), 0.0)
+        b = -wm * ratio
+        np.fill_diagonal(b, 0.0)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        x_new = update(b @ x)
+        x_new -= x_new.mean(axis=0)
+        d_emb = cdist(x_new, x_new)
+        new_sig = stress_of(x_new, d_emb)
+        if new_sig > sig:
+            stop = "increase"
+            break
+        done = sig - new_sig < eps * max(sig, _EPS_DIST)
+        x, sig = x_new, new_sig
+        if done:
+            stop = "converged"
+            break
+    return x, max(sig, 0.0), stop
+
+
+def _reference_starts(D, cfg):
+    """mds_embed's starts: classical scaling when defined, then random."""
+    rng = np.random.default_rng(cfg.seed)
+    starts = [_classical_start(D.d)]
+    while len([s for s in starts if s is not None]) < cfg.n_init:
+        starts.append(rng.uniform(-1.0, 1.0, size=(D.n_points, 2)))
+    return [s for s in starts if s is not None]
+
+
+def test_stacked_starts_equal_single_start_runs():
+    # Bitwise, every start of the stacked loop ends where it ends alone, and
+    # mds_embed keeps the first start of least stress. Sizes above 45 are
+    # where a stress summed over the stacked axis rounds differently; the
+    # (max_iter, eps) pairs make starts of one call stop in different ways.
+    rng = np.random.default_rng(21)
+    stops_per_call = []
+    for m in (3, 5, 8, 13, 21, 34, 47, 60):
+        pts = rng.normal(size=(m, 3))
+        pts[1] = pts[0]
+        D = euclidean_distances(FeatureSet(pts))
+        # points 0 and 1 coincide in this start, so d <= _EPS_DIST off the diagonal
+        together = rng.uniform(-1.0, 1.0, size=(m, 2))
+        together[1] = together[0]
+        for w in (None, relative_stress_weights(D.d)):
+            wm = _weight_matrix(D, w)
+            off = wm[np.triu_indices(m, k=1)]
+            # as in mds_embed: relative weights are uniform at m=3 here
+            uniform_w = float(off[0]) if np.all(off == off[0]) else None
+            for max_iter, eps in ((300, 1e-6), (40, 1e-5), (300, 1e-15)):
+                cfg = MdsConfig(max_iter=max_iter, eps=eps, seed=m)
+                starts = _reference_starts(D, cfg) + [together]
+                ref = [_reference_smacof(D.d, wm, x0, max_iter, eps, uniform_w)
+                       for x0 in starts]
+                xs, sigs = _smacof_starts(D.d, wm, starts, max_iter, eps, uniform_w)
+                for k, (x, sig, _) in enumerate(ref):
+                    assert np.array_equal(xs[k], x), (m, w is None, max_iter, k)
+                    assert sigs[k] == sig, (m, w is None, max_iter, k)
+                coords, sig = mds_embed(D, w, cfg)
+                best = min(range(len(starts) - 1), key=lambda k: ref[k][1])
+                assert np.array_equal(coords, ref[best][0] - ref[best][0].mean(axis=0))
+                assert sig == ref[best][1]
+                stops_per_call.append({stop for _, _, stop in ref})
+    assert any({"max_iter", "converged"} <= stops for stops in stops_per_call)
+    assert any("increase" in stops and len(stops) > 1 for stops in stops_per_call)

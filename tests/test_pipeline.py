@@ -237,13 +237,15 @@ def test_k_exceeding_n_errors():
 
 def test_timings_recorded():
     fs, D = three_blob_problem(seed=13)
+    # every hierarchy merges at least once; (3, 2, 1) merges by k-medoids
     stages = ("sparsify", "distances", "kmedoids", "local_mds", "anchors",
-              "anchor_mds", "stitching")
+              "anchor_mds", "merge", "stitching")
     sparse_stages = stages + ("estimate",)
     # a full matrix, and the CLI's feature input, whose distances are built
     # inside clmds_embed
     for dist in (D, FeatureDistances(fs)):
         for cfg, keys in ((base_config(), stages),
+                          (base_config(levels=(3, 2, 1)), stages),
                           (base_config(sparsify="random", n_sparse=18, seed=2), sparse_stages)):
             res = clmds_embed(dist, cfg, features=fs)
             assert set(res.timings) == set(keys) | {"total"}
