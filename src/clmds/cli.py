@@ -11,7 +11,6 @@ import tempfile
 
 import numpy as np
 
-from .anchors import AnchorConfig
 from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
                    LevelArtifacts, Stitch, ValidationError, euclidean_distances,
                    load_distance_matrix, load_feature_set)
@@ -81,20 +80,18 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 def build_run_config(cfg: dict) -> ClmdsConfig:
     hierarchy = HierarchySpec(tuple(int(x) for x in cfg["hierarchy"].split(",")))
-    seed = int(cfg["seed"])
     km = KmedoidsConfig(k=hierarchy.levels[0], n_iso=int(cfg["n_iso"]),
-                        iter_med=int(cfg["iter_med"]), max_swaps=int(cfg["max_swaps"]),
-                        seed=seed)
+                        iter_med=int(cfg["iter_med"]), max_swaps=int(cfg["max_swaps"]))
     mds = MdsConfig(n_init=int(cfg["mds_n_init"]), max_iter=int(cfg["mds_max_iter"]),
-                    eps=float(cfg["mds_eps"]), seed=seed)
+                    eps=float(cfg["mds_eps"]))
     sparsify = cfg["sparsify"]
     if sparsify not in ("none", "random", "cur"):
         sparsify = [int(x) for x in sparsify.split(",")]
     n_sparse = int(cfg["n_sparse"]) if cfg["n_sparse"] else None
     weighted = cfg["input_kind"] == "descriptors" and _parse_bool(cfg["weighted"], "weighted")
     return ClmdsConfig(
-        hierarchy=hierarchy, kmedoids=km, mds=mds, anchors=AnchorConfig(),
-        sparsify=sparsify, n_sparse=n_sparse, seed=seed,
+        hierarchy=hierarchy, kmedoids=km, mds=mds,
+        sparsify=sparsify, n_sparse=n_sparse, seed=int(cfg["seed"]),
         anchor_pool=cfg["anchor_pool"], kernel_similarity=weighted,
         kernel_eta=int(cfg["eta"]),
     )

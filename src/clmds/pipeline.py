@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .anchors import AnchorConfig, best_quadruple, candidate_vertices, select_anchors
+from .anchors import best_quadruple, select_anchors
 from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
                    LevelArtifacts, Stitch, ValidationError)
 from .kernel import KernelConfig, medoid_weighted_distance
@@ -32,10 +32,16 @@ class SparseSelection:
 
 @dataclass(frozen=True)
 class ClmdsConfig:
+    """Settings of one cl-MDS run.
+
+    The ``k`` and ``seed`` of ``kmedoids`` and the ``seed`` of ``mds`` are
+    overridden: each level takes ``k`` from the hierarchy, and every
+    k-medoids and MDS call gets its own sub-seed drawn from ``seed``.
+    """
+
     hierarchy: HierarchySpec
-    kmedoids: KmedoidsConfig | None = None  # k is taken from the hierarchy
+    kmedoids: KmedoidsConfig | None = None
     mds: MdsConfig = field(default_factory=MdsConfig)
-    anchors: AnchorConfig = field(default_factory=AnchorConfig)
     sparsify: object = "none"  # "none" | "random" | "cur" | sequence of indices
     n_sparse: int | None = None
     seed: int = 0
@@ -107,42 +113,30 @@ def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
     return SparseSelection(sp, np.setdiff1d(everything, sp))
 
 
-def _merge_groups(D: DistanceMatrix, medoids: np.ndarray, target: int,
-                  km_cfg: KmedoidsConfig, seed: int):
-    """Group clusters by k-medoids on their medoids; return (grouping,
-    merged medoid per group)."""
-    medoids = np.asarray(medoids, dtype=int)
+def hierarchy_merge(previous: Clustering, D: DistanceMatrix, target: int,
+                    km_cfg: KmedoidsConfig | None = None, seed: int = 0) -> Clustering:
+    """Merge a clustering down to `target` clusters by k-medoids on its medoids.
+
+    Each merged cluster keeps, as its medoid, the previous medoid with the
+    least summed distance to the other previous medoids it absorbs (the
+    lowest index on ties).
+    """
+    if target >= previous.n_clusters:
+        raise ValidationError("merge target must be below the current cluster count")
+    if previous.n_points != D.n_points:
+        raise ValidationError(f"clustering of {previous.n_points} points does not match "
+                              f"a distance matrix of {D.n_points}")
+    medoids = previous.medoids
     if target == 1:
         grouping = np.zeros(medoids.shape[0], dtype=int)
     else:
-        gc = kmedoids_best(D.submatrix(medoids), replace(km_cfg, k=target, seed=seed))
-        grouping = gc.assignment
+        km_cfg = replace(km_cfg or KmedoidsConfig(k=target), k=target, seed=seed)
+        grouping = kmedoids_best(D.submatrix(medoids), km_cfg).assignment
     merged_medoids = np.empty(target, dtype=int)
     for g in range(target):
-        member_meds = medoids[grouping == g]
-        member_meds = np.sort(member_meds)
-        sums = D.d[np.ix_(member_meds, member_meds)].sum(axis=1)
-        merged_medoids[g] = member_meds[int(np.argmin(sums))]
-    return grouping, merged_medoids
-
-
-def hierarchy_merge(previous: Clustering, D: DistanceMatrix, target: int,
-                    km_cfg: KmedoidsConfig | None = None, seed: int = 0) -> Clustering:
-    """Merge a clustering down to `target` clusters via k-medoids on medoids."""
-    if target >= previous.n_clusters:
-        raise ValidationError("merge target must be below the current cluster count")
-    if km_cfg is None:
-        km_cfg = KmedoidsConfig(k=target)
-    grouping, merged_medoids = _merge_groups(D, previous.medoids, target, km_cfg, seed)
-    assignment = grouping[previous.assignment]
-    return Clustering(assignment, merged_medoids)
-
-
-def _group_anchor_pool(D, cfg, points, medoid, anchor_union):
-    if cfg.anchor_pool == "full_cluster":
-        cand = candidate_vertices(D, points, medoid, cfg.anchors)
-        return best_quadruple(D, cand)
-    return best_quadruple(D, anchor_union)
+        meds = np.sort(medoids[grouping == g])
+        merged_medoids[g] = meds[int(np.argmin(D.d[np.ix_(meds, meds)].sum(axis=1)))]
+    return Clustering(grouping[previous.assignment], merged_medoids)
 
 
 def clmds_embed(D: DistanceMatrix, cfg: ClmdsConfig,
@@ -183,28 +177,30 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     n = D.n_points
     seeds = _SeedStream(cfg.seed)
     levels = cfg.hierarchy.levels
-    n_cl = levels[0]
     timings = {}
     if cfg.kernel_similarity and D.similarity is None:
         raise ValidationError("kernel_similarity needs kernel-induced distances "
                               "(kernel_to_distance)")
 
     t0 = time.perf_counter()
-    c0 = kmedoids_best(D, replace(cfg.kmedoids, k=n_cl, seed=seeds.next()))
+    c0 = kmedoids_best(D, replace(cfg.kmedoids, k=levels[0], seed=seeds.next()))
     irel = relative_incoherence(D, c0)
     timings["kmedoids"] = time.perf_counter() - t0
 
+    # every point, in the frame of its cluster at the current level
+    coords = np.empty((n, 2))
     t0 = time.perf_counter()
     local_coords, local_stresses = [], []
-    for k in range(n_cl):
+    for k in range(c0.n_clusters):
         members = c0.members(k)
         xy, sig = mds_embed(D.submatrix(members), cfg=replace(cfg.mds, seed=seeds.next()))
+        coords[members] = xy
         local_coords.append(xy)
         local_stresses.append(sig)
     timings["local_mds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    anchors0 = select_anchors(D, c0, cfg.anchors)
+    anchors = select_anchors(D, c0)
     timings["anchors"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -215,88 +211,61 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
         d_anchor = D
     timings["anchor_mds"] = time.perf_counter() - t0
 
-    per_level = [LevelArtifacts(clustering=c0, anchors=anchors0,
+    per_level = [LevelArtifacts(clustering=c0, anchors=anchors,
                                 local_stresses=local_stresses)]
-    groups = []
-    for k in range(n_cl):
-        groups.append({
-            "points": c0.members(k), "coords": local_coords[k],
-            "anchors": anchors0[k], "medoid": int(c0.medoids[k]),
-            "finest": [k],
-        })
-    comp = [np.eye(3) for _ in range(n_cl)]
+    comp = [np.eye(3) for _ in range(c0.n_clusters)]
+    finest_group = np.arange(c0.n_clusters)  # each finest cluster's current cluster
 
     t0 = time.perf_counter()
     anchor_mds_s = merge_s = 0.0
-    for li, target in enumerate(levels[1:], start=1):
-        final = li == len(levels) - 1
-        group_medoids = np.array([g["medoid"] for g in groups], dtype=int)
+    prev = c0
+    for target in levels[1:]:
         t1 = time.perf_counter()
-        grouping, merged_medoids = _merge_groups(
-            D, group_medoids, target, cfg.kmedoids, seeds.next())
+        level = hierarchy_merge(prev, D, target, cfg.kmedoids, seeds.next())
         merge_s += time.perf_counter() - t1
-        new_groups, stitches = [], []
-        anchor_coord_map = {}
-        anchor_stresses = []
-        for gidx in range(target):
-            members = [groups[i] for i in np.flatnonzero(grouping == gidx)]
-            anchor_union = np.concatenate([g["anchors"] for g in members])
+        grouping = level.assignment[prev.medoids]
+        unions, stitches, anchor_coords, anchor_stresses = [], [], {}, []
+        for g in range(target):
+            member_ids = np.flatnonzero(grouping == g)
+            union = np.concatenate([anchors[i] for i in member_ids])
             t1 = time.perf_counter()
-            sub = d_anchor.submatrix(anchor_union)
+            sub = d_anchor.submatrix(union)
             axy, astress = mds_embed(sub, relative_stress_weights(sub.d),
                                      replace(cfg.mds, seed=seeds.next()))
             anchor_mds_s += time.perf_counter() - t1
             anchor_stresses.append(astress)
-            row_of = {int(p): r for r, p in enumerate(anchor_union)}
-            for p, r in row_of.items():
-                anchor_coord_map[p] = (float(axy[r, 0]), float(axy[r, 1]))
-            pts_parts, xy_parts = [], []
-            for g in members:
-                a_idx = g["anchors"]
-                loc_rows = np.searchsorted(g["points"], a_idx)
-                a_loc = g["coords"][loc_rows]
-                a_glo = axy[[row_of[int(p)] for p in a_idx]]
-                tr, mapped = choose_best_transform(g["coords"], a_loc, a_glo)
-                stitches.append(Stitch(group=gidx, kind=tr.kind, matrix=tr.matrix,
+            anchor_coords.update(zip(union.tolist(), map(tuple, axy.tolist())))
+            # each member's anchors are its contiguous rows of the union
+            ends = np.cumsum([anchors[i].size for i in member_ids])
+            for i, end in zip(member_ids, ends):
+                a_idx = anchors[i]
+                a_loc, a_glo = coords[a_idx], axy[end - a_idx.size:end]
+                points = prev.members(i)
+                tr, mapped = choose_best_transform(coords[points], a_loc, a_glo)
+                coords[points] = mapped
+                stitches.append(Stitch(group=g, kind=tr.kind, matrix=tr.matrix,
                                        anchor_indices=a_idx, anchors_local=a_loc,
                                        anchors_global=a_glo))
-                for fc in g["finest"]:
+                for fc in np.flatnonzero(finest_group == i):
                     comp[fc] = tr.matrix @ comp[fc]
-                pts_parts.append(g["points"])
-                xy_parts.append(mapped)
-            points = np.concatenate(pts_parts)
-            coords = np.vstack(xy_parts)
-            order = np.argsort(points)
-            points, coords = points[order], coords[order]
-            new_anchors = None
-            if not final:
-                new_anchors = _group_anchor_pool(D, cfg, points,
-                                                 int(merged_medoids[gidx]), anchor_union)
-            new_groups.append({
-                "points": points, "coords": coords, "anchors": new_anchors,
-                "medoid": int(merged_medoids[gidx]),
-                "finest": sum((g["finest"] for g in members), []),
-            })
-        assignment = np.empty(n, dtype=int)
-        for gidx, g in enumerate(new_groups):
-            assignment[g["points"]] = gidx
-        level_clustering = Clustering(assignment, merged_medoids)
+            unions.append(union)
+        finest_group = grouping[finest_group]
+        if target == 1:  # the top level: nothing left to stitch into
+            anchors = None
+        elif cfg.anchor_pool == "full_cluster":
+            anchors = select_anchors(D, level)
+        else:
+            anchors = [best_quadruple(D, u) for u in unions]
         per_level.append(LevelArtifacts(
-            clustering=level_clustering,
-            anchors=None if final else [g["anchors"] for g in new_groups],
-            anchor_coords=anchor_coord_map,
-            stitches=stitches,
-            anchor_stress=float(np.sum(anchor_stresses)),
+            clustering=level, anchors=anchors, anchor_coords=anchor_coords,
+            stitches=stitches, anchor_stress=float(np.sum(anchor_stresses)),
         ))
-        groups = new_groups
+        prev = level
     timings["anchor_mds"] += anchor_mds_s
     timings["merge"] = merge_s
     # the hierarchy loop less its anchor MDS and merges: pool anchors, stitches
     timings["stitching"] = time.perf_counter() - t0 - anchor_mds_s - merge_s
 
-    top = groups[0]
-    coords = np.empty((n, 2))
-    coords[top["points"]] = top["coords"]
     if not np.all(np.isfinite(coords)):
         raise ValidationError("non-finite coordinates in embedding")
     return ClmdsResult(

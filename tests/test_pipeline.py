@@ -5,8 +5,8 @@ from scipy.spatial.distance import cdist
 from clmds import (ClmdsConfig, FeatureSet, HierarchySpec, KmedoidsConfig,
                    MdsConfig, ValidationError, clmds_embed,
                    euclidean_distances, hierarchy_merge, kernel_matrix,
-                   kernel_to_distance, kmedoids_best, sparsify_select,
-                   voronoi_containment)
+                   kernel_to_distance, kmedoids_best, select_anchors,
+                   sparsify_select, voronoi_containment)
 from clmds.cli import FeatureDistances
 from clmds.pipeline import _SeedStream
 
@@ -20,6 +20,12 @@ def blobs(centers, per=12, spread=0.15, seed=0, dims=3):
 def three_blob_problem(seed=0):
     centers = [np.r_[0, 0, 0], np.r_[8, 0, 0], np.r_[0, 8, 0]]
     fs = blobs(centers, seed=seed)
+    return fs, euclidean_distances(fs)
+
+
+def six_blob_problem():
+    centers = [np.r_[i * 6.0, (i % 2) * 6.0, 0] for i in range(6)]
+    fs = blobs(centers, per=8, seed=4)
     return fs, euclidean_distances(fs)
 
 
@@ -76,6 +82,10 @@ def test_hierarchy_merge_pairs_of_blobs():
     assert set(c2.medoids.tolist()) <= set(c4.medoids.tolist())
     with pytest.raises(ValidationError):
         hierarchy_merge(c4, D, 4)
+    # a distance matrix over fewer or more points than the clustering's 24
+    for per in (3, 7):
+        with pytest.raises(ValidationError):
+            hierarchy_merge(c4, euclidean_distances(blobs(centers, per=per, dims=2)), 2)
 
 
 def base_config(levels=(3, 1), **kw):
@@ -104,21 +114,26 @@ def test_three_blobs_full_pipeline():
 
 def test_stitching_consistent_with_composed_transforms():
     from clmds.transforms import Transform2D, apply_transform
-    fs, D = three_blob_problem(seed=3)
-    res = clmds_embed(D, base_config())
-    c = res.clustering
-    for k in range(3):
-        members = c.members(k)
-        m = res.cluster_transforms[k]
-        kind = "affine" if np.max(np.abs(m[2] - (0, 0, 1))) <= 1e-12 else "homography"
-        mapped = apply_transform(Transform2D(kind, m), res.local_coords[k])
-        assert np.allclose(mapped, res.coords[members], atol=1e-8)
+    # one stitch per cluster, then two stitches composed per finest cluster
+    # under either anchor pool
+    runs = [(three_blob_problem(seed=3)[1], base_config())]
+    D6 = six_blob_problem()[1]
+    runs += [(D6, base_config(levels=(6, 3, 1), anchor_pool=pool))
+             for pool in ("member_anchors", "full_cluster")]
+    for D, cfg in runs:
+        res = clmds_embed(D, cfg)
+        c = res.clustering
+        assert len(res.per_level) == len(cfg.hierarchy.levels)
+        for k in range(c.n_clusters):
+            members = c.members(k)
+            m = res.cluster_transforms[k]
+            kind = "affine" if np.max(np.abs(m[2] - (0, 0, 1))) <= 1e-12 else "homography"
+            mapped = apply_transform(Transform2D(kind, m), res.local_coords[k])
+            assert np.allclose(mapped, res.coords[members], atol=1e-8)
 
 
 def test_multi_level_hierarchy_counts():
-    centers = [np.r_[i * 6.0, (i % 2) * 6.0, 0] for i in range(6)]
-    fs = blobs(centers, per=8, seed=4)
-    D = euclidean_distances(fs)
+    _, D = six_blob_problem()
     res = clmds_embed(D, base_config(levels=(6, 3, 1)))
     assert [la.clustering.n_clusters for la in res.per_level] == [6, 3, 1]
     assert res.per_level[1].anchors is not None
@@ -223,8 +238,22 @@ def test_full_cluster_anchor_pool_runs():
     centers = [np.r_[i * 7.0, 0, 0] for i in range(4)]
     fs = blobs(centers, per=10, seed=12)
     D = euclidean_distances(fs)
-    res = clmds_embed(D, base_config(levels=(4, 2, 1), anchor_pool="full_cluster"))
-    assert np.all(np.isfinite(res.coords))
+    for pool in ("full_cluster", "member_anchors"):
+        res = clmds_embed(D, base_config(levels=(4, 2, 1), anchor_pool=pool))
+        assert np.all(np.isfinite(res.coords))
+        prev, level = res.per_level[0], res.per_level[1]
+        if pool == "full_cluster":
+            # picked from the whole merged cluster, as at the finest level
+            expected = select_anchors(D, level.clustering)
+            assert len(level.anchors) == len(expected)
+            for got, want in zip(level.anchors, expected):
+                assert np.array_equal(got, want)
+        else:
+            # drawn from the anchors of the clusters merged into it
+            grouping = level.clustering.assignment[prev.clustering.medoids]
+            for g, got in enumerate(level.anchors):
+                pool_g = np.concatenate([prev.anchors[i] for i in np.flatnonzero(grouping == g)])
+                assert got.size == 4 and set(got.tolist()) <= set(pool_g.tolist())
     with pytest.raises(ValidationError):
         base_config(anchor_pool="bogus")
 
