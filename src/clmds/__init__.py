@@ -1,7 +1,6 @@
 """cl-MDS: cluster-based multidimensional scaling for 2-d visualization."""
 
-from .anchors import (AnchorConfig, best_quadruple, candidate_vertices, select_anchors,
-                      simplex_volume_sq)
+from .anchors import best_quadruple, candidate_vertices, select_anchors, simplex_volume_sq
 from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
                    LevelArtifacts, Stitch, ValidationError, euclidean_distances,
                    load_distance_matrix, load_feature_set, validate_distance_matrix)
@@ -18,7 +17,7 @@ from .transforms import (DegenerateGeometryError, PerspectiveDivideError, Transf
                          fit_similarity, translation)
 
 __all__ = [
-    "AnchorConfig", "Clustering", "ClmdsConfig", "ClmdsResult",
+    "Clustering", "ClmdsConfig", "ClmdsResult",
     "DegenerateGeometryError", "DistanceMatrix", "FeatureSet", "HierarchySpec",
     "HolesSpec", "KernelConfig", "KmedoidsConfig", "LevelArtifacts", "MdsConfig",
     "PerspectiveDivideError", "SparseSelection", "Stitch", "Transform2D", "TransformPlan",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Clustering, DistanceMatrix, ValidationError
@@ -14,28 +12,10 @@ MAX_EXHAUSTIVE = 70  # cluster size above which candidate vertices are pruned
 _CM_FACTOR = 1.0 / 288.0
 
 
-@dataclass(frozen=True)
-class AnchorConfig:
-    """Percentile table mapping cluster-size upper bounds to percentile p.
-
-    Clusters larger than MAX_EXHAUSTIVE keep only members whose distance
-    to the medoid reaches the p-th percentile for the first matching size
-    bound.
-    """
-
-    percentile_ranks: tuple[tuple[float, float], ...] = (
-        (140, 50.0), (350, 80.0), (1000, 90.0), (np.inf, 95.0))
-
-    def __post_init__(self):
-        for _, p in self.percentile_ranks:
-            if not (0 <= p <= 100):
-                raise ValidationError("percentile must lie in [0, 100]")
-
-    def percentile_for(self, size: int) -> float:
-        for bound, p in self.percentile_ranks:
-            if size <= bound:
-                return p
-        return self.percentile_ranks[-1][1]
+# Rows (size bound, p): a cluster larger than MAX_EXHAUSTIVE keeps the members
+# whose distance to the medoid reaches the p-th percentile, p from the first
+# row with size <= bound. Every row keeps at least 29 members (n = 141, p = 80).
+PERCENTILE_RANKS = ((140, 50.0), (350, 80.0), (1000, 90.0), (np.inf, 95.0))
 
 
 def simplex_volume_sq(D4: np.ndarray) -> float:
@@ -74,16 +54,13 @@ def _triple_table(n: int) -> tuple[np.ndarray, ...]:
     return j, k, l, j * n + k, j * n + l, k * n + l, start
 
 
-def candidate_vertices(D: DistanceMatrix, cluster, medoid: int,
-                       cfg: AnchorConfig | None = None) -> np.ndarray:
+def candidate_vertices(D: DistanceMatrix, cluster, medoid: int) -> np.ndarray:
     """Cluster members eligible as tetrahedron vertices.
 
     Small clusters are returned whole; larger ones are pruned to members at
-    or beyond the p-th percentile of distance to the medoid, keeping at
-    least 4 candidates.
+    or beyond the p-th percentile of distance to the medoid (see
+    PERCENTILE_RANKS).
     """
-    if cfg is None:
-        cfg = AnchorConfig()
     cluster = np.asarray(cluster, dtype=int)
     if cluster.size == 0:
         raise ValidationError("empty cluster")
@@ -91,13 +68,9 @@ def candidate_vertices(D: DistanceMatrix, cluster, medoid: int,
         raise ValidationError("medoid must belong to the cluster")
     if cluster.size <= MAX_EXHAUSTIVE:
         return np.sort(cluster)
+    p = next(p for bound, p in PERCENTILE_RANKS if cluster.size <= bound)
     dists = D.d[cluster, medoid]
-    thr = np.percentile(dists, cfg.percentile_for(cluster.size))
-    keep = dists >= thr
-    if keep.sum() < 4:
-        thr = np.sort(dists)[-4]
-        keep = dists >= thr
-    return np.sort(cluster[keep])
+    return np.sort(cluster[dists >= np.percentile(dists, p)])
 
 
 def best_quadruple(D: DistanceMatrix, candidates) -> np.ndarray:
@@ -146,17 +119,14 @@ def best_quadruple(D: DistanceMatrix, candidates) -> np.ndarray:
     return candidates[best]
 
 
-def select_anchors(D: DistanceMatrix, c: Clustering,
-                   cfg: AnchorConfig | None = None) -> list[np.ndarray]:
+def select_anchors(D: DistanceMatrix, c: Clustering) -> list[np.ndarray]:
     """Up to four anchor indices per cluster, by maximal tetrahedron volume."""
-    if cfg is None:
-        cfg = AnchorConfig()
     anchors = []
     for k in range(c.n_clusters):
         members = c.members(k)
         if members.size <= 4:
             anchors.append(members.copy())
             continue
-        cand = candidate_vertices(D, members, int(c.medoids[k]), cfg)
+        cand = candidate_vertices(D, members, int(c.medoids[k]))
         anchors.append(best_quadruple(D, cand))
     return anchors

@@ -8,12 +8,12 @@ import json
 import os
 import sys
 import tempfile
+import typing
 
 import numpy as np
 
-from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
-                   LevelArtifacts, Stitch, ValidationError, euclidean_distances,
-                   load_distance_matrix, load_feature_set)
+from .core import (ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec, ValidationError,
+                   euclidean_distances, load_distance_matrix, load_feature_set)
 from .datagen import HolesSpec, gen_holes_dataset, gen_s_curve, voronoi_containment
 from .kernel import KernelConfig, kernel_matrix, kernel_to_distance, unit_descriptors
 from .kmedoids import KmedoidsConfig
@@ -130,71 +130,73 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def result_to_coords_csv(result: ClmdsResult, ids=None) -> str:
+def result_to_coords_csv(result: ClmdsResult) -> str:
     """coords.csv body: one row per embedded point."""
-    orig = result.sparse_indices if result.coords.shape[0] == result.sparse_indices.shape[0] \
-        and not result.estimation_available else None
-    n = result.coords.shape[0]
-    point_ids = list(range(n)) if orig is None else [int(i) for i in orig]
-    if ids is not None:
-        point_ids = [ids[i] for i in point_ids]
+    point_ids = _point_ids(result).tolist()
     medoid_rows = set(int(i) for i in result.clustering.medoids)
-    anchor_rows = _finest_anchor_rows(result)
+    is_anchor = _finest_anchor_mask(result).tolist()
     lines = ["id,x,y,cluster,is_medoid,is_anchor,is_estimated"]
-    for row in range(n):
+    for row in range(result.n_points):
         lines.append(",".join([
             str(point_ids[row]),
             _fmt(result.coords[row, 0]), _fmt(result.coords[row, 1]),
             str(int(result.clustering.assignment[row])),
-            str(int(row in medoid_rows)), str(int(row in anchor_rows)),
+            str(int(row in medoid_rows)), str(int(is_anchor[row])),
             str(int(bool(result.estimated_mask[row]))),
         ]))
     return "\n".join(lines) + "\n"
 
 
-def _finest_anchor_rows(result: ClmdsResult) -> set[int]:
-    """Rows of result.coords that are finest-level anchor points."""
-    anchors = result.per_level[0].anchors or []
-    rows = set()
-    sparse_only = result.coords.shape[0] == result.sparse_indices.shape[0]
-    for arr in anchors:
-        for a in arr:
-            rows.add(int(a) if sparse_only else int(result.sparse_indices[int(a)]))
-    return rows
+def _point_ids(result: ClmdsResult) -> np.ndarray:
+    """The input index of each row of result.coords: its sparse index when
+    the result covers the sparse subset only, else the row itself."""
+    sp = result.sparse_indices
+    return sp if result.n_points == sp.size else np.arange(result.n_points)
 
 
-# A stitch is written as one JSON object with a key per field; array fields
-# become nested lists.
-_STITCH_FIELDS = dataclasses.fields(Stitch)
+def _finest_anchor_mask(result: ClmdsResult) -> np.ndarray:
+    """Which rows of result.coords are finest-level anchor points (anchors are
+    sparse-local indices)."""
+    anchors = np.concatenate(result.per_level[0].anchors)
+    return np.isin(_point_ids(result), result.sparse_indices[anchors])
+
+
+def _plain(x):
+    """JSON data of a value: a dataclass by its fields, arrays as nested lists."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, list):
+        return [_plain(v) for v in x]
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+def _build(tp, v):
+    """The value of type tp whose JSON data is v: the inverse of _plain."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        return None if v is None else _build(args[0], v)
+    if typing.get_origin(tp) is list:
+        if not isinstance(v, list):
+            raise ValidationError(f"expected a list, got {type(v).__name__}")
+        return [_build(args[0], x) for x in v]
+    if tp is np.ndarray:
+        return np.array(v)
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        if not isinstance(v, dict):
+            raise ValidationError(f"{tp.__name__}: expected an object, got {type(v).__name__}")
+        if v.keys() != hints.keys():
+            raise ValidationError(f"{tp.__name__}: missing keys {sorted(hints.keys() - v.keys())}"
+                                  f", unknown keys {sorted(v.keys() - hints.keys())}")
+        return tp(**{name: _build(hints[name], v[name]) for name in hints})
+    return v
 
 
 def result_to_json(result: ClmdsResult) -> str:
-    def level_dict(lv: LevelArtifacts) -> dict:
-        return {
-            "assignment": lv.clustering.assignment.tolist(),
-            "medoids": lv.clustering.medoids.tolist(),
-            "anchors": None if lv.anchors is None else [a.tolist() for a in lv.anchors],
-            "anchor_coords": None if lv.anchor_coords is None else
-                {str(k): list(v) for k, v in lv.anchor_coords.items()},
-            "stitches": None if lv.stitches is None else [
-                {f.name: np.asarray(getattr(s, f.name)).tolist() for f in _STITCH_FIELDS}
-                for s in lv.stitches],
-            "local_stresses": lv.local_stresses,
-            "anchor_stress": lv.anchor_stress,
-        }
-
-    payload = {
-        "n_points": int(result.coords.shape[0]),
-        "incoherence": result.incoherence,
-        "estimation_available": result.estimation_available,
-        "fallback_clusters": result.fallback_clusters,
-        "sparse_indices": result.sparse_indices.tolist(),
-        "estimated_mask": result.estimated_mask.astype(int).tolist(),
-        "per_level": [level_dict(lv) for lv in result.per_level],
-        "local_coords": [c.tolist() for c in result.local_coords],
-        "cluster_transforms": [np.asarray(t).tolist() for t in result.cluster_transforms],
-        "timings": result.timings,
-    }
+    """result.json body: the fields of result less coords, plus n_points."""
+    payload = _plain(result)
+    del payload["coords"]
+    payload["n_points"] = result.n_points
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
@@ -202,46 +204,13 @@ def load_result(out_dir: str) -> ClmdsResult:
     """Rebuild a ClmdsResult from coords.csv + result.json."""
     with open(os.path.join(out_dir, "result.json")) as fh:
         meta = json.load(fh)
-    coords, assignment, estimated = [], [], []
-    with open(os.path.join(out_dir, "coords.csv")) as fh:
-        next(fh)
-        for line in fh:
-            toks = line.strip().split(",")
-            coords.append([float(toks[1]), float(toks[2])])
-            assignment.append(int(toks[3]))
-            estimated.append(bool(int(toks[6])))
-    finest = meta["per_level"][0]
-    if any(meta["estimated_mask"]):
-        # completed sparse run: finest medoids are sparse-local rows
-        medoids = [int(meta["sparse_indices"][m]) for m in finest["medoids"]]
-    else:
-        medoids = finest["medoids"]
-    per_level = []
-    for lv in meta["per_level"]:
-        per_level.append(LevelArtifacts(
-            clustering=Clustering(np.array(lv["assignment"]), np.array(lv["medoids"])),
-            anchors=None if lv["anchors"] is None else [np.array(a) for a in lv["anchors"]],
-            anchor_coords=None if lv["anchor_coords"] is None else
-                {int(k): tuple(v) for k, v in lv["anchor_coords"].items()},
-            stitches=None if lv["stitches"] is None else [
-                Stitch(**{f.name: np.array(v) if isinstance(v := s[f.name], list) else v
-                          for f in _STITCH_FIELDS}) for s in lv["stitches"]],
-            local_stresses=lv["local_stresses"],
-            anchor_stress=lv["anchor_stress"],
-        ))
-    return ClmdsResult(
-        coords=np.array(coords),
-        clustering=Clustering(np.array(assignment), np.array(medoids)),
-        per_level=per_level,
-        sparse_indices=np.array(meta["sparse_indices"]),
-        estimated_mask=np.array(meta["estimated_mask"], dtype=bool),
-        local_coords=[np.array(c) for c in meta["local_coords"]],
-        cluster_transforms=[np.array(t) for t in meta["cluster_transforms"]],
-        incoherence=meta["incoherence"],
-        estimation_available=meta["estimation_available"],
-        fallback_clusters=meta["fallback_clusters"],
-        timings=meta["timings"],
-    )
+    coords = np.loadtxt(os.path.join(out_dir, "coords.csv"), delimiter=",", skiprows=1,
+                        usecols=(1, 2), ndmin=2)
+    n_points = meta.pop("n_points", None) if isinstance(meta, dict) else None
+    if n_points != coords.shape[0]:
+        raise ValidationError(f"coords.csv has {coords.shape[0]} rows, "
+                              f"result.json n_points is {n_points}")
+    return _build(ClmdsResult, {**meta, "coords": coords})
 
 
 def _write_atomic(out_dir: str, artifacts: dict[str, str]):
@@ -296,7 +265,7 @@ def cmd_embed(args) -> int:
     }
     if _parse_bool(cfg["plot"], "plot"):
         medoid_rows = [int(m) for m in result.clustering.medoids]
-        anchor_rows = sorted(_finest_anchor_rows(result))
+        anchor_rows = np.flatnonzero(_finest_anchor_mask(result))
         artifacts["plot.svg"] = render_scatter(
             result.coords, result.clustering.assignment, medoid_rows, anchor_rows)
     _write_atomic(cfg["output_dir"], artifacts)

@@ -20,7 +20,6 @@ class FeatureSet:
     """N points in R^n, one descriptor vector per row."""
 
     vectors: np.ndarray
-    ids: list[str] | None = None
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
@@ -28,8 +27,6 @@ class FeatureSet:
             raise ValidationError("feature set must be a non-empty 2-d array")
         if not np.all(np.isfinite(v)):
             raise ValidationError("feature set contains non-finite entries")
-        if self.ids is not None and len(self.ids) != v.shape[0]:
-            raise ValidationError("ids length does not match number of rows")
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -198,16 +195,15 @@ class LevelArtifacts:
     """Everything recorded for one hierarchy level.
 
     ``anchors`` holds one index array per cluster of this level's clustering.
-    ``anchor_coords`` maps anchor point index -> embedded (x, y) at this level
-    (absent for the finest level, which has no joint anchor embedding).
-    ``stitches`` holds one Stitch per member cluster stitched into this level.
+    ``stitches`` holds one Stitch per member cluster stitched into this level;
+    its ``anchors_global`` are its anchors' positions in this level's anchor
+    MDS.
     ``anchor_stress`` sums the relative stress (pair weights d^-2) of this
     level's anchor MDS runs.
     """
 
     clustering: Clustering
     anchors: list[np.ndarray] | None = None
-    anchor_coords: dict[int, tuple[float, float]] | None = None
     stitches: list[Stitch] | None = None
     local_stresses: list[float] | None = None
     anchor_stress: float | None = None

@@ -144,17 +144,13 @@ def relative_incoherence(D: DistanceMatrix, c: Clustering) -> float:
     return total
 
 
-def kmedoids_best(D: DistanceMatrix, cfg: KmedoidsConfig,
-                  initial_medoids=None) -> Clustering:
+def kmedoids_best(D: DistanceMatrix, cfg: KmedoidsConfig) -> Clustering:
     """Best clustering over iter_med restarts, by minimal incoherence.
 
-    Ties between restarts go to the earliest one. If explicit initial
-    medoids are given, a single run from them is performed instead.
+    Ties between restarts go to the earliest one.
     """
     if cfg.k > D.n_points:
         raise ValidationError(f"k={cfg.k} exceeds number of points {D.n_points}")
-    if initial_medoids is not None:
-        return kmedoids_once(D, initial_medoids, cfg.max_swaps)
     chosen, pool = _farthest_picks_and_pool(D, cfg)
     best = None
     best_irel = np.inf

@@ -224,7 +224,7 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
         level = hierarchy_merge(prev, D, target, cfg.kmedoids, seeds.next())
         merge_s += time.perf_counter() - t1
         grouping = level.assignment[prev.medoids]
-        unions, stitches, anchor_coords, anchor_stresses = [], [], {}, []
+        unions, stitches, anchor_stresses = [], [], []
         for g in range(target):
             member_ids = np.flatnonzero(grouping == g)
             union = np.concatenate([anchors[i] for i in member_ids])
@@ -234,7 +234,6 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
                                      replace(cfg.mds, seed=seeds.next()))
             anchor_mds_s += time.perf_counter() - t1
             anchor_stresses.append(astress)
-            anchor_coords.update(zip(union.tolist(), map(tuple, axy.tolist())))
             # each member's anchors are its contiguous rows of the union
             ends = np.cumsum([anchors[i].size for i in member_ids])
             for i, end in zip(member_ids, ends):
@@ -257,8 +256,8 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
         else:
             anchors = [best_quadruple(D, u) for u in unions]
         per_level.append(LevelArtifacts(
-            clustering=level, anchors=anchors, anchor_coords=anchor_coords,
-            stitches=stitches, anchor_stress=float(np.sum(anchor_stresses)),
+            clustering=level, anchors=anchors, stitches=stitches,
+            anchor_stress=float(np.sum(anchor_stresses)),
         ))
         prev = level
     timings["anchor_mds"] += anchor_mds_s
@@ -333,15 +332,10 @@ def estimate_out_of_sample(fs: FeatureSet, sparse_result: ClmdsResult,
                 coords[new_pts] = _transformed_mean(t_k, y_loc)
                 fallback.append(k)
 
-    full_clustering = Clustering(assignment, med_orig)
-    return ClmdsResult(
-        coords=coords, clustering=full_clustering, per_level=sparse_result.per_level,
-        sparse_indices=sp, estimated_mask=estimated,
-        local_coords=sparse_result.local_coords,
-        cluster_transforms=sparse_result.cluster_transforms,
-        incoherence=sparse_result.incoherence,
-        estimation_available=True, fallback_clusters=sorted(set(fallback)),
-        timings=dict(sparse_result.timings),
+    return replace(
+        sparse_result, coords=coords, clustering=Clustering(assignment, med_orig),
+        sparse_indices=sp, estimated_mask=estimated, estimation_available=True,
+        fallback_clusters=sorted(set(fallback)), timings=dict(sparse_result.timings),
     )
 
 

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from clmds import (AnchorConfig, Clustering, FeatureSet, ValidationError,
+from clmds import (Clustering, FeatureSet, ValidationError,
                    best_quadruple, candidate_vertices, euclidean_distances,
                    select_anchors, simplex_volume_sq)
 
@@ -58,23 +58,24 @@ def test_small_cluster_candidates_pass_through():
 
 
 def test_collinear_percentile_pruning():
+    # a 100-point cluster takes the first row of the table, p = 50
     pos = np.arange(100.0)
     d = np.abs(pos[:, None] - pos[None, :])
     from clmds import validate_distance_matrix
     D = validate_distance_matrix(d)
-    cfg = AnchorConfig(percentile_ranks=((np.inf, 90.0),))
-    cand = candidate_vertices(D, np.arange(100), 0, cfg)
-    thr = np.percentile(pos, 90.0)
-    assert np.array_equal(cand, np.flatnonzero(pos >= thr))
+    cand = candidate_vertices(D, np.arange(100), 0)
+    assert np.array_equal(cand, np.flatnonzero(pos >= np.percentile(pos, 50.0)))
+    assert cand.size == 50
 
 
-def test_percentile_zero_keeps_all():
-    pos = np.arange(100.0)
+def test_percentile_row_follows_cluster_size():
+    # a 200-point cluster takes the second row, p = 80; its medoid sits at
+    # position 199, so the members nearest to 0 are the farthest
+    pos = np.arange(200.0)
     from clmds import validate_distance_matrix
     D = validate_distance_matrix(np.abs(pos[:, None] - pos[None, :]))
-    cfg = AnchorConfig(percentile_ranks=((np.inf, 0.0),))
-    cand = candidate_vertices(D, np.arange(100), 0, cfg)
-    assert cand.size == 100
+    cand = candidate_vertices(D, np.arange(200), 199)
+    assert np.array_equal(cand, np.arange(40))
 
 
 def test_tiny_clusters_use_all_members():

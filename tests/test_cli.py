@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clmds import (KernelConfig, Stitch, clmds_embed, euclidean_distances, kernel_matrix,
-                   kernel_to_distance, load_feature_set, voronoi_containment)
+from clmds import (ClmdsConfig, HierarchySpec, KernelConfig, KmedoidsConfig, Stitch,
+                   clmds_embed, euclidean_distances, kernel_matrix, kernel_to_distance,
+                   load_feature_set, voronoi_containment)
 from clmds.cli import (build_run_config, load_result, main, parse_config,
                        result_to_coords_csv, result_to_json)
 
@@ -92,6 +94,68 @@ def test_embed_roundtrip_and_metric(tmp_path, capsys):
     assert stdout.strip() == "voronoi_containment 1.000000"
 
 
+def assert_same_record(a, b, path="result"):
+    """Every dataclass field equal, recursively; arrays by value and dtype kind."""
+    assert type(a) is type(b) or isinstance(a, float) and isinstance(b, float), path
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_record(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b), path
+    elif isinstance(a, (list, dict)):
+        assert len(a) == len(b) and (isinstance(a, list) or a.keys() == b.keys()), path
+        for key in range(len(a)) if isinstance(a, list) else a:
+            assert_same_record(a[key], b[key], f"{path}[{key!r}]")
+    else:
+        assert a == b, path
+
+
+def test_artifacts_load_back_to_the_result(tmp_path):
+    write_features(tmp_path, seed=7)
+    fs = load_feature_set(tmp_path / "features.csv")
+    D = euclidean_distances(fs)
+
+    def cfg(**kw):
+        return ClmdsConfig(hierarchy=HierarchySpec((4, 2, 1)),
+                           kmedoids=KmedoidsConfig(k=4, iter_med=5), **kw)
+
+    runs = {
+        "full": clmds_embed(D, cfg(), features=fs),
+        "completed": clmds_embed(D, cfg(sparsify="random", n_sparse=20), features=fs),
+        "sparse-only": clmds_embed(D, cfg(sparsify="cur", n_sparse=20)),  # no vectors
+    }
+    assert runs["completed"].estimated_mask.sum() == 16
+    assert runs["sparse-only"].n_points == 20 and not runs["sparse-only"].estimation_available
+    for name, result in runs.items():
+        out = tmp_path / name
+        out.mkdir()
+        (out / "coords.csv").write_text(result_to_coords_csv(result))
+        (out / "result.json").write_text(result_to_json(result))
+        assert_same_record(result, load_result(str(out)))
+
+
+def test_malformed_result_is_reported(tmp_path, capsys):
+    inp, _ = write_features(tmp_path, seed=8)
+    out = tmp_path / "out"
+    assert run(embed_args(inp, out), capsys)[0] == 0
+    meta = json.loads((out / "result.json").read_text())
+    coords = (out / "coords.csv").read_text()
+    no_medoids = json.loads(json.dumps(meta))
+    del no_medoids["per_level"][1]["clustering"]["medoids"]
+    cases = [
+        ({}, coords, "n_points"),  # missing keys
+        (no_medoids, coords, "medoids"),  # missing key
+        ({**meta, "extra": 1}, coords, "extra"),  # unknown key
+        ({**meta, "per_level": 5}, coords, "list"),  # wrong type
+        (meta, coords.rsplit("\n", 2)[0] + "\n", "35 rows"),  # a row short
+    ]
+    for bad_meta, bad_coords, message in cases:
+        (out / "result.json").write_text(json.dumps(bad_meta))
+        (out / "coords.csv").write_text(bad_coords)
+        code, _, err = run(["metrics", "voronoi", "--result-dir", out], capsys)
+        assert code == 1 and err.startswith("error:") and message in err, err
+
+
 def test_embed_byte_identical_across_runs(tmp_path, capsys):
     inp, _ = write_features(tmp_path, seed=2)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -119,6 +183,9 @@ def test_embed_sparse_with_estimation(tmp_path, capsys):
     assert result.estimated_mask.sum() == 16
     rows = [l.split(",") for l in (out / "coords.csv").read_text().splitlines()[1:]]
     assert sum(int(r[6]) for r in rows) == 16
+    # anchors are sparse-local indices; each row's id is its input index
+    anchors = result.sparse_indices[np.concatenate(result.per_level[0].anchors)]
+    assert sorted(int(r[0]) for r in rows if r[5] == "1") == sorted(anchors.tolist())
 
 
 def test_embed_distance_input_sparse_only(tmp_path, capsys):
@@ -142,6 +209,9 @@ def test_embed_distance_input_sparse_only(tmp_path, capsys):
     assert meta["estimation_available"] is False
     ids = [int(l.split(",")[0]) for l in lines[1:]]
     assert ids == sorted(meta["sparse_indices"])
+    anchors = np.concatenate(meta["per_level"][0]["anchors"])
+    anchor_ids = [int(l.split(",")[0]) for l in lines[1:] if l.split(",")[5] == "1"]
+    assert anchor_ids == sorted(np.array(meta["sparse_indices"])[anchors].tolist())
 
 
 def test_embed_descriptor_kind_weighted(tmp_path, capsys):
