@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .core import ClmdsResult, FeatureSet, ValidationError
+from .core import ClmdsResult, FeatureSet, ValidationError, pairwise_distances
 
 _MAX_ATTEMPTS = 10000
 
@@ -66,7 +65,7 @@ def gen_holes_dataset(spec: HolesSpec) -> tuple[FeatureSet, np.ndarray, np.ndarr
         if np.min(np.linalg.norm(centers - p, axis=1)) >= r:
             points.append(p)
     points = np.array(points)
-    feats = cdist(points, centers)
+    feats = pairwise_distances(points, centers)
     return FeatureSet(feats), points, centers
 
 
@@ -79,5 +78,5 @@ def voronoi_containment(result: ClmdsResult) -> float:
     if c.n_clusters < 2:
         raise ValidationError("containment needs at least 2 clusters")
     med_xy = result.coords[c.medoids]
-    nearest = np.argmin(cdist(result.coords, med_xy), axis=1)
+    nearest = np.argmin(pairwise_distances(result.coords, med_xy), axis=1)
     return float(np.mean(nearest == c.assignment))

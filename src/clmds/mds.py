@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .core import DistanceMatrix, ValidationError
+from .core import DistanceMatrix, ValidationError, pairwise_distances
 
 _EPS_DIST = 1e-15
 _WEIGHT_FLOOR_REL = 1e-6  # relative-stress weights span at most 1e12
@@ -53,6 +52,8 @@ def _weight_matrix(D: DistanceMatrix, w) -> np.ndarray:
 
 def _check_connected(wm: np.ndarray):
     m = wm.shape[0]
+    if np.count_nonzero(wm > 0) == m * (m - 1):  # every pair joined; the diagonal is 0
+        return
     seen = np.zeros(m, dtype=bool)
     stack = [0]
     seen[0] = True
@@ -72,7 +73,7 @@ def stress(D: DistanceMatrix, coords: np.ndarray, w=None) -> float:
     if coords.shape[0] != D.n_points:
         raise ValidationError("coords row count does not match distance matrix")
     wm = _weight_matrix(D, w)
-    d = cdist(coords, coords)
+    d = pairwise_distances(coords, coords)
     iu = np.triu_indices(D.n_points, k=1)
     return float(np.sum(wm[iu] * (D.d[iu] - d[iu]) ** 2))
 
@@ -148,6 +149,27 @@ def _weighted_stresses(d_in, wm, s):
     return stresses
 
 
+def _guttman_b(d_in, neg_wm, d, b, near):
+    """B = -W * d_in / d of each stacked start, into b, in three passes.
+
+    Where d <= _EPS_DIST the ratio counts as 0, so the entry is -W * 0 =
+    -0.0 (W >= 0); the diagonal is then set so that each row sums to 0.
+    The diagonal is always such an entry and is rewritten anyway, so the
+    -0.0 is written only when other points coincide. near is bool scratch
+    of d's shape.
+    """
+    n, m = d.shape[:2]
+    np.less_equal(d, _EPS_DIST, out=near)
+    with np.errstate(all="ignore"):  # 0/0 and overflow at the entries set below
+        np.divide(d_in, d, out=b)
+        np.multiply(neg_wm, b, out=b)
+    if np.count_nonzero(near) > n * m:
+        np.copyto(b, -0.0, where=near)
+    diag = b.reshape(n, m * m)[:, ::m + 1]
+    diag[...] = 0.0
+    np.negative(np.add.reduce(b, axis=2), out=diag)
+
+
 def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w, v_pinv=None):
     """SMACOF from every (m, 2) start at once; returns (s, m, 2) coordinates
     and s stresses.
@@ -178,29 +200,19 @@ def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w, v_pinv=None):
     near = np.empty((s, m, m), dtype=bool)
     for k, x0 in enumerate(starts):
         np.subtract(x0, x0.mean(axis=0), out=x[k])
-        cdist(x[k], x[k], out=d[k])
+    pairwise_distances(x, x, out=d, work=b)
     sig = stresses(x, d)
     out_x, out_sig = np.empty((s, m, 2)), [0.0] * s
     live = list(range(s))  # the start each stack row holds
     n = s
     for _ in range(max_iter):
-        xv, xn, dv, bv, nv = x[:n], x_new[:n], d[:n], b[:n], near[:n]
-        # B = -W * ratio, ratio = d_in / d where d > _EPS_DIST and 0 elsewhere
-        np.greater(dv, _EPS_DIST, out=nv)
-        np.logical_not(nv, out=nv)
-        np.maximum(dv, _EPS_DIST, out=bv)
-        np.divide(d_in, bv, out=bv)
-        np.copyto(bv, 0.0, where=nv)
-        np.multiply(neg_wm, bv, out=bv)
-        diag = bv.reshape(n, m * m)[:, ::m + 1]
-        diag[...] = 0.0
-        np.negative(np.add.reduce(bv, axis=2), out=diag)
+        xv, xn, dv, bv = x[:n], x_new[:n], d[:n], b[:n]
+        _guttman_b(d_in, neg_wm, dv, bv, near[:n])
         np.matmul(bv, xv, out=bx[:n])
         update(bx[:n], xn)
         # each start's x.mean(axis=0), bit for bit
         xn -= np.add.reduce(xn, axis=1, keepdims=True) / m
-        for k in range(n):
-            cdist(xn[k], xn[k], out=dv[k])
+        pairwise_distances(xn, xn, out=dv, work=bv)  # B is spent
         new_sig = stresses(xn, dv)
         keep = []
         for k in range(n):

@@ -7,11 +7,10 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .anchors import best_quadruple, select_anchors
 from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
-                   LevelArtifacts, Stitch, ValidationError)
+                   LevelArtifacts, Stitch, ValidationError, pairwise_distances)
 from .kernel import KernelConfig, medoid_weighted_distance
 from .kmedoids import KmedoidsConfig, kmedoids_best, relative_incoherence
 from .mds import MdsConfig, mds_embed, relative_stress_weights
@@ -302,7 +301,7 @@ def estimate_out_of_sample(fs: FeatureSet, sparse_result: ClmdsResult,
     fallback = []
 
     if comp_idx.size:
-        nearest = np.argmin(cdist(x[comp_idx], x[med_orig]), axis=1)
+        nearest = np.argmin(pairwise_distances(x[comp_idx], x[med_orig]), axis=1)
         assignment[comp_idx] = nearest
         estimated[comp_idx] = True
         for k in range(c.n_clusters):

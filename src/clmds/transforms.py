@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
-from .core import ValidationError
+from .core import ValidationError, pairwise_distances
 
 COLLINEAR_REL_TOL = 1e-9  # cross-product tolerance, relative to bbox scale^2
 DIVIDE_TOL = 1e-12
@@ -220,9 +219,14 @@ def translation(offset) -> Transform2D:
     return Transform2D("affine", m)
 
 
+def _pair_distances(x: np.ndarray) -> np.ndarray:
+    """The distances of the pairs i < j of x's rows, in row order."""
+    return pairwise_distances(x, x)[np.triu_indices(x.shape[0], k=1)]
+
+
 def _distortion(mapped: np.ndarray, d_local: np.ndarray) -> float:
     """Squared change of the cluster's pairwise distances under a map."""
-    return float(np.sum((pdist(mapped) - d_local) ** 2))
+    return float(np.sum((_pair_distances(mapped) - d_local) ** 2))
 
 
 def _fit_classified(cluster_local, loc, glo, plan) -> tuple[Transform2D, np.ndarray]:
@@ -246,7 +250,7 @@ def _fit_classified(cluster_local, loc, glo, plan) -> tuple[Transform2D, np.ndar
             mapped_h = apply_transform(homog, cluster_local)
         except (DegenerateGeometryError, PerspectiveDivideError):
             return affine, mapped_a
-        d_local = pdist(cluster_local)
+        d_local = _pair_distances(cluster_local)
         r_a = _distortion(mapped_a, d_local)
         if _distortion(mapped_h, d_local) < r_a * (1.0 - DISTORTION_TIE_RTOL):
             return homog, mapped_h
@@ -283,7 +287,7 @@ def choose_best_transform(cluster_local: np.ndarray,
                 return _fit_classified(cluster_local, loc, glo, plan)
             except DegenerateGeometryError:
                 pass
-    d = cdist(loc, loc)
+    d = pairwise_distances(loc, loc)
     i, j = np.unravel_index(int(np.argmax(d)), d.shape)
     if d[i, j] > 0:
         t = fit_similarity(loc[[i, j]], glo[[i, j]])

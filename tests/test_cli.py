@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import clmds
 from clmds import (ClmdsConfig, HierarchySpec, KernelConfig, KmedoidsConfig, Stitch,
                    clmds_embed, euclidean_distances, kernel_matrix, kernel_to_distance,
                    load_feature_set, voronoi_containment)
@@ -346,6 +347,19 @@ def test_bad_descriptor_outside_the_sparse_set_is_rejected(tmp_path, capsys, nor
     code, _, err = run(argv, capsys)
     assert code == 1
     assert message in err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; importing the package and its CLI (what
+    # every `clmds` run does) must not load it
+    code = ("import sys, clmds, clmds.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    src = str(Path(clmds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"

@@ -4,6 +4,7 @@ from scipy.spatial.distance import cdist
 
 from clmds import (FeatureSet, MdsConfig, ValidationError, euclidean_distances, mds_embed,
                    stress, validate_distance_matrix)
+from clmds import mds
 from clmds.mds import (_EPS_DIST, _classical_start, _smacof, _smacof_starts, _weight_matrix,
                        relative_stress_weights)
 
@@ -132,6 +133,9 @@ def test_zero_weight_rejection_and_disconnection():
     w[0, 1] = w[1, 0] = 1.0  # two components
     with pytest.raises(ValidationError):
         mds_embed(D, w)
+    chain = np.eye(6, k=1) + np.eye(6, k=-1)  # connected, most pairs unweighted
+    coords, _ = mds_embed(D, chain)
+    assert np.all(np.isfinite(coords))
 
 
 def test_determinism_under_seed():
@@ -139,6 +143,15 @@ def test_determinism_under_seed():
     a, _ = mds_embed(D, cfg=MdsConfig(seed=123))
     b, _ = mds_embed(D, cfg=MdsConfig(seed=123))
     assert np.array_equal(a, b)
+
+
+def _reference_b(d_in, wm, d_emb):
+    """The Guttman B of one start as the single-start loop built it."""
+    ratio = np.where(d_emb > _EPS_DIST, d_in / np.maximum(d_emb, _EPS_DIST), 0.0)
+    b = -wm * ratio
+    np.fill_diagonal(b, 0.0)
+    np.fill_diagonal(b, -b.sum(axis=1))
+    return b
 
 
 def _reference_smacof(d_in, wm, x0, max_iter, eps, uniform_w):
@@ -171,10 +184,7 @@ def _reference_smacof(d_in, wm, x0, max_iter, eps, uniform_w):
     sig = stress_of(x, d_emb)
     stop = "max_iter"
     for _ in range(max_iter):
-        ratio = np.where(d_emb > _EPS_DIST, d_in / np.maximum(d_emb, _EPS_DIST), 0.0)
-        b = -wm * ratio
-        np.fill_diagonal(b, 0.0)
-        np.fill_diagonal(b, -b.sum(axis=1))
+        b = _reference_b(d_in, wm, d_emb)
         x_new = update(b @ x)
         x_new -= x_new.mean(axis=0)
         d_emb = cdist(x_new, x_new)
@@ -199,11 +209,25 @@ def _reference_starts(D, cfg):
     return [s for s in starts if s is not None]
 
 
-def test_stacked_starts_equal_single_start_runs():
+def test_stacked_starts_equal_single_start_runs(monkeypatch):
     # Bitwise, every start of the stacked loop ends where it ends alone, and
     # mds_embed keeps the first start of least stress. Sizes above 45 are
     # where a stress summed over the stacked axis rounds differently; the
     # (max_iter, eps) pairs make starts of one call stop in different ways.
+    # Every stacked B is also byte-equal to the single-start one, signs of
+    # zero included, and the coincident-point start exercises the pass that
+    # writes -0.0 where other points coincide.
+    real_b = mds._guttman_b
+    coincident_calls = []
+
+    def checked_b(d_in, neg_wm, d, b, near):
+        real_b(d_in, neg_wm, d, b, near)
+        n, m = d.shape[:2]
+        for k in range(n):
+            assert b[k].tobytes() == _reference_b(d_in, -neg_wm, d[k]).tobytes()
+        coincident_calls.append(np.count_nonzero(near) > n * m)
+
+    monkeypatch.setattr(mds, "_guttman_b", checked_b)
     rng = np.random.default_rng(21)
     stops_per_call = []
     for m in (3, 5, 8, 13, 21, 34, 47, 60):
@@ -234,3 +258,4 @@ def test_stacked_starts_equal_single_start_runs():
                 stops_per_call.append({stop for _, _, stop in ref})
     assert any({"max_iter", "converged"} <= stops for stops in stops_per_call)
     assert any("increase" in stops and len(stops) > 1 for stops in stops_per_call)
+    assert any(coincident_calls) and not all(coincident_calls)
