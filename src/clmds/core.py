@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,15 +40,9 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Exactly symmetric square dissimilarity matrix.
-
-    ``similarity``, when set, is the kernel matrix the distances were
-    induced from (see `kernel.kernel_to_distance`); it travels with the
-    distances through `submatrix`.
-    """
+    """Exactly symmetric square dissimilarity matrix."""
 
     d: np.ndarray
-    similarity: np.ndarray | None = None
 
     def __post_init__(self):
         d = np.asarray(self.d)
@@ -58,8 +53,6 @@ class DistanceMatrix:
         if not np.array_equal(d, d.T):
             raise ValidationError("distance matrix is not exactly symmetric; "
                                   "build it with validate_distance_matrix")
-        if self.similarity is not None and np.shape(self.similarity) != d.shape:
-            raise ValidationError("similarity shape does not match the distance matrix")
         object.__setattr__(self, "d", d)
 
     @property
@@ -72,9 +65,7 @@ class DistanceMatrix:
         idx = np.asarray(idx, dtype=int)
         if np.array_equal(idx, np.arange(self.n_points)):
             return self
-        block = np.ix_(idx, idx)
-        return DistanceMatrix(self.d[block],
-                              None if self.similarity is None else self.similarity[block])
+        return DistanceMatrix(self.d[np.ix_(idx, idx)])
 
 
 def validate_distance_matrix(raw) -> DistanceMatrix:
@@ -278,19 +269,16 @@ class ClmdsResult:
 
 
 def _parse_delimited(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.replace(",", " ").split()])
-    if not rows:
+    """The rows of a comma- or space-delimited text file ('#' comments ignored)."""
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty file is reported below
+        try:
+            rows = np.loadtxt((line.replace(",", " ") for line in fh), ndmin=2)
+        except ValueError as exc:  # ragged rows or a token that is not a number
+            raise ValidationError(f"malformed rows in {path}: {exc}") from None
+    if rows.size == 0:
         raise ValidationError(f"no data rows in {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValidationError(f"ragged rows in {path}")
-    return np.array(rows, dtype=float)
+    return rows
 
 
 def load_distance_matrix(path) -> DistanceMatrix:

@@ -42,13 +42,15 @@ def kernel_matrix(fs: FeatureSet, cfg: KernelConfig | None = None) -> np.ndarray
     """Polynomial similarity K_ij = (q_i . q_j)^zeta for unit-norm descriptors.
 
     Negative dot products are clamped to zero before exponentiation so
-    fractional zeta stays defined.
+    fractional zeta stays defined. Each dot product is summed in an order
+    that depends on neither the number of rows nor the pair's position (a
+    BLAS product's does), so the kernel of a block of descriptors is that
+    block of the full kernel, bit for bit, and K is exactly symmetric.
     """
     if cfg is None:
         cfg = KernelConfig()
     q = unit_descriptors(fs, cfg)
-    k = np.clip(q @ q.T, 0.0, None) ** cfg.zeta
-    k = 0.5 * (k + k.T)
+    k = np.clip(np.einsum("ik,jk->ij", q, q), 0.0, None) ** cfg.zeta
     np.fill_diagonal(k, 1.0)
     return k
 
@@ -67,11 +69,11 @@ def _check_kernel(k: np.ndarray):
 
 
 def kernel_to_distance(k: np.ndarray) -> DistanceMatrix:
-    """Induced distance D_ij = sqrt(1 - K_ij), carrying k as its similarity."""
+    """Induced distance D_ij = sqrt(1 - K_ij); 1 - D^2 gives K back up to rounding."""
     k = _check_kernel(k)
     d = np.sqrt(np.clip(1.0 - k, 0.0, None))
     np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(validate_distance_matrix(d).d, similarity=k)
+    return validate_distance_matrix(d)
 
 
 def medoid_weighted_distance(k: np.ndarray, c: Clustering,

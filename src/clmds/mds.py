@@ -43,6 +43,8 @@ def _weight_matrix(D: DistanceMatrix, w) -> np.ndarray:
     if wm.shape != (m, m):
         raise ValidationError("weight matrix shape mismatch")
     np.fill_diagonal(wm, 0.0)
+    if not np.all(np.isfinite(wm)):
+        raise ValidationError("weights must be finite")
     if np.any(wm < 0):
         raise ValidationError("weights must be non-negative")
     if m > 1 and not np.any(wm > 0):
@@ -170,7 +172,7 @@ def _guttman_b(d_in, neg_wm, d, b, near):
     np.negative(np.add.reduce(b, axis=2), out=diag)
 
 
-def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w, v_pinv=None):
+def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w):
     """SMACOF from every (m, 2) start at once; returns (s, m, 2) coordinates
     and s stresses.
 
@@ -183,8 +185,7 @@ def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w, v_pinv=None):
     """
     s, m = len(starts), d_in.shape[0]
     if uniform_w is None:
-        if v_pinv is None:
-            v_pinv = np.linalg.pinv(_guttman_v(wm))
+        v_pinv = np.linalg.pinv(_guttman_v(wm))
         stresses = _weighted_stresses(d_in, wm, s)
 
         def update(bx, out):
@@ -237,9 +238,9 @@ def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w, v_pinv=None):
     return out_x, [max(v, 0.0) for v in out_sig]
 
 
-def _smacof(d_in, wm, x0, max_iter, eps, uniform_w, v_pinv=None):
+def _smacof(d_in, wm, x0, max_iter, eps, uniform_w):
     """SMACOF from one start: the stacked loop with a stack of one."""
-    xs, sigs = _smacof_starts(d_in, wm, [x0], max_iter, eps, uniform_w, v_pinv)
+    xs, sigs = _smacof_starts(d_in, wm, [x0], max_iter, eps, uniform_w)
     return xs[0], sigs[0]
 
 

@@ -45,7 +45,7 @@ class ClmdsConfig:
     n_sparse: int | None = None
     seed: int = 0
     anchor_pool: str = "member_anchors"  # or "full_cluster"
-    kernel_similarity: bool = False  # medoid-weighted anchor MDS from D.similarity
+    kernel_similarity: bool = False  # medoid-weighted anchor MDS over kernel-induced D
     kernel_eta: int = 1
 
     def __post_init__(self):
@@ -57,8 +57,7 @@ class ClmdsConfig:
         if mode not in ("none", "random", "cur", "list"):
             raise ValidationError(f"unknown sparsify mode {self.sparsify!r}")
         if not isinstance(self.kernel_similarity, bool):
-            raise ValidationError("kernel_similarity must be a bool; the kernel travels "
-                                  "with the distances (DistanceMatrix.similarity)")
+            raise ValidationError("kernel_similarity must be a bool")
 
 
 class _SeedStream:
@@ -129,7 +128,9 @@ def hierarchy_merge(previous: Clustering, D: DistanceMatrix, target: int,
     if target == 1:
         grouping = np.zeros(medoids.shape[0], dtype=int)
     else:
-        km_cfg = replace(km_cfg or KmedoidsConfig(k=target), k=target, seed=seed)
+        km_cfg = km_cfg or KmedoidsConfig(k=target)
+        # n_iso fits the finest level; a merge target may be below it
+        km_cfg = replace(km_cfg, k=target, n_iso=min(km_cfg.n_iso, target), seed=seed)
         grouping = kmedoids_best(D.submatrix(medoids), km_cfg).assignment
     merged_medoids = np.empty(target, dtype=int)
     for g in range(target):
@@ -177,9 +178,6 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     seeds = _SeedStream(cfg.seed)
     levels = cfg.hierarchy.levels
     timings = {}
-    if cfg.kernel_similarity and D.similarity is None:
-        raise ValidationError("kernel_similarity needs kernel-induced distances "
-                              "(kernel_to_distance)")
 
     t0 = time.perf_counter()
     c0 = kmedoids_best(D, replace(cfg.kmedoids, k=levels[0], seed=seeds.next()))
@@ -204,7 +202,8 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
 
     t0 = time.perf_counter()
     if cfg.kernel_similarity:
-        d_anchor = medoid_weighted_distance(D.similarity, c0,
+        # kernel-induced distances d = sqrt(1 - k) give the kernel back
+        d_anchor = medoid_weighted_distance(1.0 - D.d ** 2, c0,
                                             KernelConfig(eta=cfg.kernel_eta))
     else:
         d_anchor = D

@@ -134,6 +134,24 @@ def test_loaders_accept_comments_and_both_delimiters(tmp_path):
     q.write_text("# features\n0 0\n3 4\n")
     fs = load_feature_set(q)
     assert fs.n_points == 2 and fs.n_dims == 2
+    # every value reads back exactly, as float() would parse it
+    v = np.random.default_rng(4).normal(size=(50, 3))
+    q.write_text("\n".join(",".join(f"{x:.17g}" for x in row) for row in v) + "\n")
+    assert np.array_equal(load_feature_set(q).vectors, v)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "no data rows"),
+    ("# a header only\n\n", "no data rows"),
+    ("0, 1\n1\n", "malformed rows"),
+    ("0 1 2\n1, 0\n", "malformed rows"),
+])
+def test_loaders_reject_empty_and_ragged_files(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    for load in (load_distance_matrix, load_feature_set):
+        with pytest.raises(ValidationError, match=message):
+            load(p)
 
 
 def test_distance_matrix_rejects_non_square_and_asymmetric():
@@ -151,18 +169,14 @@ def test_distance_matrix_rejects_non_square_and_asymmetric():
         DistanceMatrix(d)
 
 
-def test_submatrix_is_the_block_and_carries_the_similarity():
+def test_submatrix_is_the_block():
     rng = np.random.default_rng(2)
     raw = rng.normal(size=(30, 4))
     k = kernel_matrix(FeatureSet(raw / np.linalg.norm(raw, axis=1, keepdims=True)))
     dm = kernel_to_distance(k)
-    assert dm.similarity is k
     assert dm.submatrix(np.arange(30)) is dm
     assert dm.submatrix(list(range(30))) is dm
     for idx in (np.array([3, 7, 8, 21]), np.array([21, 3, 8]), np.arange(29)):
         sub = dm.submatrix(idx)
         assert isinstance(sub, DistanceMatrix)
         assert np.array_equal(sub.d, dm.d[np.ix_(idx, idx)])
-        assert np.array_equal(sub.similarity, k[np.ix_(idx, idx)])
-    plain = euclidean_distances(FeatureSet(raw))
-    assert plain.similarity is None and plain.submatrix([0, 5]).similarity is None

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from clmds import (Clustering, FeatureSet, KernelConfig, ValidationError,
-                   kernel_matrix, kernel_to_distance, medoid_weighted_distance)
+from clmds import (Clustering, FeatureSet, HolesSpec, KernelConfig, ValidationError,
+                   gen_holes_dataset, kernel_matrix, kernel_to_distance,
+                   medoid_weighted_distance)
 
 
 def unit_rows(a):
@@ -106,3 +107,19 @@ def test_config_validation():
         KernelConfig(eta=0)
     with pytest.raises(ValidationError):
         KernelConfig(eta=1.5)
+
+
+@pytest.mark.parametrize("n, holes, n_block", [(110, 4, 40), (300, 12, 60)])
+def test_kernel_of_a_block_is_the_block_of_the_kernel(n, holes, n_block):
+    # each dot product is summed in an order that depends on neither the
+    # number of rows nor the pair's position, so taking a block first and
+    # the kernel second changes no bit, and the kernel is exactly symmetric
+    fs, _, _ = gen_holes_dataset(HolesSpec(n_points=n, n_holes=holes, seed=3))
+    cfg = KernelConfig(zeta=2.0, normalize=True)
+    full = kernel_matrix(fs, cfg)
+    assert np.array_equal(full, full.T)
+    rng = np.random.default_rng(0)
+    for idx in (np.arange(n_block), np.sort(rng.choice(n, n_block, replace=False))):
+        block = kernel_matrix(FeatureSet(fs.vectors[idx]), cfg)
+        assert np.array_equal(block, full[np.ix_(idx, idx)])
+        assert np.array_equal(block, block.T)

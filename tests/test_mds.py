@@ -138,6 +138,23 @@ def test_zero_weight_rejection_and_disconnection():
     assert np.all(np.isfinite(coords))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weight_rejected(bad):
+    # without the check an inf weight can keep SMACOF from returning, so the
+    # inf case runs only calls that never iterate: stress() and 2 points
+    _, D = planar_problem(8, seed=3)
+    w = np.ones((8, 8))
+    w[2, 5] = w[5, 2] = bad
+    for call in (lambda: stress(D, np.zeros((8, 2)), w),
+                 lambda: _weight_matrix(D, w),
+                 lambda: mds_embed(D.submatrix([2, 5]), w[np.ix_([2, 5], [2, 5])])):
+        with pytest.raises(ValidationError, match="finite"):
+            call()
+    if np.isnan(bad):  # at worst an error from the SVD, never a hang
+        with pytest.raises(ValidationError, match="finite"):
+            mds_embed(D, w)
+
+
 def test_determinism_under_seed():
     _, D = planar_problem(14, seed=8)
     a, _ = mds_embed(D, cfg=MdsConfig(seed=123))

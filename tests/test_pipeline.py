@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -86,6 +88,20 @@ def test_hierarchy_merge_pairs_of_blobs():
     for per in (3, 7):
         with pytest.raises(ValidationError):
             hierarchy_merge(c4, euclidean_distances(blobs(centers, per=per, dims=2)), 2)
+
+
+def test_hierarchy_merge_caps_n_iso_at_the_target():
+    # n_iso=5 is valid at the finest level (k=6); the merge to 3 picks 3
+    _, D = six_blob_problem()
+    km = KmedoidsConfig(k=6, n_iso=5, iter_med=20, seed=0)
+    c6 = kmedoids_best(D, km)
+    c3 = hierarchy_merge(c6, D, 3, km, seed=4)
+    assert c3.n_clusters == 3
+    capped = hierarchy_merge(c6, D, 3, replace(km, n_iso=3), seed=4)
+    assert np.array_equal(c3.assignment, capped.assignment)
+    assert np.array_equal(c3.medoids, capped.medoids)
+    res = clmds_embed(D, ClmdsConfig(hierarchy=HierarchySpec((6, 3, 1)), kmedoids=km))
+    assert [lv.clustering.n_clusters for lv in res.per_level] == [6, 3, 1]
 
 
 def base_config(levels=(3, 1), **kw):
@@ -188,6 +204,14 @@ def test_kernel_weighted_anchor_distances_path():
     res = clmds_embed(D, base_config(kernel_similarity=True, kernel_eta=2))
     assert np.all(np.isfinite(res.coords))
     assert voronoi_containment(res) == 1.0
+
+
+def test_kernel_weighting_rejects_distances_that_are_not_kernel_induced():
+    # the kernel is read back as 1 - d^2, which leaves [0, 1] for d > 1
+    _, D = three_blob_problem()
+    assert D.d.max() > 1.0
+    with pytest.raises(ValidationError, match="kernel entries"):
+        clmds_embed(D, base_config(kernel_similarity=True))
 
 
 def test_sparse_with_features_estimates_everyone():
