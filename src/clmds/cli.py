@@ -86,7 +86,11 @@ def build_run_config(cfg: dict) -> ClmdsConfig:
                     eps=float(cfg["mds_eps"]))
     sparsify = cfg["sparsify"]
     if sparsify not in ("none", "random", "cur"):
-        sparsify = [int(x) for x in sparsify.split(",")]
+        try:
+            sparsify = [int(x) for x in sparsify.split(",")]
+        except ValueError:
+            raise ValidationError(f"sparsify must be none, random, cur or a comma-separated "
+                                  f"list of point indices, got {sparsify!r}") from None
     n_sparse = int(cfg["n_sparse"]) if cfg["n_sparse"] else None
     weighted = cfg["input_kind"] == "descriptors" and _parse_bool(cfg["weighted"], "weighted")
     return ClmdsConfig(

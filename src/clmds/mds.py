@@ -2,12 +2,12 @@
 
 The Guttman-transform update is used, generalized to arbitrary
 non-negative pair weights; uniform weights take a fast path that avoids
-the pseudo-inverse. The per-cluster MDS is unweighted; only the anchor
-MDS passes a weight matrix (relative stress). The weighted path computes
-the pseudo-inverse once per `mds_embed` call and its stress from
-precomputed sums. Both run every start of a call in one stacked loop,
-into buffers allocated once per call; each start gets exactly the result
-it would get alone.
+the pseudo-inverse, which general weights compute once per `mds_embed`
+call. The per-cluster MDS is unweighted; only the anchor MDS passes a
+weight matrix (relative stress). Both paths take their stress from the
+same precomputed sums, and run every start of a call in one stacked
+loop, into buffers allocated once per call; each start gets exactly the
+result it would get alone.
 """
 
 from __future__ import annotations
@@ -107,30 +107,7 @@ def _guttman_v(wm: np.ndarray) -> np.ndarray:
     return np.diag(wm.sum(axis=1)) - wm
 
 
-def _uniform_stresses(d_in, wm, s):
-    """Stress of each stacked start, from the upper triangles of its distances.
-
-    Each start's sum is a reduction over its own 1-d row, as for one start
-    alone: a reduction over the stacked axis may round differently.
-    """
-    m = d_in.shape[0]
-    iu = np.triu_indices(m, k=1)
-    flat = iu[0] * m + iu[1]
-    d_in_iu, wm_iu = d_in[iu], wm[iu]
-    err = np.empty((s, flat.shape[0]))
-
-    def stresses(x, d):
-        n = d.shape[0]
-        e = err[:n]
-        np.take(d.reshape(n, m * m), flat, axis=1, out=e)
-        np.subtract(d_in_iu, e, out=e)
-        np.square(e, out=e)
-        np.multiply(wm_iu, e, out=e)
-        return [float(np.add.reduce(row)) for row in e]
-    return stresses
-
-
-def _weighted_stresses(d_in, wm, s):
+def _stresses(d_in, wm, s):
     """Stress of each stacked start, from fixed sums.
 
     Over pairs i < j, stress = sum w d_in^2 - 2 sum w d_in d + sum w d^2.
@@ -179,20 +156,19 @@ def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w):
     The starts run as one (s, m, 2) stack, and each follows exactly the
     iterates of a run from it alone: it stops on a stress increase (keeping
     the previous iterate), on a relative decrease below eps, or at max_iter.
-    A stopped start's result is frozen and it leaves the stack. Uniform
-    weights (uniform_w, the common off-diagonal weight) update by a division,
-    general weights (uniform_w None) through the pseudo-inverse of V.
+    A stopped start's result is frozen and it leaves the stack. Stress comes
+    from `_stresses` for any weights; they differ only in the update: uniform
+    weights (uniform_w, the common off-diagonal weight) divide, and general
+    weights (uniform_w None) go through the pseudo-inverse of V.
     """
     s, m = len(starts), d_in.shape[0]
+    stresses = _stresses(d_in, wm, s)
     if uniform_w is None:
         v_pinv = np.linalg.pinv(_guttman_v(wm))
-        stresses = _weighted_stresses(d_in, wm, s)
 
         def update(bx, out):
             np.matmul(v_pinv, bx, out=out)
     else:
-        stresses = _uniform_stresses(d_in, wm, s)
-
         def update(bx, out):
             np.divide(bx, m * uniform_w, out=out)
     neg_wm = -wm
@@ -234,7 +210,7 @@ def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w):
     else:  # max_iter reached: the starts still in the stack end at their iterate
         for k in range(n):
             out_x[live[k]], out_sig[live[k]] = x[k], sig[k]
-    # the weighted sums can cancel to -1e-15 at an exact fit
+    # the fixed sums can cancel to -1e-15 at an exact fit
     return out_x, [max(v, 0.0) for v in out_sig]
 
 

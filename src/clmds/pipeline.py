@@ -36,6 +36,8 @@ class ClmdsConfig:
     The ``k`` and ``seed`` of ``kmedoids`` and the ``seed`` of ``mds`` are
     overridden: each level takes ``k`` from the hierarchy, and every
     k-medoids and MDS call gets its own sub-seed drawn from ``seed``.
+    ``mds.n_init`` sets the starts of the anchor MDS only: a local MDS maps
+    just its own cluster and runs one start, the classical one when defined.
     """
 
     hierarchy: HierarchySpec
@@ -58,25 +60,6 @@ class ClmdsConfig:
             raise ValidationError(f"unknown sparsify mode {self.sparsify!r}")
         if not isinstance(self.kernel_similarity, bool):
             raise ValidationError("kernel_similarity must be a bool")
-
-
-class _SeedStream:
-    """Deterministic stream of integer sub-seeds derived from a master seed.
-
-    Call n draws from the child of SeedSequence(seed) with spawn key
-    n(n+3)/2 (0, 2, 5, 9, ...): the keys of an earlier definition that
-    spawned n+1 children on call n and kept the last, built directly.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._n = 0
-
-    def next(self) -> int:
-        n = self._n
-        child = np.random.SeedSequence(self._seed, spawn_key=(n * (n + 3) // 2,))
-        self._n += 1
-        return int(child.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
 def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
@@ -175,12 +158,16 @@ def clmds_embed(D: DistanceMatrix, cfg: ClmdsConfig,
 
 def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     n = D.n_points
-    seeds = _SeedStream(cfg.seed)
     levels = cfg.hierarchy.levels
+    # one sub-seed per call, in call order: k-medoids, each local MDS, then
+    # per level the merge and each group's anchor MDS (drawn even if unused)
+    n_calls = 1 + levels[0] + sum(1 + t for t in levels[1:])
+    seeds = (int(child.generate_state(1, dtype=np.uint64)[0] >> 1)
+             for child in np.random.SeedSequence(cfg.seed).spawn(n_calls))
     timings = {}
 
     t0 = time.perf_counter()
-    c0 = kmedoids_best(D, replace(cfg.kmedoids, k=levels[0], seed=seeds.next()))
+    c0 = kmedoids_best(D, replace(cfg.kmedoids, k=levels[0], seed=next(seeds)))
     irel = relative_incoherence(D, c0)
     timings["kmedoids"] = time.perf_counter() - t0
 
@@ -190,7 +177,8 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     local_coords, local_stresses = [], []
     for k in range(c0.n_clusters):
         members = c0.members(k)
-        xy, sig = mds_embed(D.submatrix(members), cfg=replace(cfg.mds, seed=seeds.next()))
+        xy, sig = mds_embed(D.submatrix(members),
+                            cfg=replace(cfg.mds, n_init=1, seed=next(seeds)))
         coords[members] = xy
         local_coords.append(xy)
         local_stresses.append(sig)
@@ -219,7 +207,7 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     prev = c0
     for target in levels[1:]:
         t1 = time.perf_counter()
-        level = hierarchy_merge(prev, D, target, cfg.kmedoids, seeds.next())
+        level = hierarchy_merge(prev, D, target, cfg.kmedoids, next(seeds))
         merge_s += time.perf_counter() - t1
         grouping = level.assignment[prev.medoids]
         unions, stitches, anchor_stresses = [], [], []
@@ -229,7 +217,7 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
             t1 = time.perf_counter()
             sub = d_anchor.submatrix(union)
             axy, astress = mds_embed(sub, relative_stress_weights(sub.d),
-                                     replace(cfg.mds, seed=seeds.next()))
+                                     replace(cfg.mds, seed=next(seeds)))
             anchor_mds_s += time.perf_counter() - t1
             anchor_stresses.append(astress)
             # each member's anchors are its contiguous rows of the union

@@ -253,6 +253,14 @@ def test_error_reporting_missing_input(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "coords.csv")
 
 
+def test_unknown_sparsify_mode_is_named(tmp_path, capsys):
+    inp, _ = write_features(tmp_path)
+    code, _, err = run(embed_args(inp, tmp_path / "out", ["--set", "sparsify=randm"]), capsys)
+    assert code == 1
+    assert err.startswith("error: sparsify must be none, random, cur or")
+    assert "'randm'" in err
+
+
 def test_failed_run_leaves_no_partial_artifacts(tmp_path, capsys):
     inp, _ = write_features(tmp_path, seed=6)
     out = tmp_path / "out"

@@ -115,11 +115,14 @@ def test_relative_stress_weights_rule():
     assert wt[0, 1] == pytest.approx(1e12)
 
 
-def test_weighted_path_stress_matches_direct_sum():
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "relative"])
+def test_weighted_path_stress_matches_direct_sum(weighted):
+    # uniform and relative weights share one stress formula from fixed sums;
+    # it must agree with the pair sum of stress()
     _, D = planar_problem(30, seed=9)
     noisy = validate_distance_matrix(D.d * (1.0 + 0.1 * np.sin(np.add.outer(
         np.arange(30), np.arange(30)))))
-    w = relative_stress_weights(noisy.d)
+    w = relative_stress_weights(noisy.d) if weighted else None
     x, sig = mds_embed(noisy, w, MdsConfig(seed=3))
     assert sig > 0
     assert sig == pytest.approx(stress(noisy, x, w), rel=1e-10)
@@ -177,23 +180,19 @@ def _reference_smacof(d_in, wm, x0, max_iter, eps, uniform_w):
     Returns the coordinates, the stress, and how the run stopped.
     """
     m = d_in.shape[0]
-    if uniform_w is None:
-        v = np.diag(wm.sum(axis=1)) - wm
-        v_pinv = np.linalg.pinv(v)
-        wd = wm * d_in
-        sig_in = 0.5 * float(np.vdot(wd, d_in))
+    v = np.diag(wm.sum(axis=1)) - wm
+    wd = wm * d_in
+    sig_in = 0.5 * float(np.vdot(wd, d_in))
 
-        def stress_of(x, d_emb):
-            return sig_in - float(np.vdot(wd, d_emb)) + float(np.vdot(x, v @ x))
+    def stress_of(x, d_emb):
+        return sig_in - float(np.vdot(wd, d_emb)) + float(np.vdot(x, v @ x))
+
+    if uniform_w is None:
+        v_pinv = np.linalg.pinv(v)
 
         def update(bx):
             return v_pinv @ bx
     else:
-        iu = np.triu_indices(m, k=1)
-
-        def stress_of(x, d_emb):
-            return float(np.sum(wm[iu] * (d_in[iu] - d_emb[iu]) ** 2))
-
         def update(bx):
             return bx / (m * uniform_w)
     x = x0 - x0.mean(axis=0)
@@ -228,9 +227,8 @@ def _reference_starts(D, cfg):
 
 def test_stacked_starts_equal_single_start_runs(monkeypatch):
     # Bitwise, every start of the stacked loop ends where it ends alone, and
-    # mds_embed keeps the first start of least stress. Sizes above 45 are
-    # where a stress summed over the stacked axis rounds differently; the
-    # (max_iter, eps) pairs make starts of one call stop in different ways.
+    # mds_embed keeps the first start of least stress. The (max_iter, eps)
+    # pairs make starts of one call stop in different ways.
     # Every stacked B is also byte-equal to the single-start one, signs of
     # zero included, and the coincident-point start exercises the pass that
     # writes -0.0 where other points coincide.

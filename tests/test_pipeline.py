@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from clmds import (ClmdsConfig, FeatureSet, HierarchySpec, KmedoidsConfig,
+from clmds import (ClmdsConfig, DistanceMatrix, FeatureSet, HierarchySpec, KmedoidsConfig,
                    MdsConfig, ValidationError, clmds_embed,
                    euclidean_distances, hierarchy_merge, kernel_matrix,
                    kernel_to_distance, kmedoids_best, select_anchors,
                    sparsify_select, voronoi_containment)
+from clmds import pipeline
 from clmds.cli import FeatureDistances
-from clmds.pipeline import _SeedStream
 
 
 def blobs(centers, per=12, spread=0.15, seed=0, dims=3):
@@ -307,14 +307,63 @@ def test_timings_recorded():
             assert sum(res.timings[key] for key in keys) <= res.timings["total"]
 
 
-def test_seed_stream_keeps_the_spawned_sub_seeds():
-    # the definition the stream reproduces: call n spawns n+1 children from
-    # the master sequence and keeps the last one
-    def spawned(seed, count):
-        ss = np.random.SeedSequence(seed)
-        return [int(ss.spawn(n + 1)[n].generate_state(1, dtype=np.uint64)[0] >> 1)
-                for n in range(count)]
+@pytest.mark.parametrize("levels", [(6, 1), (6, 3, 1)])
+def test_calls_take_sub_seeds_in_spawn_order(monkeypatch, levels):
+    # k-medoids, each local MDS, then per level the merge and each group's
+    # anchor MDS take the spawned children of SeedSequence(seed) in order,
+    # the merge to 1 included although it draws nothing. A local MDS runs
+    # one start; an anchor MDS runs the configured n_init.
+    _, D = six_blob_problem()
+    cfg = base_config(levels=levels, seed=31)
+    calls, in_merge = [], []
+    real_km, real_mds, real_merge = (pipeline.kmedoids_best, pipeline.mds_embed,
+                                     pipeline.hierarchy_merge)
 
-    for seed in (0, 1, 12345):
-        stream = _SeedStream(seed)
-        assert [stream.next() for _ in range(200)] == spawned(seed, 200)
+    def km(D, km_cfg):
+        if not in_merge:  # a merge's own k-medoids call reuses the merge's seed
+            calls.append(("kmedoids", km_cfg.seed))
+        return real_km(D, km_cfg)
+
+    def embed(D, w=None, cfg=None):
+        calls.append(("local" if w is None else "anchor", cfg.seed, cfg.n_init))
+        return real_mds(D, w, cfg)
+
+    def merge(previous, D, target, km_cfg=None, seed=0):
+        calls.append(("merge", seed))
+        in_merge.append(True)
+        try:
+            return real_merge(previous, D, target, km_cfg, seed)
+        finally:
+            in_merge.pop()
+
+    monkeypatch.setattr(pipeline, "kmedoids_best", km)
+    monkeypatch.setattr(pipeline, "mds_embed", embed)
+    monkeypatch.setattr(pipeline, "hierarchy_merge", merge)
+    clmds_embed(D, cfg)
+
+    kinds = ["kmedoids"] + ["local"] * levels[0]
+    for t in levels[1:]:
+        kinds += ["merge"] + ["anchor"] * t
+    spawned = [int(child.generate_state(1, dtype=np.uint64)[0] >> 1)
+               for child in np.random.SeedSequence(31).spawn(len(kinds))]
+    assert [c[0] for c in calls] == kinds
+    assert [c[1] for c in calls] == spawned
+    assert [c[2] for c in calls if c[0] == "local"] == [1] * levels[0]
+    assert [c[2] for c in calls if c[0] == "anchor"] == [cfg.mds.n_init] * sum(levels[1:])
+
+
+@pytest.mark.parametrize("levels", [(6, 1), (6, 3, 1)])
+def test_scaling_the_distances_scales_the_embedding(levels):
+    # D -> 2D gives coords -> 2 coords and the same clusters. Only a power of
+    # two scales every sum exactly: at x3 or x0.1 rounding can break a tie in
+    # incoherence between k-medoids restarts, which permutes the labels.
+    for seed in range(6):
+        centers = [np.r_[i * 6.0, (i % 3) * 5.0, (i % 2) * 4.0] for i in range(6)]
+        fs = blobs(centers, per=25, spread=0.6, seed=seed)
+        D = euclidean_distances(fs)
+        cfg = base_config(levels=levels, seed=seed)
+        a = clmds_embed(D, cfg)
+        b = clmds_embed(DistanceMatrix(2.0 * D.d), cfg)
+        assert np.array_equal(a.clustering.assignment, b.clustering.assignment)
+        scale = np.abs(a.coords).max()
+        assert np.max(np.abs(b.coords - 2.0 * a.coords)) <= 1e-12 * 2.0 * scale
