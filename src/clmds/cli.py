@@ -22,6 +22,7 @@ from .pipeline import ClmdsConfig, clmds_embed
 from .svgplot import render_scatter
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_FORMS = {bool: "a boolean (true/false, yes/no, 1/0)", int: "an integer", float: "a number"}
 
 _DEFAULTS = {
     "input": None,
@@ -71,19 +72,23 @@ def parse_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def _parse_bool(raw: str, key: str) -> bool:
+def _parse(cfg: dict, key: str, kind: type = bool, raw: str | None = None):
+    """cfg[key], or raw, one item of it, as a bool, int or float."""
+    raw = cfg[key] if raw is None else raw
     try:
-        return _BOOL[raw.strip().lower()]
-    except KeyError:
-        raise ValidationError(f"{key} must be a boolean, got {raw!r}") from None
+        return _BOOL[raw.strip().lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ValidationError(f"{key}: {raw!r} is not {_FORMS[kind]}") from None
 
 
 def build_run_config(cfg: dict) -> ClmdsConfig:
-    hierarchy = HierarchySpec(tuple(int(x) for x in cfg["hierarchy"].split(",")))
-    km = KmedoidsConfig(k=hierarchy.levels[0], n_iso=int(cfg["n_iso"]),
-                        iter_med=int(cfg["iter_med"]), max_swaps=int(cfg["max_swaps"]))
-    mds = MdsConfig(n_init=int(cfg["mds_n_init"]), max_iter=int(cfg["mds_max_iter"]),
-                    eps=float(cfg["mds_eps"]))
+    hierarchy = HierarchySpec(tuple(_parse(cfg, "hierarchy", int, x)
+                                    for x in cfg["hierarchy"].split(",")))
+    km = KmedoidsConfig(k=hierarchy.levels[0], n_iso=_parse(cfg, "n_iso", int),
+                        iter_med=_parse(cfg, "iter_med", int),
+                        max_swaps=_parse(cfg, "max_swaps", int))
+    mds = MdsConfig(n_init=_parse(cfg, "mds_n_init", int),
+                    max_iter=_parse(cfg, "mds_max_iter", int), eps=_parse(cfg, "mds_eps", float))
     sparsify = cfg["sparsify"]
     if sparsify not in ("none", "random", "cur"):
         try:
@@ -91,13 +96,14 @@ def build_run_config(cfg: dict) -> ClmdsConfig:
         except ValueError:
             raise ValidationError(f"sparsify must be none, random, cur or a comma-separated "
                                   f"list of point indices, got {sparsify!r}") from None
-    n_sparse = int(cfg["n_sparse"]) if cfg["n_sparse"] else None
-    weighted = cfg["input_kind"] == "descriptors" and _parse_bool(cfg["weighted"], "weighted")
+    n_sparse = _parse(cfg, "n_sparse", int) if cfg["n_sparse"] else None
+    eta = _parse(cfg, "eta", int)
+    KernelConfig(eta=eta)  # checked also where unweighted runs leave it unused
+    weighted = cfg["input_kind"] == "descriptors" and _parse(cfg, "weighted")
     return ClmdsConfig(
         hierarchy=hierarchy, kmedoids=km, mds=mds,
-        sparsify=sparsify, n_sparse=n_sparse, seed=int(cfg["seed"]),
-        anchor_pool=cfg["anchor_pool"], kernel_similarity=weighted,
-        kernel_eta=int(cfg["eta"]),
+        sparsify=sparsify, n_sparse=n_sparse, seed=_parse(cfg, "seed", int),
+        anchor_pool=cfg["anchor_pool"], kernel_eta=eta if weighted else None,
     )
 
 
@@ -117,11 +123,6 @@ class FeatureDistances:
     @property
     def n_points(self) -> int:
         return self.features.n_points
-
-    @property
-    def d(self) -> np.ndarray:
-        """The full N x N matrix (sparsify="cur" ranks its row norms)."""
-        return self.submatrix(np.arange(self.n_points)).d
 
     def submatrix(self, idx) -> DistanceMatrix:
         fs = FeatureSet(self.features.vectors[idx])
@@ -256,8 +257,7 @@ def cmd_embed(args) -> int:
         D = FeatureDistances(features)
     elif kind == "descriptors":
         features = load_feature_set(cfg["input"])
-        kcfg = KernelConfig(zeta=float(cfg["zeta"]), eta=int(cfg["eta"]),
-                            normalize=_parse_bool(cfg["normalize"], "normalize"))
+        kcfg = KernelConfig(zeta=_parse(cfg, "zeta", float), normalize=_parse(cfg, "normalize"))
         D = FeatureDistances(features, kcfg)
     else:
         raise ValidationError(f"unknown input kind {kind!r}")
@@ -267,7 +267,7 @@ def cmd_embed(args) -> int:
         "coords.csv": result_to_coords_csv(result),
         "result.json": result_to_json(result),
     }
-    if _parse_bool(cfg["plot"], "plot"):
+    if _parse(cfg, "plot"):
         medoid_rows = [int(m) for m in result.clustering.medoids]
         anchor_rows = np.flatnonzero(_finest_anchor_mask(result))
         artifacts["plot.svg"] = render_scatter(

@@ -38,6 +38,8 @@ class ClmdsConfig:
     k-medoids and MDS call gets its own sub-seed drawn from ``seed``.
     ``mds.n_init`` sets the starts of the anchor MDS only: a local MDS maps
     just its own cluster and runs one start, the classical one when defined.
+    With ``kernel_eta`` set, D must be kernel-induced, and each anchor MDS
+    reads its block of ``medoid_weighted_distance`` with that eta.
     """
 
     hierarchy: HierarchySpec
@@ -47,8 +49,7 @@ class ClmdsConfig:
     n_sparse: int | None = None
     seed: int = 0
     anchor_pool: str = "member_anchors"  # or "full_cluster"
-    kernel_similarity: bool = False  # medoid-weighted anchor MDS over kernel-induced D
-    kernel_eta: int = 1
+    kernel_eta: int | None = None
 
     def __post_init__(self):
         if self.kmedoids is None:
@@ -58,8 +59,6 @@ class ClmdsConfig:
         mode = self.sparsify if isinstance(self.sparsify, str) else "list"
         if mode not in ("none", "random", "cur", "list"):
             raise ValidationError(f"unknown sparsify mode {self.sparsify!r}")
-        if not isinstance(self.kernel_similarity, bool):
-            raise ValidationError("kernel_similarity must be a bool")
 
 
 def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
@@ -84,7 +83,7 @@ def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
             rng = np.random.default_rng(seed)
             sp = np.sort(rng.choice(n, size=n_sparse, replace=False))
         elif sparsify == "cur":
-            norms = np.linalg.norm(D.d, axis=1)
+            norms = np.linalg.norm(D.submatrix(everything).d, axis=1)
             order = np.lexsort((everything, -norms))  # descending norm, ties low index
             sp = np.sort(order[:n_sparse])
         else:
@@ -129,10 +128,10 @@ def clmds_embed(D: DistanceMatrix, cfg: ClmdsConfig,
     The pipeline embeds the sparse subset (every point when sparsify is
     "none") through `D.submatrix`, so D may be any object with `n_points`
     and `submatrix(idx) -> DistanceMatrix` that builds only the distances
-    asked for; `sparsify="cur"` also reads the full matrix `D.d`. Points
-    left out get estimated coordinates when descriptor vectors are
-    supplied; otherwise the result covers the sparse subset only
-    (estimation needs vectors).
+    asked for; `sparsify="cur"` asks for every point. Points left out get
+    estimated coordinates when descriptor vectors are supplied; otherwise
+    the result covers the sparse subset only (estimation needs vectors).
+    With `cfg.kernel_eta` set, a distance above 1 raises a ValidationError.
     """
     n = D.n_points
     if cfg.hierarchy.levels[0] > n:
@@ -165,6 +164,10 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     seeds = (int(child.generate_state(1, dtype=np.uint64)[0] >> 1)
              for child in np.random.SeedSequence(cfg.seed).spawn(n_calls))
     timings = {}
+    kernel = None if cfg.kernel_eta is None else KernelConfig(eta=cfg.kernel_eta)
+    if kernel is not None and 1.0 - np.max(D.d) ** 2 < -1e-12:  # d = sqrt(1 - k)
+        raise ValidationError("kernel entries 1 - d^2 must lie in [0, 1]: "
+                              "medoid weighting needs kernel-induced distances")
 
     t0 = time.perf_counter()
     c0 = kmedoids_best(D, replace(cfg.kmedoids, k=levels[0], seed=next(seeds)))
@@ -188,15 +191,6 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     anchors = select_anchors(D, c0)
     timings["anchors"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    if cfg.kernel_similarity:
-        # kernel-induced distances d = sqrt(1 - k) give the kernel back
-        d_anchor = medoid_weighted_distance(1.0 - D.d ** 2, c0,
-                                            KernelConfig(eta=cfg.kernel_eta))
-    else:
-        d_anchor = D
-    timings["anchor_mds"] = time.perf_counter() - t0
-
     per_level = [LevelArtifacts(clustering=c0, anchors=anchors,
                                 local_stresses=local_stresses)]
     comp = [np.eye(3) for _ in range(c0.n_clusters)]
@@ -215,7 +209,13 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
             member_ids = np.flatnonzero(grouping == g)
             union = np.concatenate([anchors[i] for i in member_ids])
             t1 = time.perf_counter()
-            sub = d_anchor.submatrix(union)
+            # weighting is elementwise: the union plus the medoids gives its exact rows
+            block = union if kernel is None else np.concatenate([union, c0.medoids])
+            sub = D.submatrix(block)
+            if kernel is not None:
+                local = Clustering(c0.assignment[block], np.arange(union.size, block.size))
+                sub = medoid_weighted_distance(1.0 - sub.d ** 2, local,
+                                               kernel).submatrix(np.arange(union.size))
             axy, astress = mds_embed(sub, relative_stress_weights(sub.d),
                                      replace(cfg.mds, seed=next(seeds)))
             anchor_mds_s += time.perf_counter() - t1
@@ -246,7 +246,7 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
             anchor_stress=float(np.sum(anchor_stresses)),
         ))
         prev = level
-    timings["anchor_mds"] += anchor_mds_s
+    timings["anchor_mds"] = anchor_mds_s
     timings["merge"] = merge_s
     # the hierarchy loop less its anchor MDS and merges: pool anchors, stitches
     timings["stitching"] = time.perf_counter() - t0 - anchor_mds_s - merge_s

@@ -261,6 +261,20 @@ def test_unknown_sparsify_mode_is_named(tmp_path, capsys):
     assert "'randm'" in err
 
 
+@pytest.mark.parametrize("item, form", [
+    ("hierarchy=3,x", "an integer"), ("mds_eps=small", "a number"),
+    ("iter_med=ten", "an integer"), ("eta=1.5", "an integer"),
+    ("n_sparse=abc", "an integer"), ("seed=x", "an integer"),
+    ("plot=maybe", "a boolean"), ("eta=0", "a positive integer"),
+])
+def test_malformed_value_names_its_key_and_form(tmp_path, capsys, item, form):
+    inp, _ = write_features(tmp_path)
+    code, _, err = run(embed_args(inp, tmp_path / "out", ["--set", item]), capsys)
+    key = item.split("=")[0]
+    assert code == 1
+    assert err.startswith(f"error: {key}") and form in err, err
+
+
 def test_failed_run_leaves_no_partial_artifacts(tmp_path, capsys):
     inp, _ = write_features(tmp_path, seed=6)
     out = tmp_path / "out"
@@ -327,7 +341,7 @@ def test_embed_equals_the_full_matrix_library_call(tmp_path, capsys, kind, spars
 
     fs = load_feature_set(data / "features.csv")
     cfg = build_run_config(parse_config(None, sets))
-    assert cfg.kernel_similarity == (kind == "descriptors")
+    assert cfg.kernel_eta == (2 if kind == "descriptors" else None)
     if kind == "features":
         D = euclidean_distances(fs)
     else:

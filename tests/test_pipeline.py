@@ -2,13 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from clmds import (ClmdsConfig, DistanceMatrix, FeatureSet, HierarchySpec, KmedoidsConfig,
-                   MdsConfig, ValidationError, clmds_embed,
-                   euclidean_distances, hierarchy_merge, kernel_matrix,
-                   kernel_to_distance, kmedoids_best, select_anchors,
-                   sparsify_select, voronoi_containment)
+from clmds import (ClmdsConfig, DistanceMatrix, FeatureSet, HierarchySpec, HolesSpec,
+                   KernelConfig, KmedoidsConfig, MdsConfig, ValidationError, clmds_embed,
+                   euclidean_distances, gen_holes_dataset, hierarchy_merge, kernel_matrix,
+                   kernel_to_distance, kmedoids_best, medoid_weighted_distance,
+                   select_anchors, sparsify_select, voronoi_containment)
 from clmds import pipeline
 from clmds.cli import FeatureDistances
 
@@ -201,7 +203,7 @@ def test_kernel_weighted_anchor_distances_path():
     fs = FeatureSet(raw / np.linalg.norm(raw, axis=1, keepdims=True))
     k = kernel_matrix(fs)
     D = kernel_to_distance(k)
-    res = clmds_embed(D, base_config(kernel_similarity=True, kernel_eta=2))
+    res = clmds_embed(D, base_config(kernel_eta=2))
     assert np.all(np.isfinite(res.coords))
     assert voronoi_containment(res) == 1.0
 
@@ -211,7 +213,99 @@ def test_kernel_weighting_rejects_distances_that_are_not_kernel_induced():
     _, D = three_blob_problem()
     assert D.d.max() > 1.0
     with pytest.raises(ValidationError, match="kernel entries"):
-        clmds_embed(D, base_config(kernel_similarity=True))
+        clmds_embed(D, base_config(kernel_eta=1))
+
+
+def holes_kernel_problem(n=200, seed=1):
+    fs, _, _ = gen_holes_dataset(HolesSpec(n_points=n, n_holes=6, seed=seed))
+    return fs, kernel_to_distance(kernel_matrix(fs, KernelConfig(normalize=True)))
+
+
+@pytest.mark.parametrize("levels", [(6, 1), (6, 3, 1)])
+@pytest.mark.parametrize("pool", ["member_anchors", "full_cluster"])
+def test_anchor_mds_reads_its_block_of_the_medoid_weighted_matrix(monkeypatch, levels, pool):
+    # Each anchor MDS gets the union's block of the medoid-weighted matrix
+    # over every point, bit for bit, but each weighting call sees only that
+    # union and the finest medoids.
+    _, D = holes_kernel_problem()
+    eta = 2
+    blocks, weighted = [], []
+    real_mds, real_weighting = pipeline.mds_embed, pipeline.medoid_weighted_distance
+
+    def embed(sub, w=None, cfg=None):
+        if w is not None:
+            blocks.append(sub.d)
+        return real_mds(sub, w, cfg)
+
+    def weighting(k, c, cfg=None):
+        weighted.append(c.n_points)
+        return real_weighting(k, c, cfg)
+
+    monkeypatch.setattr(pipeline, "mds_embed", embed)
+    monkeypatch.setattr(pipeline, "medoid_weighted_distance", weighting)
+    res = clmds_embed(D, base_config(levels=levels, anchor_pool=pool, kernel_eta=eta))
+
+    full = medoid_weighted_distance(1.0 - D.d ** 2, res.clustering, KernelConfig(eta=eta)).d
+    # a group's union is its members' anchors in stitch order
+    unions = [np.concatenate([s.anchor_indices for s in lv.stitches if s.group == g])
+              for lv in res.per_level[1:] for g in range(lv.clustering.n_clusters)]
+    assert len(blocks) == len(weighted) == len(unions) == sum(levels[1:])
+    for block, size, union in zip(blocks, weighted, unions):
+        assert block.tobytes() == full[np.ix_(union, union)].tobytes()
+        assert size <= union.size + levels[0] < D.n_points
+
+
+def test_kernel_weighting_checks_every_distance_before_k_medoids(monkeypatch):
+    # one pair of points above d = 1, which no kernel in [0, 1] induces
+    _, D = holes_kernel_problem()
+    d = D.d.copy()
+    d[3, 150] = d[150, 3] = 1.0 + 1e-6
+    bad = DistanceMatrix(d)
+    res = clmds_embed(bad, base_config(levels=(6, 3, 1)))
+    assert np.all(np.isfinite(res.coords))
+
+    def no_kmedoids(*args):
+        raise AssertionError("k-medoids ran before the check")
+
+    monkeypatch.setattr(pipeline, "kmedoids_best", no_kmedoids)
+    with pytest.raises(ValidationError, match="kernel entries"):
+        clmds_embed(bad, base_config(levels=(6, 3, 1), kernel_eta=1))
+
+
+@st.composite
+def degenerate_problems(draw):
+    """A symmetric matrix of 4-30 points, with a 2- or 3-level hierarchy."""
+    n = draw(st.integers(4, 30))
+    kind = draw(st.sampled_from(["non_euclidean", "duplicated", "collinear", "two_valued"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "duplicated":  # copies of 1-4 locations
+        locations = rng.normal(size=(draw(st.integers(1, 4)), 3))
+        D = euclidean_distances(FeatureSet(locations[rng.integers(0, len(locations), n)]))
+    elif kind == "collinear":
+        D = euclidean_distances(FeatureSet(np.outer(rng.normal(size=n), [1.0, 2.0, -0.5])))
+    else:  # non-Euclidean: random dissimilarities, or two values only
+        d = (rng.uniform(0.1, 5.0, (n, n)) if kind == "non_euclidean"
+             else rng.choice([1.0, 2.0], (n, n)))
+        d = np.triu(d, 1)
+        D = DistanceMatrix(d + d.T)
+    k0 = draw(st.integers(2, min(n, 8)))
+    middle = draw(st.lists(st.integers(2, k0 - 1), max_size=1)) if k0 > 2 else []
+    return D, (k0, *middle, 1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(degenerate_problems(), st.sampled_from(["member_anchors", "full_cluster"]))
+def test_degenerate_inputs_embed_finite_or_raise_validation_error(problem, pool):
+    D, levels = problem
+    cfg = ClmdsConfig(hierarchy=HierarchySpec(levels), anchor_pool=pool, seed=3,
+                      kmedoids=KmedoidsConfig(k=levels[0], iter_med=5),
+                      mds=MdsConfig(n_init=2, max_iter=100))
+    try:
+        res = clmds_embed(D, cfg)
+    except ValidationError:
+        return
+    assert res.coords.shape == (D.n_points, 2)
+    assert np.all(np.isfinite(res.coords))
 
 
 def test_sparse_with_features_estimates_everyone():
