@@ -6,8 +6,7 @@ from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, Hierarch
                    load_distance_matrix, load_feature_set, validate_distance_matrix)
 from .datagen import HolesSpec, gen_holes_dataset, gen_s_curve, voronoi_containment
 from .kernel import KernelConfig, kernel_matrix, kernel_to_distance, medoid_weighted_distance
-from .kmedoids import (KmedoidsConfig, kmedoids_best, kmedoids_once, relative_incoherence,
-                       select_initial_medoids)
+from .kmedoids import KmedoidsConfig, kmedoids_best, kmedoids_once, relative_incoherence
 from .mds import MdsConfig, mds_embed, stress
 from .pipeline import (ClmdsConfig, SparseSelection, clmds_embed, estimate_out_of_sample,
                        hierarchy_merge, sparsify_select)
@@ -27,7 +26,7 @@ __all__ = [
     "fit_similarity", "translation", "gen_holes_dataset", "gen_s_curve", "hierarchy_merge", "kernel_matrix",
     "kernel_to_distance", "kmedoids_best", "kmedoids_once", "load_distance_matrix",
     "load_feature_set", "mds_embed", "medoid_weighted_distance", "relative_incoherence",
-    "select_anchors", "select_initial_medoids", "simplex_volume_sq", "sparsify_select",
+    "select_anchors", "simplex_volume_sq", "sparsify_select",
     "stress", "validate_distance_matrix", "voronoi_containment",
 ]
 

@@ -120,13 +120,10 @@ def best_quadruple(D: DistanceMatrix, candidates) -> np.ndarray:
 
 
 def select_anchors(D: DistanceMatrix, c: Clustering) -> list[np.ndarray]:
-    """Up to four anchor indices per cluster, by maximal tetrahedron volume."""
-    anchors = []
-    for k in range(c.n_clusters):
-        members = c.members(k)
-        if members.size <= 4:
-            anchors.append(members.copy())
-            continue
-        cand = candidate_vertices(D, members, int(c.medoids[k]))
-        anchors.append(best_quadruple(D, cand))
-    return anchors
+    """Up to four anchor indices per cluster, by maximal tetrahedron volume.
+
+    A cluster of at most 4 members is its own anchor set (see
+    `best_quadruple`).
+    """
+    return [best_quadruple(D, candidate_vertices(D, c.members(k), int(c.medoids[k])))
+            for k in range(c.n_clusters)]

@@ -97,13 +97,12 @@ def build_run_config(cfg: dict) -> ClmdsConfig:
             raise ValidationError(f"sparsify must be none, random, cur or a comma-separated "
                                   f"list of point indices, got {sparsify!r}") from None
     n_sparse = _parse(cfg, "n_sparse", int) if cfg["n_sparse"] else None
-    eta = _parse(cfg, "eta", int)
-    KernelConfig(eta=eta)  # checked also where unweighted runs leave it unused
-    weighted = cfg["input_kind"] == "descriptors" and _parse(cfg, "weighted")
+    weighted = _parse(cfg, "weighted") and cfg["input_kind"] == "descriptors"
     return ClmdsConfig(
         hierarchy=hierarchy, kmedoids=km, mds=mds,
         sparsify=sparsify, n_sparse=n_sparse, seed=_parse(cfg, "seed", int),
-        anchor_pool=cfg["anchor_pool"], kernel_eta=eta if weighted else None,
+        anchor_pool=cfg["anchor_pool"],
+        kernel_eta=_parse(cfg, "eta", int) if weighted else None,
     )
 
 
@@ -247,6 +246,10 @@ def cmd_embed(args) -> int:
     if cfg["input"] is None:
         raise ValidationError("no input file configured")
     run_cfg = build_run_config(cfg)
+    # checked for every input kind, before the input is read
+    kernel = KernelConfig(zeta=_parse(cfg, "zeta", float), eta=_parse(cfg, "eta", int),
+                          normalize=_parse(cfg, "normalize"))
+    plot = _parse(cfg, "plot")
 
     kind = cfg["input_kind"]
     features = None
@@ -257,8 +260,7 @@ def cmd_embed(args) -> int:
         D = FeatureDistances(features)
     elif kind == "descriptors":
         features = load_feature_set(cfg["input"])
-        kcfg = KernelConfig(zeta=_parse(cfg, "zeta", float), normalize=_parse(cfg, "normalize"))
-        D = FeatureDistances(features, kcfg)
+        D = FeatureDistances(features, kernel)
     else:
         raise ValidationError(f"unknown input kind {kind!r}")
 
@@ -267,7 +269,7 @@ def cmd_embed(args) -> int:
         "coords.csv": result_to_coords_csv(result),
         "result.json": result_to_json(result),
     }
-    if _parse(cfg, "plot"):
+    if plot:
         medoid_rows = [int(m) for m in result.clustering.medoids]
         anchor_rows = np.flatnonzero(_finest_anchor_mask(result))
         artifacts["plot.svg"] = render_scatter(

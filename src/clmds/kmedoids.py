@@ -46,35 +46,6 @@ def farthest_point_sample(d: np.ndarray, n: int) -> list[int]:
     return chosen
 
 
-def _farthest_picks_and_pool(D: DistanceMatrix, cfg: KmedoidsConfig):
-    """The n_iso farthest-point picks and the points left to draw from.
-
-    Neither depends on the rng, so restarts compute them once.
-    """
-    n = D.n_points
-    if cfg.k > n:
-        raise ValidationError(f"k={cfg.k} exceeds number of points {n}")
-    chosen = farthest_point_sample(D.d, cfg.n_iso) if cfg.n_iso else []
-    return chosen, np.setdiff1d(np.arange(n), chosen)
-
-
-def _draw_initial_medoids(chosen: list[int], pool: np.ndarray, k: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    n_rand = k - len(chosen)
-    if n_rand:
-        chosen = chosen + list(rng.choice(pool, size=n_rand, replace=False))
-    return np.array(chosen, dtype=int)
-
-
-def select_initial_medoids(D: DistanceMatrix, cfg: KmedoidsConfig,
-                           rng: np.random.Generator | None = None) -> np.ndarray:
-    """Initial medoids: n_iso by farthest point sampling, the rest random."""
-    chosen, pool = _farthest_picks_and_pool(D, cfg)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return _draw_initial_medoids(chosen, pool, cfg.k, rng)
-
-
 def _assign(d: np.ndarray, medoids: np.ndarray) -> np.ndarray:
     # rows d[medoids] stand for the columns d[:, medoids]: DistanceMatrix
     # admits only exactly symmetric arrays, and a contiguous row gather is
@@ -149,14 +120,19 @@ def kmedoids_best(D: DistanceMatrix, cfg: KmedoidsConfig) -> Clustering:
 
     Ties between restarts go to the earliest one.
     """
-    if cfg.k > D.n_points:
-        raise ValidationError(f"k={cfg.k} exceeds number of points {D.n_points}")
-    chosen, pool = _farthest_picks_and_pool(D, cfg)
+    n = D.n_points
+    if cfg.k > n:
+        raise ValidationError(f"k={cfg.k} exceeds number of points {n}")
+    # initial medoids: the n_iso farthest-point picks, which no restart
+    # changes, then k - n_iso drawn from the other points by each restart
+    chosen = farthest_point_sample(D.d, cfg.n_iso) if cfg.n_iso else []
+    pool = np.setdiff1d(np.arange(n), chosen)
     best = None
     best_irel = np.inf
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.iter_med):
-        init = _draw_initial_medoids(chosen, pool, cfg.k, np.random.default_rng(child))
-        c = kmedoids_once(D, init, cfg.max_swaps)
+        drawn = np.random.default_rng(child).choice(pool, size=cfg.k - len(chosen),
+                                                    replace=False)
+        c = kmedoids_once(D, chosen + drawn.tolist(), cfg.max_swaps)
         irel = relative_incoherence(D, c)
         if irel < best_irel:
             best, best_irel = c, irel

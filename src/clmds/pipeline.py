@@ -14,7 +14,7 @@ from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, Hierarch
 from .kernel import KernelConfig, medoid_weighted_distance
 from .kmedoids import KmedoidsConfig, kmedoids_best, relative_incoherence
 from .mds import MdsConfig, mds_embed, relative_stress_weights
-from .transforms import DIVIDE_TOL, choose_best_transform
+from .transforms import choose_best_transform, project
 
 
 @dataclass(frozen=True)
@@ -269,8 +269,8 @@ def estimate_out_of_sample(fs: FeatureSet, sparse_result: ClmdsResult,
     descriptor space; per cluster an affine from descriptors to local 2-d
     coordinates is fitted on the sparse members and composed with the
     cluster's stitching transform. Clusters with fewer than 3 sparse
-    members place their new points at the transformed mean local
-    coordinate and are flagged.
+    members, and points that this map sends to infinity, are placed at the
+    cluster's transformed mean local coordinate; their clusters are flagged.
     """
     x = fs.vectors
     n = x.shape[0]
@@ -291,10 +291,8 @@ def estimate_out_of_sample(fs: FeatureSet, sparse_result: ClmdsResult,
         nearest = np.argmin(pairwise_distances(x[comp_idx], x[med_orig]), axis=1)
         assignment[comp_idx] = nearest
         estimated[comp_idx] = True
-        for k in range(c.n_clusters):
+        for k in np.unique(nearest):
             new_pts = comp_idx[nearest == k]
-            if new_pts.size == 0:
-                continue
             t_k = sparse_result.cluster_transforms[k]
             members = c.members(k)
             y_loc = sparse_result.local_coords[k]
@@ -304,29 +302,15 @@ def estimate_out_of_sample(fs: FeatureSet, sparse_result: ClmdsResult,
                 a_tilde = np.zeros((3, x.shape[1] + 1))
                 a_tilde[:2] = sol.T
                 a_tilde[2, -1] = 1.0
-                t_tilde = t_k @ a_tilde
-                h = t_tilde @ np.column_stack([x[new_pts], np.ones(new_pts.size)]).T
-                w = h[2]
-                bad = np.abs(w) < DIVIDE_TOL
-                w = np.where(bad, 1.0, w)
-                est = (h[:2] / w).T
-                if np.any(bad):
-                    est[bad] = _transformed_mean(t_k, y_loc)
-                    fallback.append(k)
-                coords[new_pts] = est
-            else:
-                coords[new_pts] = _transformed_mean(t_k, y_loc)
-                fallback.append(k)
+                coords[new_pts], far = project(t_k @ a_tilde, x[new_pts])
+            else:  # too few sparse members to fit the affine
+                far = np.ones(new_pts.size, dtype=bool)
+            if np.any(far):
+                coords[new_pts[far]] = project(t_k, y_loc.mean(axis=0))[0]
+                fallback.append(int(k))
 
     return replace(
         sparse_result, coords=coords, clustering=Clustering(assignment, med_orig),
         sparse_indices=sp, estimated_mask=estimated, estimation_available=True,
-        fallback_clusters=sorted(set(fallback)), timings=dict(sparse_result.timings),
+        fallback_clusters=fallback, timings=dict(sparse_result.timings),
     )
-
-
-def _transformed_mean(t_k: np.ndarray, y_loc: np.ndarray) -> np.ndarray:
-    mean = y_loc.mean(axis=0)
-    h = t_k @ np.append(mean, 1.0)
-    w = h[2] if abs(h[2]) > DIVIDE_TOL else 1.0
-    return h[:2] / w

@@ -178,17 +178,28 @@ def fit_homography(local_quad: np.ndarray, global_quad: np.ndarray) -> Transform
     return tr
 
 
-def apply_transform(T: Transform2D, points: np.ndarray) -> np.ndarray:
-    """Homogeneous multiply followed by the perspective divide."""
+def project(matrix: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points mapped by a 3x(q+1) homogeneous matrix, and those sent to infinity.
+
+    Appends a 1 to each q-vector, multiplies, and divides by the third row.
+    `far` marks the rows whose |w| < DIVIDE_TOL; those come back undivided.
+    A single point gives a single row and a scalar flag.
+    """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    h = T.matrix @ np.column_stack([pts, np.ones(pts.shape[0])]).T
-    w = h[2]
-    if np.any(np.abs(w) < DIVIDE_TOL):
+    h = matrix @ np.column_stack([pts, np.ones(pts.shape[0])]).T
+    far = np.abs(h[2]) < DIVIDE_TOL
+    out = (h[:2] / np.where(far, 1.0, h[2])).T
+    return (out[0], far[0]) if single else (out, far)
+
+
+def apply_transform(T: Transform2D, points: np.ndarray) -> np.ndarray:
+    """Homogeneous multiply followed by the perspective divide."""
+    out, far = project(T.matrix, points)
+    if np.any(far):
         raise PerspectiveDivideError("point maps to infinity under homography")
-    out = (h[:2] / w).T
-    return out[0] if single else out
+    return out
 
 
 def fit_similarity(src: np.ndarray, dst: np.ndarray) -> Transform2D:

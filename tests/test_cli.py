@@ -266,6 +266,8 @@ def test_unknown_sparsify_mode_is_named(tmp_path, capsys):
     ("iter_med=ten", "an integer"), ("eta=1.5", "an integer"),
     ("n_sparse=abc", "an integer"), ("seed=x", "an integer"),
     ("plot=maybe", "a boolean"), ("eta=0", "a positive integer"),
+    ("zeta=abc", "a number"), ("normalize=maybe", "a boolean"),
+    ("weighted=maybe", "a boolean"), ("zeta=-1", "positive"),
 ])
 def test_malformed_value_names_its_key_and_form(tmp_path, capsys, item, form):
     inp, _ = write_features(tmp_path)
@@ -273,6 +275,13 @@ def test_malformed_value_names_its_key_and_form(tmp_path, capsys, item, form):
     key = item.split("=")[0]
     assert code == 1
     assert err.startswith(f"error: {key}") and form in err, err
+
+
+def test_malformed_plot_is_named_before_the_input_is_read(tmp_path, capsys):
+    code, _, err = run(embed_args(tmp_path / "missing.csv", tmp_path / "out",
+                                  ["--set", "plot=maybe"]), capsys)
+    assert code == 1
+    assert err.startswith("error: plot"), err
 
 
 def test_failed_run_leaves_no_partial_artifacts(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 import clmds.kmedoids as kmedoids_mod
 from clmds import (Clustering, FeatureSet, KmedoidsConfig, ValidationError,
                    euclidean_distances, kmedoids_best, kmedoids_once,
-                   relative_incoherence, select_initial_medoids, validate_distance_matrix)
+                   relative_incoherence, validate_distance_matrix)
+from clmds.kmedoids import farthest_point_sample
 
 
 def line_matrix(positions):
@@ -27,24 +28,57 @@ def brute_force_irel(D, k):
     return best
 
 
+def per_restart_initial_medoids(d, cfg, rng):
+    """A restart's initial medoids, recomputed from scratch: n_iso farthest
+    point picks, then k - n_iso distinct draws from the other points."""
+    chosen = [int(np.argmax(d.sum(axis=1)))] if cfg.n_iso else []
+    while len(chosen) < cfg.n_iso:
+        min_dist = d[:, chosen].min(axis=1)
+        min_dist[chosen] = -np.inf
+        chosen.append(int(np.argmax(min_dist)))
+    pool = np.setdiff1d(np.arange(d.shape[0]), chosen)
+    drawn = rng.choice(pool, size=cfg.k - cfg.n_iso, replace=False)
+    return np.array(chosen + list(drawn), dtype=int)
+
+
+def recorded_initial_medoids(monkeypatch, D, cfg):
+    """The initial medoids of every restart of kmedoids_best(D, cfg)."""
+    seen = []
+    real_once = kmedoids_mod.kmedoids_once
+
+    def recording_once(D, initial_medoids, max_swaps):
+        seen.append(np.array(initial_medoids))
+        return real_once(D, initial_medoids, max_swaps)
+
+    monkeypatch.setattr(kmedoids_mod, "kmedoids_once", recording_once)
+    kmedoids_best(D, cfg)
+    monkeypatch.undo()
+    return seen
+
+
 def test_fps_selects_extremes_on_a_line():
     D = line_matrix([0.0, 1.0, 10.0])
-    meds = select_initial_medoids(D, KmedoidsConfig(k=2, n_iso=2))
-    assert set(meds.tolist()) == {0, 2}
+    assert set(farthest_point_sample(D.d, 2)) == {0, 2}
 
 
 def test_k_equals_n_returns_all_indices():
+    # every medoid a farthest-point pick: each restart draws none from an empty pool
     D = line_matrix([0.0, 1.0, 2.0, 5.0])
-    meds = select_initial_medoids(D, KmedoidsConfig(k=4, n_iso=4))
-    assert sorted(meds.tolist()) == [0, 1, 2, 3]
+    c = kmedoids_best(D, KmedoidsConfig(k=4, n_iso=4, iter_med=3))
+    assert sorted(c.medoids.tolist()) == [0, 1, 2, 3]
+    assert np.array_equal(c.assignment[c.medoids], np.arange(4))
 
 
-def test_random_init_reproducible_under_seed():
+def test_random_init_reproducible_under_seed(monkeypatch):
     D = line_matrix(np.arange(10.0))
-    cfg = KmedoidsConfig(k=3, n_iso=0, seed=42)
-    a = select_initial_medoids(D, cfg)
-    b = select_initial_medoids(D, cfg)
-    assert np.array_equal(a, b)
+    cfg = KmedoidsConfig(k=3, n_iso=0, iter_med=5, seed=42)
+    a = recorded_initial_medoids(monkeypatch, D, cfg)
+    b = recorded_initial_medoids(monkeypatch, D, cfg)
+    expected = [per_restart_initial_medoids(D.d, cfg, np.random.default_rng(child))
+                for child in np.random.SeedSequence(cfg.seed).spawn(cfg.iter_med)]
+    assert len(a) == len(b) == 5
+    assert all(np.array_equal(x, y) and np.array_equal(x, z)
+               for x, y, z in zip(a, b, expected))
 
 
 def test_two_blobs_recovered_with_exhaustive_medoid_check():
@@ -94,8 +128,7 @@ def test_best_single_restart_matches_once():
     cfg = KmedoidsConfig(k=2, iter_med=1, seed=3)
     best = kmedoids_best(D, cfg)
     rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
-    init = select_initial_medoids(D, cfg, rng=rng)
-    once = kmedoids_once(D, init)
+    once = kmedoids_once(D, per_restart_initial_medoids(D.d, cfg, rng))
     assert np.array_equal(best.assignment, once.assignment)
     assert np.array_equal(best.medoids, once.medoids)
 
@@ -197,29 +230,11 @@ def test_incremental_updates_match_full_updates(duplicated):
 def test_restarts_draw_the_same_initial_medoids(monkeypatch):
     # the farthest-point picks and the pool are computed once per call, and
     # every restart must still start where a per-restart selection started
-    def per_restart_selection(d, cfg, rng):
-        chosen = [int(np.argmax(d.sum(axis=1)))]
-        while len(chosen) < cfg.n_iso:
-            min_dist = d[:, chosen].min(axis=1)
-            min_dist[chosen] = -np.inf
-            chosen.append(int(np.argmax(min_dist)))
-        pool = np.setdiff1d(np.arange(d.shape[0]), chosen)
-        drawn = rng.choice(pool, size=cfg.k - cfg.n_iso, replace=False)
-        return np.array(chosen + list(drawn), dtype=int)
-
     rng = np.random.default_rng(3)
     D = euclidean_distances(FeatureSet(rng.normal(size=(80, 3))))
     cfg = KmedoidsConfig(k=7, n_iso=3, iter_med=20, seed=11)
-    seen = []
-    real_once = kmedoids_mod.kmedoids_once
-
-    def recording_once(D, initial_medoids, max_swaps):
-        seen.append(np.array(initial_medoids))
-        return real_once(D, initial_medoids, max_swaps)
-
-    monkeypatch.setattr(kmedoids_mod, "kmedoids_once", recording_once)
-    kmedoids_best(D, cfg)
-    expected = [per_restart_selection(D.d, cfg, np.random.default_rng(child))
+    seen = recorded_initial_medoids(monkeypatch, D, cfg)
+    expected = [per_restart_initial_medoids(D.d, cfg, np.random.default_rng(child))
                 for child in np.random.SeedSequence(cfg.seed).spawn(cfg.iter_med)]
     assert len(seen) == 20
     assert all(np.array_equal(a, b) for a, b in zip(seen, expected))

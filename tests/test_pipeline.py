@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from clmds import (ClmdsConfig, DistanceMatrix, FeatureSet, HierarchySpec, HolesSpec,
-                   KernelConfig, KmedoidsConfig, MdsConfig, ValidationError, clmds_embed,
+from clmds import (ClmdsConfig, ClmdsResult, Clustering, DistanceMatrix, FeatureSet,
+                   HierarchySpec, HolesSpec, KernelConfig, KmedoidsConfig, MdsConfig,
+                   SparseSelection, ValidationError, clmds_embed, estimate_out_of_sample,
                    euclidean_distances, gen_holes_dataset, hierarchy_merge, kernel_matrix,
                    kernel_to_distance, kmedoids_best, medoid_weighted_distance,
                    select_anchors, sparsify_select, voronoi_containment)
@@ -306,6 +307,11 @@ def test_degenerate_inputs_embed_finite_or_raise_validation_error(problem, pool)
         return
     assert res.coords.shape == (D.n_points, 2)
     assert np.all(np.isfinite(res.coords))
+    assert np.array_equal(clmds_embed(D, cfg).coords, res.coords)
+    # nesting: each point joins the coarser cluster of its finer cluster's medoid
+    for fine, coarse in zip(res.per_level, res.per_level[1:]):
+        b = coarse.clustering.assignment
+        assert np.array_equal(b, b[fine.clustering.medoids][fine.clustering.assignment])
 
 
 def test_sparse_with_features_estimates_everyone():
@@ -350,6 +356,38 @@ def test_small_sparse_cluster_uses_fallback_placement():
     res = clmds_embed(D, cfg, features=fs)
     assert np.all(np.isfinite(res.coords))
     assert len(res.fallback_clusters) >= 1
+
+
+def test_estimate_sent_to_infinity_lands_on_the_transformed_mean():
+    # criterion 8's twins, but cluster 1 is stitched by a homography whose
+    # w vanishes at the local coordinates of its first point
+    rng = np.random.default_rng(80)
+    n_dim = 4
+    desc = np.vstack([rng.normal(0, 1, (10, n_dim)), rng.normal(8, 1, (10, n_dim))])
+    maps = [(rng.normal(size=(2, n_dim)), rng.normal(size=2)) for _ in range(2)]
+    local = [desc[:10] @ maps[0][0].T + maps[0][1],
+             desc[10:] @ maps[1][0].T + maps[1][1]]
+    fs = FeatureSet(np.vstack([desc, desc]))
+    sel = SparseSelection(np.arange(20), np.arange(20, 40))
+    p, q = 0.3, -0.2
+    t1 = np.array([[1.0, 0.0, 5.0], [0.0, 1.0, 5.0],
+                   [p, q, -(p * local[1][0, 0] + q * local[1][0, 1])]])
+    t = [np.array([[2.0, 0.5, 1.0], [-0.3, 1.5, -2.0], [0.0, 0.0, 1.0]]), t1]
+    h = [tk @ np.column_stack([lk, np.ones(10)]).T for tk, lk in zip(t, local)]
+    assert np.abs(h[1][2, 0]) < 1e-12 and np.all(np.abs(h[1][2, 1:]) > 1e-3)
+    h[1][2, 0] = 1.0  # the sparse point itself is never read back
+    coords = np.vstack([(hk[:2] / hk[2]).T for hk in h])
+    sparse = ClmdsResult(coords=coords, clustering=Clustering(np.repeat([0, 1], 10),
+                                                              np.array([0, 10])),
+                         per_level=[], sparse_indices=np.arange(20),
+                         estimated_mask=np.zeros(20, dtype=bool),
+                         local_coords=local, cluster_transforms=t)
+    full = estimate_out_of_sample(fs, sparse, sel)
+    mean = t1 @ np.append(local[1].mean(axis=0), 1.0)
+    assert np.array_equal(full.coords[30], mean[:2] / mean[2])
+    twins = np.r_[20:30, 31:40]
+    assert np.max(np.abs(full.coords[twins] - coords[twins - 20])) < 1e-9
+    assert 1 in full.fallback_clusters
 
 
 def test_full_cluster_anchor_pool_runs():
