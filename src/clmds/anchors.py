@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Clustering, DistanceMatrix, ValidationError
+from .kmedoids import farthest_point_sample
 
 MAX_EXHAUSTIVE = 70  # cluster size above which candidate vertices are pruned
+# Largest pool the quadruple search takes (O(n^4) time, O(n^3) memory);
+# candidate_vertices yields at most this many for up to 2000 members.
+MAX_POOL = 100
 
 # Cayley-Menger normalization for a 3-simplex: 1 / (2^3 * (3!)^2)
 _CM_FACTOR = 1.0 / 288.0
@@ -80,6 +84,7 @@ def best_quadruple(D: DistanceMatrix, candidates) -> np.ndarray:
     one is dropped, so that a pool of at most 3 distinct locations, where
     every volume is zero, keeps one anchor per location instead of the
     lexicographically first quadruple (possibly 4 copies of one point).
+    A pool still above MAX_POOL keeps its MAX_POOL farthest-point picks.
 
     The squared volume of a quadruple (a, j, k, l) is det G / 36, where
     G is the 3x3 Gram matrix of its edges from a, taken from squared
@@ -95,6 +100,9 @@ def best_quadruple(D: DistanceMatrix, candidates) -> np.ndarray:
     if candidates.size > 4:
         copies = np.tril(D.d[np.ix_(candidates, candidates)] == 0, k=-1).any(axis=1)
         candidates = candidates[~copies]
+    if candidates.size > MAX_POOL:
+        picks = farthest_point_sample(D.d[np.ix_(candidates, candidates)], MAX_POOL)
+        candidates = candidates[np.sort(picks)]
     n = candidates.size
     if n <= 4:
         return candidates

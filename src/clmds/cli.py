@@ -50,24 +50,19 @@ _DEFAULTS = {
 def parse_config(path: str | None, overrides: list[str]) -> dict:
     """Key-value config file plus --set overrides, on top of defaults."""
     cfg = dict(_DEFAULTS)
+    items = []  # (where, "key = value")
     if path:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValidationError(f"{path}:{lineno}: expected key = value")
-                key, value = (tok.strip() for tok in line.split("=", 1))
-                if key not in cfg:
-                    raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-                cfg[key] = value
-    for item in overrides:
+                if line:  # blank and comment-only lines are skipped
+                    items.append((f"{path}:{lineno}", line))
+    for where, item in items + [("--set", item) for item in overrides]:
         if "=" not in item:
-            raise ValidationError(f"--set expects key=value, got {item!r}")
+            raise ValidationError(f"{where}: expected key = value, got {item!r}")
         key, value = (tok.strip() for tok in item.split("=", 1))
         if key not in cfg:
-            raise ValidationError(f"--set: unknown key {key!r}")
+            raise ValidationError(f"{where}: unknown key {key!r}")
         cfg[key] = value
     return cfg
 
@@ -255,12 +250,9 @@ def cmd_embed(args) -> int:
     features = None
     if kind == "distances":
         D = load_distance_matrix(cfg["input"])
-    elif kind == "features":
+    elif kind in ("features", "descriptors"):
         features = load_feature_set(cfg["input"])
-        D = FeatureDistances(features)
-    elif kind == "descriptors":
-        features = load_feature_set(cfg["input"])
-        D = FeatureDistances(features, kernel)
+        D = FeatureDistances(features, kernel if kind == "descriptors" else None)
     else:
         raise ValidationError(f"unknown input kind {kind!r}")
 

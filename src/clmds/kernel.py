@@ -18,8 +18,8 @@ class KernelConfig:
     normalize: bool = False
 
     def __post_init__(self):
-        if self.zeta <= 0:
-            raise ValidationError("zeta must be positive")
+        if not (np.isfinite(self.zeta) and self.zeta > 0):
+            raise ValidationError("zeta must be finite and positive")
         if int(self.eta) != self.eta or self.eta < 1:
             raise ValidationError("eta must be a positive integer")
 
@@ -89,9 +89,8 @@ def medoid_weighted_distance(k: np.ndarray, c: Clustering,
     if c.n_points != k.shape[0]:
         raise ValidationError("clustering size does not match kernel matrix")
     med_sim = k[np.ix_(c.medoids, c.medoids)] ** cfg.eta
+    np.fill_diagonal(med_sim, 1.0)  # same-cluster pairs read med_sim[a, a]
     km = med_sim[c.assignment[:, None], c.assignment[None, :]]
-    same = c.assignment[:, None] == c.assignment[None, :]
-    km[same] = 1.0
     d = np.sqrt(np.clip(1.0 - k * km, 0.0, None))
     np.fill_diagonal(d, 0.0)
     return validate_distance_matrix(d)

@@ -46,6 +46,12 @@ def farthest_point_sample(d: np.ndarray, n: int) -> list[int]:
     return chosen
 
 
+def medoid(d: np.ndarray, members: np.ndarray) -> int:
+    """The member with the least summed distance to the others; members come
+    in increasing order, so ties go to the lowest index."""
+    return int(members[int(np.argmin(d[members[:, None], members].sum(axis=1)))])
+
+
 def _assign(d: np.ndarray, medoids: np.ndarray) -> np.ndarray:
     # rows d[medoids] stand for the columns d[:, medoids]: DistanceMatrix
     # admits only exactly symmetric arrays, and a contiguous row gather is
@@ -89,9 +95,7 @@ def kmedoids_once(D: DistanceMatrix, initial_medoids, max_swaps: int = 1000) -> 
         new = medoids.copy()
         order, bounds = _members_by_cluster(assignment, medoids.shape[0])
         for k in np.flatnonzero(changed):
-            members = order[bounds[k]:bounds[k + 1]]
-            sums = d[members[:, None], members].sum(axis=1)
-            new[k] = members[int(np.argmin(sums))]  # ties: lowest point index
+            new[k] = medoid(d, order[bounds[k]:bounds[k + 1]])
         if np.array_equal(new, medoids):
             break
         medoids = new

@@ -102,22 +102,16 @@ def relative_stress_weights(d: np.ndarray) -> np.ndarray:
     return w
 
 
-def _guttman_v(wm: np.ndarray) -> np.ndarray:
-    """V = diag(W 1) - W, the operator of the weighted Guttman update."""
-    return np.diag(wm.sum(axis=1)) - wm
-
-
-def _stresses(d_in, wm, s):
+def _stresses(d_in, wm, v, s):
     """Stress of each stacked start, from fixed sums.
 
     Over pairs i < j, stress = sum w d_in^2 - 2 sum w d_in d + sum w d^2.
     The first sum is fixed, the second is half the full-matrix dot of
-    w * d_in with d, and the third is tr(X' V X) with V = diag(W 1) - W,
+    w * d_in with d, and the third is tr(X' V X) with v = diag(W 1) - W,
     so no triangle of the matrices is gathered per iteration.
     """
     wd = wm * d_in
     sig_in = 0.5 * float(np.vdot(wd, d_in))
-    v = _guttman_v(wm)
     vx = np.empty((s, d_in.shape[0], 2))
 
     def stresses(x, d):
@@ -159,12 +153,14 @@ def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w):
     A stopped start's result is frozen and it leaves the stack. Stress comes
     from `_stresses` for any weights; they differ only in the update: uniform
     weights (uniform_w, the common off-diagonal weight) divide, and general
-    weights (uniform_w None) go through the pseudo-inverse of V.
+    weights (uniform_w None) go through the pseudo-inverse of V = diag(W 1) - W,
+    the operator of the weighted Guttman update.
     """
     s, m = len(starts), d_in.shape[0]
-    stresses = _stresses(d_in, wm, s)
+    v = np.diag(wm.sum(axis=1)) - wm
+    stresses = _stresses(d_in, wm, v, s)
     if uniform_w is None:
-        v_pinv = np.linalg.pinv(_guttman_v(wm))
+        v_pinv = np.linalg.pinv(v)
 
         def update(bx, out):
             np.matmul(v_pinv, bx, out=out)
@@ -256,13 +252,9 @@ def mds_embed(D: DistanceMatrix, w=None,
     off = wm[np.triu_indices(m, k=1)]
     uniform_w = float(off[0]) if np.all(off == off[0]) and off[0] > 0 else None
     rng = np.random.default_rng(cfg.seed)
-    starts = [_classical_start(D.d)]
-    while len([s for s in starts if s is not None]) < cfg.n_init:
-        starts.append(rng.uniform(-1.0, 1.0, size=(m, 2)))
-    starts = [x0 for x0 in starts if x0 is not None]
+    classical = _classical_start(D.d)
+    starts = [] if classical is None else [classical]
+    starts += [rng.uniform(-1.0, 1.0, size=(m, 2)) for _ in range(cfg.n_init - len(starts))]
     xs, sigs = _smacof_starts(D.d, wm, starts, cfg.max_iter, cfg.eps, uniform_w)
-    best, best_sig = None, np.inf
-    for k, sig in enumerate(sigs):
-        if sig < best_sig:  # ties: the earliest start
-            best, best_sig = k, sig
-    return xs[best] - xs[best].mean(axis=0), best_sig
+    best = int(np.argmin(sigs))  # ties: the earliest start
+    return xs[best] - xs[best].mean(axis=0), sigs[best]

@@ -12,7 +12,7 @@ from .anchors import best_quadruple, select_anchors
 from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
                    LevelArtifacts, Stitch, ValidationError, pairwise_distances)
 from .kernel import KernelConfig, medoid_weighted_distance
-from .kmedoids import KmedoidsConfig, kmedoids_best, relative_incoherence
+from .kmedoids import KmedoidsConfig, kmedoids_best, medoid, relative_incoherence
 from .mds import MdsConfig, mds_embed, relative_stress_weights
 from .transforms import choose_best_transform, project
 
@@ -52,6 +52,8 @@ class ClmdsConfig:
     kernel_eta: int | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.kmedoids is None:
             object.__setattr__(self, "kmedoids", KmedoidsConfig(k=self.hierarchy.levels[0]))
         if self.anchor_pool not in ("member_anchors", "full_cluster"):
@@ -99,7 +101,7 @@ def hierarchy_merge(previous: Clustering, D: DistanceMatrix, target: int,
 
     Each merged cluster keeps, as its medoid, the previous medoid with the
     least summed distance to the other previous medoids it absorbs (the
-    lowest index on ties).
+    lowest index on ties; see `kmedoids.medoid`).
     """
     if target >= previous.n_clusters:
         raise ValidationError("merge target must be below the current cluster count")
@@ -114,10 +116,8 @@ def hierarchy_merge(previous: Clustering, D: DistanceMatrix, target: int,
         # n_iso fits the finest level; a merge target may be below it
         km_cfg = replace(km_cfg, k=target, n_iso=min(km_cfg.n_iso, target), seed=seed)
         grouping = kmedoids_best(D.submatrix(medoids), km_cfg).assignment
-    merged_medoids = np.empty(target, dtype=int)
-    for g in range(target):
-        meds = np.sort(medoids[grouping == g])
-        merged_medoids[g] = meds[int(np.argmin(D.d[np.ix_(meds, meds)].sum(axis=1)))]
+    merged_medoids = np.array([medoid(D.d, np.sort(medoids[grouping == g]))
+                               for g in range(target)], dtype=int)
     return Clustering(grouping[previous.assignment], merged_medoids)
 
 

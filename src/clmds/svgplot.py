@@ -13,19 +13,11 @@ def _color(k: int, n: int) -> str:
     return f"hsl({hue}, 70%, 45%)"
 
 
-def _star(cx, cy, r) -> str:
+def _polygon(cx, cy, radii) -> str:
+    """Vertices at the given radii around (cx, cy), evenly spaced from straight up."""
     pts = []
-    for i in range(10):
-        rad = r if i % 2 == 0 else 0.4 * r
-        ang = -np.pi / 2 + i * np.pi / 5
-        pts.append(f"{cx + rad * np.cos(ang):.2f},{cy + rad * np.sin(ang):.2f}")
-    return " ".join(pts)
-
-
-def _triangle(cx, cy, r) -> str:
-    pts = []
-    for i in range(3):
-        ang = -np.pi / 2 + i * 2 * np.pi / 3
+    for i, r in enumerate(radii):
+        ang = -np.pi / 2 + i * 2 * np.pi / len(radii)
         pts.append(f"{cx + r * np.cos(ang):.2f},{cy + r * np.sin(ang):.2f}")
     return " ".join(pts)
 
@@ -65,11 +57,11 @@ def render_scatter(coords: np.ndarray, clusters: np.ndarray,
                      f'fill="{_color(k, n_cl)}" fill-opacity="0.7"/>')
     for i in sorted(anchor_rows):
         xy, k = coords[i], clusters[i]
-        parts.append(f'<polygon points="{_triangle(sx(xy[0]), sy(xy[1]), 6)}" '
+        parts.append(f'<polygon points="{_polygon(sx(xy[0]), sy(xy[1]), [6] * 3)}" '
                      f'fill="{_color(k, n_cl)}" stroke="black" stroke-width="0.8"/>')
     for i in sorted(medoid_rows):
         xy, k = coords[i], clusters[i]
-        parts.append(f'<polygon points="{_star(sx(xy[0]), sy(xy[1]), 9)}" '
+        parts.append(f'<polygon points="{_polygon(sx(xy[0]), sy(xy[1]), [9, 0.4 * 9] * 5)}" '
                      f'fill="{_color(k, n_cl)}" stroke="black" stroke-width="1"/>')
     parts.append("</svg>")
     return "\n".join(parts)

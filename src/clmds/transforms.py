@@ -240,36 +240,6 @@ def _distortion(mapped: np.ndarray, d_local: np.ndarray) -> float:
     return float(np.sum((_pair_distances(mapped) - d_local) ** 2))
 
 
-def _fit_classified(cluster_local, loc, glo, plan) -> tuple[Transform2D, np.ndarray]:
-    """Fit the classified transform; a homography competes with the affine.
-
-    When a homography is selected, the 4-anchor least-squares affine is also
-    fitted. Both map the whole cluster, and the one whose image changes the
-    cluster's local pairwise distances least (sum of squared differences) is
-    kept; ties within a relative DISTORTION_TIE_RTOL go to the affine. The
-    anchors cannot decide: the homography passes through all four, so its
-    anchor residue is zero by construction. A failed homography fit or a
-    perspective-divide failure on any cluster point forces the affine.
-    """
-    eff_loc = loc[plan.order]
-    eff_glo = glo[plan.order]
-    if plan.kind == "homography":
-        affine = fit_affine(loc, glo)
-        mapped_a = apply_transform(affine, cluster_local)
-        try:
-            homog = fit_homography(eff_loc, eff_glo)
-            mapped_h = apply_transform(homog, cluster_local)
-        except (DegenerateGeometryError, PerspectiveDivideError):
-            return affine, mapped_a
-        d_local = _pair_distances(cluster_local)
-        r_a = _distortion(mapped_a, d_local)
-        if _distortion(mapped_h, d_local) < r_a * (1.0 - DISTORTION_TIE_RTOL):
-            return homog, mapped_h
-        return affine, mapped_a
-    affine = fit_affine(eff_loc, eff_glo)
-    return affine, apply_transform(affine, cluster_local)
-
-
 def choose_best_transform(cluster_local: np.ndarray,
                           anchors_local: np.ndarray,
                           anchors_global: np.ndarray) -> tuple[Transform2D, np.ndarray]:
@@ -279,7 +249,12 @@ def choose_best_transform(cluster_local: np.ndarray,
     every anchor count:
 
     1. 3-4 anchors whose local hull keeps at least 3 vertices get the
-       classified transform (homography or affine, see `_fit_classified`);
+       classified transform. A homography competes with the 4-anchor
+       least-squares affine: the map whose image of the cluster changes its
+       local pairwise distances least (sum of squared differences) is kept,
+       ties within a relative DISTORTION_TIE_RTOL going to the affine. The
+       anchors cannot decide, as the homography passes through all four. A
+       failed homography fit or divide on any cluster point forces the affine;
     2. 1-2 anchors, a hull reduced to a segment, or a fit that raises
        DegenerateGeometryError (collinear or coincident anchors in either
        frame) get a similarity through the two farthest anchors;
@@ -295,7 +270,21 @@ def choose_best_transform(cluster_local: np.ndarray,
         plan = classify_transform(loc, glo)
         if plan.order.shape[0] >= 3:
             try:
-                return _fit_classified(cluster_local, loc, glo, plan)
+                if plan.kind != "homography":
+                    affine = fit_affine(loc[plan.order], glo[plan.order])
+                    return affine, apply_transform(affine, cluster_local)
+                affine = fit_affine(loc, glo)
+                mapped_a = apply_transform(affine, cluster_local)
+                try:
+                    homog = fit_homography(loc[plan.order], glo[plan.order])
+                    mapped_h = apply_transform(homog, cluster_local)
+                except (DegenerateGeometryError, PerspectiveDivideError):
+                    return affine, mapped_a
+                d_local = _pair_distances(cluster_local)
+                r_a = _distortion(mapped_a, d_local)
+                if _distortion(mapped_h, d_local) < r_a * (1.0 - DISTORTION_TIE_RTOL):
+                    return homog, mapped_h
+                return affine, mapped_a
             except DegenerateGeometryError:
                 pass
     d = pairwise_distances(loc, loc)

@@ -3,9 +3,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from clmds import (Clustering, FeatureSet, ValidationError,
-                   best_quadruple, candidate_vertices, euclidean_distances,
-                   select_anchors, simplex_volume_sq)
+from clmds import (ClmdsConfig, Clustering, FeatureSet, HierarchySpec, KmedoidsConfig,
+                   ValidationError, best_quadruple, candidate_vertices, clmds_embed,
+                   euclidean_distances, select_anchors, simplex_volume_sq)
+from clmds import anchors
+from clmds.kmedoids import farthest_point_sample
 
 
 def coord_volume_sq(pts):
@@ -161,3 +163,28 @@ def test_best_quadruple_keeps_one_anchor_per_location():
     pts = locations[np.arange(12) % 3]  # three locations, four copies each
     D = euclidean_distances(FeatureSet(pts))
     assert np.array_equal(best_quadruple(D, np.arange(12)), [0, 1, 2])
+
+
+def test_best_quadruple_reduces_a_large_pool_by_farthest_point_sampling():
+    pts = np.random.default_rng(5).normal(size=(130, 3))
+    D = euclidean_distances(FeatureSet(pts))
+    pool = np.arange(10, 140) % 130
+    kept = np.sort(np.arange(130)[farthest_point_sample(D.d, anchors.MAX_POOL)])
+    assert np.array_equal(best_quadruple(D, pool), best_quadruple(D, kept))
+
+
+def test_anchor_search_pool_is_bounded_when_every_distance_ties(monkeypatch):
+    # one-hot rows: every pair sits at sqrt(2), so the percentile cut keeps
+    # all but the medoid of a 298-member cluster
+    sizes = []
+    triple_table = anchors._triple_table
+
+    def recording(n):
+        sizes.append(n)
+        return triple_table(n)
+    monkeypatch.setattr(anchors, "_triple_table", recording)
+    D = euclidean_distances(FeatureSet(np.eye(300)))
+    cfg = ClmdsConfig(hierarchy=HierarchySpec((3, 1)),
+                      kmedoids=KmedoidsConfig(k=3, iter_med=2))
+    clmds_embed(D, cfg)
+    assert sizes and max(sizes) <= anchors.MAX_POOL

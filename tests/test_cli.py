@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 
 import clmds
 from clmds import (ClmdsConfig, HierarchySpec, KernelConfig, KmedoidsConfig, Stitch,
-                   clmds_embed, euclidean_distances, kernel_matrix, kernel_to_distance,
-                   load_feature_set, voronoi_containment)
+                   ValidationError, clmds_embed, euclidean_distances, kernel_matrix,
+                   kernel_to_distance, load_feature_set, voronoi_containment)
 from clmds.cli import (build_run_config, load_result, main, parse_config,
                        result_to_coords_csv, result_to_json)
 
@@ -48,12 +49,20 @@ def test_config_defaults_and_overrides(tmp_path):
 
 
 def test_config_unknown_key_rejected(tmp_path):
+    # errors name the file line, or --set
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("no_such_key = 1\n")
-    with pytest.raises(Exception):
+    where = re.escape(str(cfgfile))
+    cfgfile.write_text("seed = 1\nno_such_key = 1\n")
+    with pytest.raises(ValidationError, match=f"^{where}:2: unknown key 'no_such_key'$"):
         parse_config(str(cfgfile), [])
-    with pytest.raises(Exception):
+    cfgfile.write_text("# header\n\nseed = 1\nhierarchy 3,1\n")
+    with pytest.raises(ValidationError,
+                       match=f"^{where}:4: expected key = value, got 'hierarchy 3,1'$"):
+        parse_config(str(cfgfile), [])
+    with pytest.raises(ValidationError, match="^--set: unknown key 'bogus'$"):
         parse_config(None, ["bogus=1"])
+    with pytest.raises(ValidationError, match="^--set: expected key = value, got 'seed'$"):
+        parse_config(None, ["seed"])
 
 
 def test_embed_writes_artifacts(tmp_path, capsys):
@@ -268,6 +277,7 @@ def test_unknown_sparsify_mode_is_named(tmp_path, capsys):
     ("plot=maybe", "a boolean"), ("eta=0", "a positive integer"),
     ("zeta=abc", "a number"), ("normalize=maybe", "a boolean"),
     ("weighted=maybe", "a boolean"), ("zeta=-1", "positive"),
+    ("zeta=nan", "finite"), ("zeta=inf", "finite"), ("seed=-1", "non-negative"),
 ])
 def test_malformed_value_names_its_key_and_form(tmp_path, capsys, item, form):
     inp, _ = write_features(tmp_path)

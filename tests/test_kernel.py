@@ -72,6 +72,20 @@ def test_medoid_weighting_same_cluster_unchanged():
     assert np.allclose(dw.d, kernel_to_distance(k).d)
 
 
+@pytest.mark.parametrize("eta", [1, 2, 3])
+def test_medoid_weighting_same_cluster_exact_when_diagonal_is_off_by_rounding(eta):
+    # a diagonal within 1e-12 of 1 passes the kernel check; a same-cluster
+    # pair must still read weight 1, not K(m, m)^eta
+    rng = np.random.default_rng(1)
+    k = kernel_matrix(FeatureSet(unit_rows(rng.normal(size=(9, 4)) + 2.0)))
+    np.fill_diagonal(k, 1.0 - 1e-13)
+    c = Clustering(np.arange(9) % 3, np.array([0, 1, 2]))
+    dw = medoid_weighted_distance(k, c, KernelConfig(eta=eta)).d
+    plain = kernel_to_distance(k).d
+    same = c.assignment[:, None] == c.assignment[None, :]
+    assert np.array_equal(dw[same], plain[same])
+
+
 def test_medoid_weighting_inflates_cross_cluster():
     k = np.array([
         [1.0, 0.9, 0.5, 0.4],
@@ -101,8 +115,9 @@ def test_eta_one_with_unit_medoid_similarity_reduces_to_plain():
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        KernelConfig(zeta=0.0)
+    for zeta in (0.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="zeta"):
+            KernelConfig(zeta=zeta)
     with pytest.raises(ValidationError):
         KernelConfig(eta=0)
     with pytest.raises(ValidationError):

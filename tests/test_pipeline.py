@@ -314,6 +314,65 @@ def test_degenerate_inputs_embed_finite_or_raise_validation_error(problem, pool)
         assert np.array_equal(b, b[fine.clustering.medoids][fine.clustering.assignment])
 
 
+def rigidly_moved_blobs(seed):
+    """3-5 Gaussian blobs in 3-D (sigma <= 1, centres >= 20 apart), and
+    their image under a random rotation plus translation."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 6))
+    centres = []
+    while len(centres) < k:
+        c = rng.uniform(0.0, 60.0, 3)
+        if all(np.linalg.norm(c - o) >= 20.0 for o in centres):
+            centres.append(c)
+    sigma = rng.uniform(0.1, 1.0)
+    x = np.vstack([c + sigma * rng.normal(size=(int(rng.integers(8, 20)), 3))
+                   for c in centres])
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return k, x, x @ q.T + rng.normal(0.0, 10.0, 3)
+
+
+def same_partition(a, b):
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def rigid_motion_embeddings(seed, levels):
+    k, x, y = rigidly_moved_blobs(seed)
+    levels = (k, *levels)
+    cfg = ClmdsConfig(hierarchy=HierarchySpec(levels), seed=seed,
+                      kmedoids=KmedoidsConfig(k=k, iter_med=10), mds=MdsConfig(n_init=2))
+    return [clmds_embed(euclidean_distances(FeatureSet(p)), cfg) for p in (x, y)]
+
+
+def assert_same_embedding_distances(a, b):
+    da, db = cdist(a.coords, a.coords), cdist(b.coords, b.coords)
+    assert np.max(np.abs(da - db)) <= 1e-6 * da.max()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(1,), (2, 1)]))
+def test_rigid_motion_keeps_clusters_and_embedding_distances(seed, levels):
+    a, b = rigid_motion_embeddings(seed, levels)
+    assert same_partition(a.clustering.assignment, b.clustering.assignment)
+    # k-medoids restarts that find this partition with other label orders
+    # differ in incoherence by rounding only, so a rigid motion can change
+    # the winner (see the xfail below); the labels then permute and the
+    # anchor MDS sees its points in another order
+    if np.array_equal(a.clustering.assignment, b.clustering.assignment):
+        assert_same_embedding_distances(a, b)
+
+
+@pytest.mark.xfail(strict=True, reason="k-medoids restarts tie up to rounding; a rigid "
+                                       "motion flips the winner and permutes the labels")
+def test_rigid_motion_keeps_the_kmedoids_labels():
+    a, b = rigid_motion_embeddings(7, (2, 1))
+    assert np.array_equal(a.clustering.assignment, b.clustering.assignment)
+    assert_same_embedding_distances(a, b)
+
+
 def test_sparse_with_features_estimates_everyone():
     fs, D = three_blob_problem(seed=8)
     cfg = base_config(sparsify="random", n_sparse=18, seed=2)
