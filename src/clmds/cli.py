@@ -30,11 +30,9 @@ _DEFAULTS = {
     "hierarchy": "8,1",
     "n_iso": "1",
     "iter_med": "100",
-    "max_swaps": "1000",
     "mds_n_init": "4",
     "mds_max_iter": "300",
     "mds_eps": "1e-6",
-    "anchor_pool": "member_anchors",
     "sparsify": "none",
     "n_sparse": "",
     "seed": "0",
@@ -80,8 +78,7 @@ def build_run_config(cfg: dict) -> ClmdsConfig:
     hierarchy = HierarchySpec(tuple(_parse(cfg, "hierarchy", int, x)
                                     for x in cfg["hierarchy"].split(",")))
     km = KmedoidsConfig(k=hierarchy.levels[0], n_iso=_parse(cfg, "n_iso", int),
-                        iter_med=_parse(cfg, "iter_med", int),
-                        max_swaps=_parse(cfg, "max_swaps", int))
+                        iter_med=_parse(cfg, "iter_med", int))
     mds = MdsConfig(n_init=_parse(cfg, "mds_n_init", int),
                     max_iter=_parse(cfg, "mds_max_iter", int), eps=_parse(cfg, "mds_eps", float))
     sparsify = cfg["sparsify"]
@@ -96,7 +93,6 @@ def build_run_config(cfg: dict) -> ClmdsConfig:
     return ClmdsConfig(
         hierarchy=hierarchy, kmedoids=km, mds=mds,
         sparsify=sparsify, n_sparse=n_sparse, seed=_parse(cfg, "seed", int),
-        anchor_pool=cfg["anchor_pool"],
         kernel_eta=_parse(cfg, "eta", int) if weighted else None,
     )
 

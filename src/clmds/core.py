@@ -33,10 +33,6 @@ class FeatureSet:
     def n_points(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def n_dims(self) -> int:
-        return self.vectors.shape[1]
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:

@@ -19,7 +19,6 @@ class KmedoidsConfig:
     k: int
     n_iso: int = 1  # farthest-point picks among the initial medoids; 0: all random
     iter_med: int = 100
-    max_swaps: int = 1000
     seed: int = 0
 
     def __post_init__(self):
@@ -27,8 +26,8 @@ class KmedoidsConfig:
             raise ValidationError("k must be positive")
         if self.n_iso < 0 or self.n_iso > self.k:
             raise ValidationError("n_iso must satisfy 0 <= n_iso <= k")
-        if self.iter_med < 1 or self.max_swaps < 1:
-            raise ValidationError("iter_med and max_swaps must be positive")
+        if self.iter_med < 1:
+            raise ValidationError("iter_med must be positive")
 
 
 def farthest_point_sample(d: np.ndarray, n: int) -> list[int]:
@@ -136,7 +135,7 @@ def kmedoids_best(D: DistanceMatrix, cfg: KmedoidsConfig) -> Clustering:
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.iter_med):
         drawn = np.random.default_rng(child).choice(pool, size=cfg.k - len(chosen),
                                                     replace=False)
-        c = kmedoids_once(D, chosen + drawn.tolist(), cfg.max_swaps)
+        c = kmedoids_once(D, chosen + drawn.tolist())
         irel = relative_incoherence(D, c)
         if irel < best_irel:
             best, best_irel = c, irel

@@ -7,7 +7,10 @@ call. The per-cluster MDS is unweighted; only the anchor MDS passes a
 weight matrix (relative stress). Both paths take their stress from the
 same precomputed sums, and run every start of a call in one stacked
 loop, into buffers allocated once per call; each start gets exactly the
-result it would get alone.
+result it would get alone. The stack stays: one start at a time gives the
+same bits but is slower (2 cores, 1 BLAS thread): 0.27-0.28 s against
+0.13-0.16 s on the nine small anchor MDS calls of a sparse-kernel-6000
+dataset, and 1.69-1.70 s against 1.49-1.57 s on the 399-point s-curve one.
 """
 
 from __future__ import annotations

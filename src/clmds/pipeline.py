@@ -48,7 +48,6 @@ class ClmdsConfig:
     sparsify: object = "none"  # "none" | "random" | "cur" | sequence of indices
     n_sparse: int | None = None
     seed: int = 0
-    anchor_pool: str = "member_anchors"  # or "full_cluster"
     kernel_eta: int | None = None
 
     def __post_init__(self):
@@ -56,11 +55,12 @@ class ClmdsConfig:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.kmedoids is None:
             object.__setattr__(self, "kmedoids", KmedoidsConfig(k=self.hierarchy.levels[0]))
-        if self.anchor_pool not in ("member_anchors", "full_cluster"):
-            raise ValidationError(f"unknown anchor pool {self.anchor_pool!r}")
         mode = self.sparsify if isinstance(self.sparsify, str) else "list"
         if mode not in ("none", "random", "cur", "list"):
             raise ValidationError(f"unknown sparsify mode {self.sparsify!r}")
+        # its upper bound N is known only once the input is read
+        if mode in ("random", "cur") and (self.n_sparse is None or self.n_sparse < 1):
+            raise ValidationError(f"n_sparse must be at least 1 for {mode}, got {self.n_sparse}")
 
 
 def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
@@ -159,10 +159,10 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     n = D.n_points
     levels = cfg.hierarchy.levels
     # one sub-seed per call, in call order: k-medoids, each local MDS, then
-    # per level the merge and each group's anchor MDS (drawn even if unused)
-    n_calls = 1 + levels[0] + sum(1 + t for t in levels[1:])
+    # per level the merge and each group's anchor MDS (spawn(1) per call)
+    root = np.random.SeedSequence(cfg.seed)
     seeds = (int(child.generate_state(1, dtype=np.uint64)[0] >> 1)
-             for child in np.random.SeedSequence(cfg.seed).spawn(n_calls))
+             for child in iter(lambda: root.spawn(1)[0], None))
     timings = {}
     kernel = None if cfg.kernel_eta is None else KernelConfig(eta=cfg.kernel_eta)
     if kernel is not None and 1.0 - np.max(D.d) ** 2 < -1e-12:  # d = sqrt(1 - k)
@@ -235,12 +235,8 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
                     comp[fc] = tr.matrix @ comp[fc]
             unions.append(union)
         finest_group = grouping[finest_group]
-        if target == 1:  # the top level: nothing left to stitch into
-            anchors = None
-        elif cfg.anchor_pool == "full_cluster":
-            anchors = select_anchors(D, level)
-        else:
-            anchors = [best_quadruple(D, u) for u in unions]
+        # the top level has nothing left to stitch into
+        anchors = None if target == 1 else [best_quadruple(D, u) for u in unions]
         per_level.append(LevelArtifacts(
             clustering=level, anchors=anchors, stitches=stitches,
             anchor_stress=float(np.sum(anchor_stresses)),

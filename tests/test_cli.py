@@ -59,8 +59,11 @@ def test_config_unknown_key_rejected(tmp_path):
     with pytest.raises(ValidationError,
                        match=f"^{where}:4: expected key = value, got 'hierarchy 3,1'$"):
         parse_config(str(cfgfile), [])
-    with pytest.raises(ValidationError, match="^--set: unknown key 'bogus'$"):
-        parse_config(None, ["bogus=1"])
+    # anchor_pool and max_swaps were keys once: a stale config is named too
+    for item in ("bogus=1", "anchor_pool=full_cluster", "max_swaps=10"):
+        key = item.split("=")[0]
+        with pytest.raises(ValidationError, match=f"^--set: unknown key '{key}'$"):
+            parse_config(None, [item])
     with pytest.raises(ValidationError, match="^--set: expected key = value, got 'seed'$"):
         parse_config(None, ["seed"])
 
@@ -287,11 +290,16 @@ def test_malformed_value_names_its_key_and_form(tmp_path, capsys, item, form):
     assert err.startswith(f"error: {key}") and form in err, err
 
 
-def test_malformed_plot_is_named_before_the_input_is_read(tmp_path, capsys):
-    code, _, err = run(embed_args(tmp_path / "missing.csv", tmp_path / "out",
-                                  ["--set", "plot=maybe"]), capsys)
+# random and cur need n_sparse >= 1; only its upper bound N waits for the input
+@pytest.mark.parametrize("items, key", [
+    (["plot=maybe"], "plot"), (["sparsify=random"], "n_sparse"),
+    (["sparsify=random", "n_sparse=0"], "n_sparse"), (["sparsify=cur", "n_sparse=-4"], "n_sparse"),
+], ids=["plot=maybe", "random", "random-n_sparse=0", "cur-n_sparse=-4"])
+def test_malformed_key_is_named_before_the_input_is_read(tmp_path, capsys, items, key):
+    extra = [arg for item in items for arg in ("--set", item)]
+    code, _, err = run(embed_args(tmp_path / "missing.csv", tmp_path / "out", extra), capsys)
     assert code == 1
-    assert err.startswith("error: plot"), err
+    assert err.startswith(f"error: {key}"), err
 
 
 def test_failed_run_leaves_no_partial_artifacts(tmp_path, capsys):

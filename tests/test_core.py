@@ -133,7 +133,7 @@ def test_loaders_accept_comments_and_both_delimiters(tmp_path):
     q = tmp_path / "f.txt"
     q.write_text("# features\n0 0\n3 4\n")
     fs = load_feature_set(q)
-    assert fs.n_points == 2 and fs.n_dims == 2
+    assert fs.n_points == 2 and fs.vectors.shape[1] == 2
     # every value reads back exactly, as float() would parse it
     v = np.random.default_rng(4).normal(size=(50, 3))
     q.write_text("\n".join(",".join(f"{x:.17g}" for x in row) for row in v) + "\n")

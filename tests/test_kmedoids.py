@@ -46,7 +46,7 @@ def recorded_initial_medoids(monkeypatch, D, cfg):
     seen = []
     real_once = kmedoids_mod.kmedoids_once
 
-    def recording_once(D, initial_medoids, max_swaps):
+    def recording_once(D, initial_medoids, max_swaps=1000):
         seen.append(np.array(initial_medoids))
         return real_once(D, initial_medoids, max_swaps)
 

@@ -11,7 +11,7 @@ from clmds import (ClmdsConfig, ClmdsResult, Clustering, DistanceMatrix, Feature
                    SparseSelection, ValidationError, clmds_embed, estimate_out_of_sample,
                    euclidean_distances, gen_holes_dataset, hierarchy_merge, kernel_matrix,
                    kernel_to_distance, kmedoids_best, medoid_weighted_distance,
-                   select_anchors, sparsify_select, voronoi_containment)
+                   sparsify_select, voronoi_containment)
 from clmds import pipeline
 from clmds.cli import FeatureDistances
 
@@ -134,11 +134,8 @@ def test_three_blobs_full_pipeline():
 def test_stitching_consistent_with_composed_transforms():
     from clmds.transforms import Transform2D, apply_transform
     # one stitch per cluster, then two stitches composed per finest cluster
-    # under either anchor pool
-    runs = [(three_blob_problem(seed=3)[1], base_config())]
-    D6 = six_blob_problem()[1]
-    runs += [(D6, base_config(levels=(6, 3, 1), anchor_pool=pool))
-             for pool in ("member_anchors", "full_cluster")]
+    runs = [(three_blob_problem(seed=3)[1], base_config()),
+            (six_blob_problem()[1], base_config(levels=(6, 3, 1)))]
     for D, cfg in runs:
         res = clmds_embed(D, cfg)
         c = res.clustering
@@ -223,8 +220,7 @@ def holes_kernel_problem(n=200, seed=1):
 
 
 @pytest.mark.parametrize("levels", [(6, 1), (6, 3, 1)])
-@pytest.mark.parametrize("pool", ["member_anchors", "full_cluster"])
-def test_anchor_mds_reads_its_block_of_the_medoid_weighted_matrix(monkeypatch, levels, pool):
+def test_anchor_mds_reads_its_block_of_the_medoid_weighted_matrix(monkeypatch, levels):
     # Each anchor MDS gets the union's block of the medoid-weighted matrix
     # over every point, bit for bit, but each weighting call sees only that
     # union and the finest medoids.
@@ -244,7 +240,7 @@ def test_anchor_mds_reads_its_block_of_the_medoid_weighted_matrix(monkeypatch, l
 
     monkeypatch.setattr(pipeline, "mds_embed", embed)
     monkeypatch.setattr(pipeline, "medoid_weighted_distance", weighting)
-    res = clmds_embed(D, base_config(levels=levels, anchor_pool=pool, kernel_eta=eta))
+    res = clmds_embed(D, base_config(levels=levels, kernel_eta=eta))
 
     full = medoid_weighted_distance(1.0 - D.d ** 2, res.clustering, KernelConfig(eta=eta)).d
     # a group's union is its members' anchors in stitch order
@@ -295,10 +291,10 @@ def degenerate_problems(draw):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(degenerate_problems(), st.sampled_from(["member_anchors", "full_cluster"]))
-def test_degenerate_inputs_embed_finite_or_raise_validation_error(problem, pool):
+@given(degenerate_problems())
+def test_degenerate_inputs_embed_finite_or_raise_validation_error(problem):
     D, levels = problem
-    cfg = ClmdsConfig(hierarchy=HierarchySpec(levels), anchor_pool=pool, seed=3,
+    cfg = ClmdsConfig(hierarchy=HierarchySpec(levels), seed=3,
                       kmedoids=KmedoidsConfig(k=levels[0], iter_med=5),
                       mds=MdsConfig(n_init=2, max_iter=100))
     try:
@@ -312,6 +308,39 @@ def test_degenerate_inputs_embed_finite_or_raise_validation_error(problem, pool)
     for fine, coarse in zip(res.per_level, res.per_level[1:]):
         b = coarse.clustering.assignment
         assert np.array_equal(b, b[fine.clustering.medoids][fine.clustering.assignment])
+
+
+def blobs_with_tiny_ones(seed):
+    """2-4 blobs of 10-19 points and 1-3 tiny blobs of 1-3 points in 3-D
+    (sigma 1, centres >= 30 apart), and the number of blobs."""
+    rng = np.random.default_rng(seed)
+    sizes = [*rng.integers(10, 20, rng.integers(2, 5)), *rng.integers(1, 4, rng.integers(1, 4))]
+    centres = []
+    while len(centres) < len(sizes):
+        c = rng.uniform(0.0, 100.0, 3)
+        if all(np.linalg.norm(c - o) >= 30.0 for o in centres):
+            centres.append(c)
+    x = np.vstack([c + rng.normal(size=(s, 3)) for c, s in zip(centres, sizes)])
+    return x, len(sizes)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_tiny_clusters_embed_finite_or_raise_validation_error(seed):
+    # k = the blob count, so the finest level mostly holds clusters of 1-3
+    # points, which stitch through 1, 2 or 3 anchors
+    x, k = blobs_with_tiny_ones(seed)
+    D = euclidean_distances(FeatureSet(x))
+    for levels in ((k, 1), (k, -(-k // 2), 1)):
+        cfg = ClmdsConfig(hierarchy=HierarchySpec(levels), seed=3,
+                          kmedoids=KmedoidsConfig(k=k, iter_med=5),
+                          mds=MdsConfig(n_init=2, max_iter=100))
+        try:
+            res = clmds_embed(D, cfg)
+        except ValidationError:
+            continue
+        assert np.all(np.isfinite(res.coords))
+        assert np.array_equal(clmds_embed(D, cfg).coords, res.coords)
 
 
 def rigidly_moved_blobs(seed):
@@ -449,28 +478,17 @@ def test_estimate_sent_to_infinity_lands_on_the_transformed_mean():
     assert 1 in full.fallback_clusters
 
 
-def test_full_cluster_anchor_pool_runs():
+def test_merged_cluster_anchors_come_from_its_members_anchors():
     centers = [np.r_[i * 7.0, 0, 0] for i in range(4)]
     fs = blobs(centers, per=10, seed=12)
     D = euclidean_distances(fs)
-    for pool in ("full_cluster", "member_anchors"):
-        res = clmds_embed(D, base_config(levels=(4, 2, 1), anchor_pool=pool))
-        assert np.all(np.isfinite(res.coords))
-        prev, level = res.per_level[0], res.per_level[1]
-        if pool == "full_cluster":
-            # picked from the whole merged cluster, as at the finest level
-            expected = select_anchors(D, level.clustering)
-            assert len(level.anchors) == len(expected)
-            for got, want in zip(level.anchors, expected):
-                assert np.array_equal(got, want)
-        else:
-            # drawn from the anchors of the clusters merged into it
-            grouping = level.clustering.assignment[prev.clustering.medoids]
-            for g, got in enumerate(level.anchors):
-                pool_g = np.concatenate([prev.anchors[i] for i in np.flatnonzero(grouping == g)])
-                assert got.size == 4 and set(got.tolist()) <= set(pool_g.tolist())
-    with pytest.raises(ValidationError):
-        base_config(anchor_pool="bogus")
+    res = clmds_embed(D, base_config(levels=(4, 2, 1)))
+    assert np.all(np.isfinite(res.coords))
+    prev, level = res.per_level[0], res.per_level[1]
+    grouping = level.clustering.assignment[prev.clustering.medoids]
+    for g, got in enumerate(level.anchors):
+        pool_g = np.concatenate([prev.anchors[i] for i in np.flatnonzero(grouping == g)])
+        assert got.size == 4 and set(got.tolist()) <= set(pool_g.tolist())
 
 
 def test_k_exceeding_n_errors():
