@@ -147,17 +147,19 @@ def _guttman_b(d_in, neg_wm, d, b, near):
 
 
 def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w):
-    """SMACOF from every (m, 2) start at once; returns (s, m, 2) coordinates
-    and s stresses.
+    """SMACOF from every (m, 2) start at once.
 
-    The starts run as one (s, m, 2) stack, and each follows exactly the
-    iterates of a run from it alone: it stops on a stress increase (keeping
-    the previous iterate), on a relative decrease below eps, or at max_iter.
-    A stopped start's result is frozen and it leaves the stack. Stress comes
-    from `_stresses` for any weights; they differ only in the update: uniform
+    Returns (s, m, 2) coordinates, and for each start its stress, the number
+    of updates it computed and why it stopped: "eps", "increase" or
+    "max_iter". The starts run as one (s, m, 2) stack, and each follows
+    exactly the iterates of a run from it alone: it stops on a stress
+    increase (keeping the previous iterate, the rejected update counted),
+    on a relative decrease below eps, or at max_iter. A stopped start's
+    result is frozen and it leaves the stack. Stress comes from `_stresses`
+    for any weights; they differ only in the update: uniform
     weights (uniform_w, the common off-diagonal weight) divide, and general
-    weights (uniform_w None) go through the pseudo-inverse of V = diag(W 1) - W,
-    the operator of the weighted Guttman update.
+    weights (uniform_w None) go through the pseudo-inverse of
+    V = diag(W 1) - W, the operator of the weighted Guttman update.
     """
     s, m = len(starts), d_in.shape[0]
     v = np.diag(wm.sum(axis=1)) - wm
@@ -179,9 +181,10 @@ def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w):
     pairwise_distances(x, x, out=d, work=b)
     sig = stresses(x, d)
     out_x, out_sig = np.empty((s, m, 2)), [0.0] * s
+    out_iter, out_stop = [max_iter] * s, ["max_iter"] * s
     live = list(range(s))  # the start each stack row holds
     n = s
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         xv, xn, dv, bv = x[:n], x_new[:n], d[:n], b[:n]
         _guttman_b(d_in, neg_wm, dv, bv, near[:n])
         np.matmul(bv, xv, out=bx[:n])
@@ -194,8 +197,10 @@ def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w):
         for k in range(n):
             if new_sig[k] > sig[k]:  # majorization guarantees descent; guard fp noise
                 out_x[live[k]], out_sig[live[k]] = xv[k], sig[k]
+                out_iter[live[k]], out_stop[live[k]] = it, "increase"
             elif sig[k] - new_sig[k] < eps * max(sig[k], _EPS_DIST):
                 out_x[live[k]], out_sig[live[k]] = xn[k], new_sig[k]
+                out_iter[live[k]], out_stop[live[k]] = it, "eps"
             else:
                 keep.append(k)
         x, x_new, sig = x_new, x, new_sig
@@ -210,12 +215,12 @@ def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w):
         for k in range(n):
             out_x[live[k]], out_sig[live[k]] = x[k], sig[k]
     # the fixed sums can cancel to -1e-15 at an exact fit
-    return out_x, [max(v, 0.0) for v in out_sig]
+    return out_x, [max(v, 0.0) for v in out_sig], out_iter, out_stop
 
 
 def _smacof(d_in, wm, x0, max_iter, eps, uniform_w):
     """SMACOF from one start: the stacked loop with a stack of one."""
-    xs, sigs = _smacof_starts(d_in, wm, [x0], max_iter, eps, uniform_w)
+    xs, sigs, _, _ = _smacof_starts(d_in, wm, [x0], max_iter, eps, uniform_w)
     return xs[0], sigs[0]
 
 
@@ -258,6 +263,6 @@ def mds_embed(D: DistanceMatrix, w=None,
     classical = _classical_start(D.d)
     starts = [] if classical is None else [classical]
     starts += [rng.uniform(-1.0, 1.0, size=(m, 2)) for _ in range(cfg.n_init - len(starts))]
-    xs, sigs = _smacof_starts(D.d, wm, starts, cfg.max_iter, cfg.eps, uniform_w)
+    xs, sigs, _, _ = _smacof_starts(D.d, wm, starts, cfg.max_iter, cfg.eps, uniform_w)
     best = int(np.argmin(sigs))  # ties: the earliest start
     return xs[best] - xs[best].mean(axis=0), sigs[best]

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -46,9 +47,9 @@ def recorded_initial_medoids(monkeypatch, D, cfg):
     seen = []
     real_once = kmedoids_mod.kmedoids_once
 
-    def recording_once(D, initial_medoids, max_swaps=1000):
-        seen.append(np.array(initial_medoids))
-        return real_once(D, initial_medoids, max_swaps)
+    def recording_once(D, starts, max_swaps=1000):
+        seen.extend(np.array(starts))
+        return real_once(D, starts, max_swaps)
 
     monkeypatch.setattr(kmedoids_mod, "kmedoids_once", recording_once)
     kmedoids_best(D, cfg)
@@ -85,7 +86,7 @@ def test_two_blobs_recovered_with_exhaustive_medoid_check():
     rng = np.random.default_rng(7)
     pts = np.vstack([rng.normal(0, 0.2, (4, 2)), rng.normal(10, 0.2, (4, 2))])
     D = euclidean_distances(FeatureSet(pts))
-    c = kmedoids_once(D, [0, 4])
+    c, = kmedoids_once(D, [[0, 4]])
     assert set(c.members(0).tolist()) == {0, 1, 2, 3}
     assert set(c.members(1).tolist()) == {4, 5, 6, 7}
     # medoid is the blob member with minimal intra-blob distance sum
@@ -97,13 +98,13 @@ def test_two_blobs_recovered_with_exhaustive_medoid_check():
 def test_k1_medoid_is_one_median():
     rng = np.random.default_rng(8)
     D = euclidean_distances(FeatureSet(rng.normal(size=(9, 3))))
-    c = kmedoids_once(D, [3])
+    c, = kmedoids_once(D, [[3]])
     assert c.medoids[0] == int(np.argmin(D.d.sum(axis=1)))
 
 
 def test_degenerate_zero_matrix_is_stable():
     D = validate_distance_matrix(np.zeros((5, 5)))
-    c = kmedoids_once(D, [0, 1])
+    c, = kmedoids_once(D, [[0, 1]])
     assert c.n_clusters == 2
     assert np.all(np.bincount(c.assignment, minlength=2) > 0)
 
@@ -128,7 +129,7 @@ def test_best_single_restart_matches_once():
     cfg = KmedoidsConfig(k=2, iter_med=1, seed=3)
     best = kmedoids_best(D, cfg)
     rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
-    once = kmedoids_once(D, per_restart_initial_medoids(D.d, cfg, rng))
+    once, = kmedoids_once(D, [per_restart_initial_medoids(D.d, cfg, rng)])
     assert np.array_equal(best.assignment, once.assignment)
     assert np.array_equal(best.medoids, once.medoids)
 
@@ -154,7 +155,7 @@ def test_determinism_of_best():
 def test_monotone_descent_and_local_optimality():
     rng = np.random.default_rng(13)
     D = euclidean_distances(FeatureSet(rng.normal(size=(20, 3))))
-    c = kmedoids_once(D, [0, 1, 2])
+    c, = kmedoids_once(D, [[0, 1, 2]])
     # local optimality: no within-cluster medoid swap lowers the distance sum
     for k in range(3):
         members = c.members(k)
@@ -171,14 +172,17 @@ def test_k_too_large_errors():
 
 def test_custom_initial_medoids_override():
     D = line_matrix([0.0, 1.0, 10.0, 11.0])
-    c = kmedoids_once(D, [0, 2])
+    c, = kmedoids_once(D, [[0, 2]])
     assert np.array_equal(c.medoids, [0, 2])
     assert np.array_equal(c.assignment, [0, 0, 1, 1])
 
 
 def reference_kmedoids_once(d, initial_medoids, max_swaps=1000):
     """The loop before incremental updates: every medoid recomputed on every
-    iteration, assignment by a column gather, empty clusters reseeded."""
+    iteration, assignment by a column gather, empty clusters reseeded.
+
+    Returns the assignment, the medoids and the number of updates made.
+    """
     def assign(medoids):
         a = np.argmin(d[:, medoids], axis=1)
         a[medoids] = np.arange(medoids.shape[0])
@@ -196,7 +200,8 @@ def reference_kmedoids_once(d, initial_medoids, max_swaps=1000):
         return assignment
 
     medoids = np.array(initial_medoids, dtype=int)
-    for _ in range(max_swaps):
+    iterations = 0
+    for iterations in range(1, max_swaps + 1):
         assignment = repair_empty(medoids, assign(medoids))
         new = medoids.copy()
         for k in range(medoids.shape[0]):
@@ -206,12 +211,15 @@ def reference_kmedoids_once(d, initial_medoids, max_swaps=1000):
         if np.array_equal(new, medoids):
             break
         medoids = new
-    return repair_empty(medoids, assign(medoids)), medoids
+    return repair_empty(medoids, assign(medoids)), medoids, iterations
 
 
 @pytest.mark.parametrize("duplicated", [False, True])
 def test_incremental_updates_match_full_updates(duplicated):
+    # Stacks of 1-8 starts run in lockstep; every row must end bitwise where
+    # the full-update loop ends from it alone, whatever iteration it stops at.
     rng = np.random.default_rng(31)
+    stop_spread = 0
     for trial in range(40):
         n = int(rng.integers(8, 120))
         pts = rng.normal(size=(n, int(rng.integers(1, 4))))
@@ -219,12 +227,74 @@ def test_incremental_updates_match_full_updates(duplicated):
             pts = np.round(pts[rng.integers(0, max(2, n // 3), size=n)], 1)
         D = euclidean_distances(FeatureSet(pts))
         k = int(rng.integers(1, min(n, 12) + 1))
-        init = rng.choice(n, size=k, replace=False)
+        starts = np.array([rng.choice(n, size=k, replace=False)
+                           for _ in range(int(rng.integers(1, 9)))])
         max_swaps = 1000 if trial % 4 else int(rng.integers(1, 4))
-        c = kmedoids_once(D, init, max_swaps)
-        ref_assignment, ref_medoids = reference_kmedoids_once(D.d, init, max_swaps)
-        assert np.array_equal(c.assignment, ref_assignment)
-        assert np.array_equal(c.medoids, ref_medoids)
+        got = kmedoids_once(D, starts, max_swaps)
+        assert len(got) == len(starts)
+        iterations = set()
+        for c, init in zip(got, starts):
+            ref_assignment, ref_medoids, it = reference_kmedoids_once(D.d, init, max_swaps)
+            assert np.array_equal(c.assignment, ref_assignment)
+            assert np.array_equal(c.medoids, ref_medoids)
+            iterations.add(it)
+        stop_spread += len(iterations) > 1
+    assert stop_spread >= 10  # rows of one stack leave it at different iterations
+
+
+def test_stacked_medoid_equals_per_row_calls():
+    rng = np.random.default_rng(17)
+    pts = rng.normal(size=(60, 3))
+    pts[10:20] = pts[0]  # zero distances and exact ties between rows' sums
+    d = euclidean_distances(FeatureSet(pts)).d
+    for length in (1, 2, 5, 9, 17, 40):
+        members = np.sort(np.array([rng.choice(60, size=length, replace=False)
+                                    for _ in range(7)]), axis=1)
+        stacked = kmedoids_mod.medoid(d, members)
+        assert stacked.shape == (7,)
+        assert [int(m) for m in stacked] == [int(kmedoids_mod.medoid(d, row))
+                                             for row in members]
+        sums = [d[np.ix_(row, row)].sum(axis=1) for row in members]
+        assert [int(m) for m in stacked] == [int(row[np.argmin(s)])
+                                             for row, s in zip(members, sums)]
+
+
+def test_lockstep_gathers_stay_within_the_element_budget(monkeypatch):
+    # Two far-apart blobs of 300 points and k=2: every start with one medoid
+    # in each blob splits the points 300/300 on its first assignment, so 60
+    # such starts hold 120 clusters of one size, 10.8M distances in one
+    # gather without a budget. Each gather must stay within it, and each
+    # row must still end where it ends alone.
+    rng = np.random.default_rng(23)
+    pts = np.vstack([rng.normal(0, 1, (300, 2)), rng.normal(100, 1, (300, 2))])
+    D = euclidean_distances(FeatureSet(pts))
+    starts = np.array([[rng.integers(0, 300), rng.integers(300, 600)] for _ in range(60)]
+                      + [rng.choice(300, size=2, replace=False) for _ in range(10)])
+    blocks = []
+    real_medoid = kmedoids_mod.medoid
+
+    def recording_medoid(d, members):
+        blocks.append(np.asarray(members).shape)
+        return real_medoid(d, members)
+
+    monkeypatch.setattr(kmedoids_mod, "medoid", recording_medoid)
+    got = kmedoids_once(D, starts)
+    monkeypatch.undo()
+    budget = kmedoids_mod._GATHER_ELEMENTS
+    assert max(g * length * length for g, length in blocks) <= budget
+    assert (budget // 300 ** 2, 300) in blocks  # equal sizes still share gathers
+    for c, row in zip(got, starts):
+        alone, = kmedoids_once(D, [row])
+        assert np.array_equal(c.assignment, alone.assignment)
+        assert np.array_equal(c.medoids, alone.medoids)
+
+
+def test_starts_must_be_a_stack_of_distinct_in_range_medoids():
+    D = line_matrix(np.arange(6.0))
+    for bad, match in (([0, 1], "(R, k)"), ([[0, 0]], "distinct"), ([[0, 6]], "range"),
+                       ([[1, 2], [3, 3]], "distinct")):
+        with pytest.raises(ValidationError, match=re.escape(match)):
+            kmedoids_once(D, bad)
 
 
 def test_restarts_draw_the_same_initial_medoids(monkeypatch):

@@ -87,6 +87,40 @@ def test_monotone_stress_descent():
         prev = sig
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "relative"])
+def test_stress_never_rises_over_sixty_updates(weighted):
+    # max_iter=j runs j updates; the stress must not rise with j on either
+    # update path, and no run may end on the stop that holds back an update
+    # which raised it
+    _, D = planar_problem(25, seed=14)
+    noisy = validate_distance_matrix(D.d * (1.0 + 0.15 * np.sin(np.add.outer(
+        np.arange(25), np.arange(25)))))
+    wm = _weight_matrix(noisy, relative_stress_weights(noisy.d) if weighted else None)
+    x0 = np.random.default_rng(4).uniform(-1, 1, size=(25, 2))
+    runs = [_smacof_starts(noisy.d, wm, [x0], j, 1e-16, None if weighted else 1.0)
+            for j in range(1, 61)]
+    sigs = [sigs[0] for _, sigs, _, _ in runs]
+    assert all(b <= a for a, b in zip(sigs, sigs[1:]))
+    assert sigs[-1] < sigs[1] < sigs[0]
+    assert [(iters, stops) for _, _, iters, stops in runs] == [
+        ([j], ["max_iter"]) for j in range(1, 61)]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "relative"])
+def test_doubling_the_distances_doubles_the_embedding(weighted):
+    # the first update forgets each start's scale, the classical start and
+    # three random ones alike, so every later iterate scales exactly
+    _, D = planar_problem(30, seed=15)
+    noisy = validate_distance_matrix(D.d * (1.0 + 0.1 * np.cos(np.add.outer(
+        np.arange(30), np.arange(30)))))
+    double = validate_distance_matrix(2.0 * noisy.d)
+    cfg = MdsConfig(n_init=4, seed=5)
+    a, sa = mds_embed(noisy, relative_stress_weights(noisy.d) if weighted else None, cfg)
+    b, sb = mds_embed(double, relative_stress_weights(double.d) if weighted else None, cfg)
+    assert np.array_equal(b, 2.0 * a)
+    assert sb == (sa if weighted else 4.0 * sa)
+
+
 def test_weighted_path_matches_uniform_when_weights_equal():
     # all-ones weights, from one start, through the pseudo-inverse update
     # (uniform_w=None) and through the uniform fast path (uniform_w=1.0)
@@ -177,7 +211,8 @@ def _reference_b(d_in, wm, d_emb):
 def _reference_smacof(d_in, wm, x0, max_iter, eps, uniform_w):
     """One start run alone: the single-start loop the stacked loop replaced.
 
-    Returns the coordinates, the stress, and how the run stopped.
+    Returns the coordinates, the stress, the number of updates computed and
+    how the run stopped.
     """
     m = d_in.shape[0]
     v = np.diag(wm.sum(axis=1)) - wm
@@ -198,8 +233,8 @@ def _reference_smacof(d_in, wm, x0, max_iter, eps, uniform_w):
     x = x0 - x0.mean(axis=0)
     d_emb = cdist(x, x)
     sig = stress_of(x, d_emb)
-    stop = "max_iter"
-    for _ in range(max_iter):
+    stop, it = "max_iter", max_iter
+    for it in range(1, max_iter + 1):
         b = _reference_b(d_in, wm, d_emb)
         x_new = update(b @ x)
         x_new -= x_new.mean(axis=0)
@@ -211,9 +246,9 @@ def _reference_smacof(d_in, wm, x0, max_iter, eps, uniform_w):
         done = sig - new_sig < eps * max(sig, _EPS_DIST)
         x, sig = x_new, new_sig
         if done:
-            stop = "converged"
+            stop = "eps"
             break
-    return x, max(sig, 0.0), stop
+    return x, max(sig, 0.0), it, stop
 
 
 def _reference_starts(D, cfg):
@@ -262,15 +297,17 @@ def test_stacked_starts_equal_single_start_runs(monkeypatch):
                 starts = _reference_starts(D, cfg) + [together]
                 ref = [_reference_smacof(D.d, wm, x0, max_iter, eps, uniform_w)
                        for x0 in starts]
-                xs, sigs = _smacof_starts(D.d, wm, starts, max_iter, eps, uniform_w)
-                for k, (x, sig, _) in enumerate(ref):
+                xs, sigs, iters, stops = _smacof_starts(D.d, wm, starts, max_iter, eps,
+                                                        uniform_w)
+                for k, (x, sig, it, stop) in enumerate(ref):
                     assert np.array_equal(xs[k], x), (m, w is None, max_iter, k)
                     assert sigs[k] == sig, (m, w is None, max_iter, k)
+                    assert (iters[k], stops[k]) == (it, stop), (m, w is None, max_iter, k)
                 coords, sig = mds_embed(D, w, cfg)
                 best = min(range(len(starts) - 1), key=lambda k: ref[k][1])
                 assert np.array_equal(coords, ref[best][0] - ref[best][0].mean(axis=0))
                 assert sig == ref[best][1]
-                stops_per_call.append({stop for _, _, stop in ref})
-    assert any({"max_iter", "converged"} <= stops for stops in stops_per_call)
+                stops_per_call.append({stop for _, _, _, stop in ref})
+    assert any({"max_iter", "eps"} <= stops for stops in stops_per_call)
     assert any("increase" in stops and len(stops) > 1 for stops in stops_per_call)
     assert any(coincident_calls) and not all(coincident_calls)
