@@ -3,19 +3,21 @@
     python3 bench/record.py --label NAME [--against DIR] [--pairs N]
 
 For each workload of BENCHMARK.json, N times over, this runs
-`perfbench/run.py --workload W --seconds T` of this checkout and, with
---against, of the checkout DIR too, alternating which of the two runs
-first; T is BENCHMARK.json's run_seconds and the seed is perfbench's
-default. Then it runs each side once more with --trace 1, for the per-layer
-times. Each run's program is the `src/` beside the perfbench/ that runs it.
+`perfbench/run.py --workload W --seed 0 --seconds T` of this checkout and,
+with --against, of the checkout DIR too, alternating which of the two runs
+first; T is BENCHMARK.json's run_seconds. Then it runs each side once more
+with --trace 1, for the per-layer times, and once with --seed 1 --seconds 1,
+for the coords.csv digests of the seed-1 datasets. Each run's program is the
+`src/` beside the perfbench/ that runs it.
 
 From every run's standard output it keeps three things: the final JSON
 line verbatim, the printed coords.csv digests per dataset seed, and the
 printed environment (git sha, nproc, BLAS and the package versions). For
 each side it also records the checkout: its commit, whether src/ or
 perfbench/ differ from that commit, and if so a sha256 of the difference,
-so that an uncommitted tree is told apart from its commit. The file is
-written to the root of this checkout.
+so that an uncommitted tree is told apart from its commit. Per side and
+workload, the digests of every dataset of seeds 0 and 1 are gathered in one
+place. The file is written to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -73,9 +75,21 @@ def checkout_state(checkout: Path) -> dict:
             "diff_sha256": diff.hexdigest() if dirty else None}
 
 
-def run_once(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
+def collect_digests(runs: list[dict]) -> dict:
+    """side -> workload -> dataset seed -> the distinct coords.csv digests
+    that the runs of that side printed for it; more than one means that the
+    output was not repeated."""
+    out: dict = {}
+    for run in runs:
+        per_seed = out.setdefault(run["side"], {}).setdefault(run["workload"], {})
+        for seed, shas in run["digests"].items():
+            per_seed[seed] = sorted(set(per_seed.get(seed, [])) | set(shas))
+    return out
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited with {done.returncode}:\n{done.stderr}")
@@ -100,19 +114,22 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {side: checkout_state(path) for side, path in sides.items()}
     runs = []
     for workload in [w["name"] for w in spec["workloads"]]:
-        for pair in range(args.pairs + 1):
-            trace = int(pair == args.pairs)  # the last round is the traced one
+        # the last round is the traced one, and one more gives the seed-1 digests
+        for pair in range(args.pairs + 2):
+            trace = int(pair == args.pairs)
+            seed, run_s = (1, 1.0) if pair > args.pairs else (0, seconds)
             order = list(sides) if pair % 2 == 0 else list(reversed(sides))
             for side in order:
-                got = run_once(sides[side], workload, seconds, trace)
-                runs.append({"workload": workload, "pair": pair, "trace": trace,
-                             "side": side, **got})
+                got = run_once(sides[side], workload, seed, run_s, trace)
+                runs.append({"workload": workload, "pair": pair, "seed": seed,
+                             "trace": trace, "side": side, **got})
                 embed_s = got["result"]["metrics"].get("embed_s", {}).get("value")
-                print(f"{workload} pair {pair} trace {trace} {side}: embed_s {embed_s}",
-                      flush=True)
+                print(f"{workload} pair {pair} seed {seed} trace {trace} {side}: "
+                      f"embed_s {embed_s}", flush=True)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
-        "label": args.label, "seconds": seconds, "checkouts": checkouts, "runs": runs,
+        "label": args.label, "seconds": seconds, "checkouts": checkouts,
+        "digests": collect_digests(runs), "runs": runs,
     }, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

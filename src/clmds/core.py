@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -146,6 +148,58 @@ def euclidean_distances(fs: FeatureSet) -> DistanceMatrix:
     d = pairwise_distances(fs.vectors, fs.vectors)
     d.flags.writeable = False
     return DistanceMatrix(d)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# the cores this process may run on, taken once: the most threads that
+# _run_parts is given work for
+_WORKERS = _usable_cores()
+
+
+def _thread_groups(n: int) -> int:
+    """How many groups to split n independent pieces into: one per usable
+    core, at most n, at least 1."""
+    return max(1, min(_WORKERS, n))
+
+
+def _run_parts(parts: list) -> list:
+    """Call every part of parts and return their results in order: parts[0]
+    on the calling thread, each other part on a thread of its own.
+
+    numpy releases the GIL in its large ufunc, gather and BLAS calls, so the
+    parts overlap there. Every thread is joined, also when a part raises;
+    then the exception of the lowest-numbered part that raised is raised
+    here.
+    """
+    results = [None] * len(parts)
+    errors: list[BaseException | None] = [None] * len(parts)
+
+    def call(i):
+        try:
+            results[i] = parts[i]()
+        except BaseException as exc:  # handed to the calling thread below
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, len(parts)):
+            t = threading.Thread(target=call, args=(i,))
+            t.start()
+            threads.append(t)
+        call(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 @dataclass(frozen=True)

@@ -5,24 +5,36 @@ non-negative pair weights; uniform weights take a fast path that avoids
 the pseudo-inverse, which general weights compute once per `mds_embed`
 call. The per-cluster MDS is unweighted; only the anchor MDS passes a
 weight matrix (relative stress). Both paths take their stress from the
-same precomputed sums, and run every start of a call in one stacked
-loop, into buffers allocated once per call; each start gets exactly the
-result it would get alone. The stack stays: one start at a time gives the
-same bits but is slower (2 cores, 1 BLAS thread): 0.27-0.28 s against
-0.13-0.16 s on the nine small anchor MDS calls of a sparse-kernel-6000
-dataset, and 1.69-1.70 s against 1.49-1.57 s on the 399-point s-curve one.
+same precomputed sums, and run the starts of a call in one stacked loop,
+into buffers allocated once per call; each start gets exactly the result
+it would get alone. The stack stays: one start at a time gives the same
+bits but is slower (2 cores, 1 BLAS thread, best of 3): 0.29 s against
+0.15 s on the nine anchor MDS calls (4-40 points) of a sparse-kernel-6000
+dataset, and 1.51 s against 1.35 s on the 399-point s-curve one.
+
+From _THREAD_MIN_POINTS points on, a call with several starts deals them
+to one stack per usable core, each on its own thread, sharing the fixed
+matrices; the output does not depend on the number of cores. The 399-point
+s-curve call then takes 0.86-0.89 s on 2 cores. With 4 of its starts on
+its first m points, two threads against one took 38 against 30 ms at
+m=80, broke even at m=128-160 and took 284 against 445 ms at m=250.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import DistanceMatrix, ValidationError, pairwise_distances
+from .core import (DistanceMatrix, ValidationError, _run_parts, _thread_groups,
+                   pairwise_distances)
 
 _EPS_DIST = 1e-15
 _WEIGHT_FLOOR_REL = 1e-6  # relative-stress weights span at most 1e12
+# the fewest points at which a call's starts split across threads: below it
+# thread start-up and GIL hand-offs cost more than the overlap saves
+_THREAD_MIN_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -105,15 +117,14 @@ def relative_stress_weights(d: np.ndarray) -> np.ndarray:
     return w
 
 
-def _stresses(d_in, wm, v, s):
+def _stresses(d_in, wd, v, s):
     """Stress of each stacked start, from fixed sums.
 
     Over pairs i < j, stress = sum w d_in^2 - 2 sum w d_in d + sum w d^2.
     The first sum is fixed, the second is half the full-matrix dot of
-    w * d_in with d, and the third is tr(X' V X) with v = diag(W 1) - W,
+    wd = w * d_in with d, and the third is tr(X' V X) with v = diag(W 1) - W,
     so no triangle of the matrices is gathered per iteration.
     """
-    wd = wm * d_in
     sig_in = 0.5 * float(np.vdot(wd, d_in))
     vx = np.empty((s, d_in.shape[0], 2))
 
@@ -151,28 +162,45 @@ def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w):
 
     Returns (s, m, 2) coordinates, and for each start its stress, the number
     of updates it computed and why it stopped: "eps", "increase" or
-    "max_iter". The starts run as one (s, m, 2) stack, and each follows
-    exactly the iterates of a run from it alone: it stops on a stress
-    increase (keeping the previous iterate, the rejected update counted),
-    on a relative decrease below eps, or at max_iter. A stopped start's
-    result is frozen and it leaves the stack. Stress comes from `_stresses`
-    for any weights; they differ only in the update: uniform
-    weights (uniform_w, the common off-diagonal weight) divide, and general
-    weights (uniform_w None) go through the pseudo-inverse of
-    V = diag(W 1) - W, the operator of the weighted Guttman update.
+    "max_iter". Each start follows exactly the iterates of a run from it
+    alone: it stops on a stress increase (keeping the previous iterate, the
+    rejected update counted), on a relative decrease below eps, or at
+    max_iter. Stress comes from `_stresses` for any weights; they differ
+    only in the update: uniform weights (uniform_w, the common off-diagonal
+    weight) divide, and general weights (uniform_w None) go through the
+    pseudo-inverse of V = diag(W 1) - W, the operator of the weighted
+    Guttman update. V, its pseudo-inverse, W * d_in and -W are computed
+    once and shared. From _THREAD_MIN_POINTS points on, the starts are dealt
+    round-robin to one group per usable core (start i to group i mod g),
+    each group a `_smacof_stack` on its own thread.
     """
     s, m = len(starts), d_in.shape[0]
     v = np.diag(wm.sum(axis=1)) - wm
-    stresses = _stresses(d_in, wm, v, s)
-    if uniform_w is None:
-        v_pinv = np.linalg.pinv(v)
+    v_pinv = np.linalg.pinv(v) if uniform_w is None else None
+    shared = (d_in, wm * d_in, -wm, v, v_pinv, uniform_w, max_iter, eps)
+    g = _thread_groups(s) if m >= _THREAD_MIN_POINTS else 1
+    runs = _run_parts([partial(_smacof_stack, starts[i::g], *shared) for i in range(g)])
+    if g == 1:
+        return runs[0]
+    out = np.empty((s, m, 2)), [0.0] * s, [0] * s, [""] * s
+    for i, run in enumerate(runs):  # group i ran starts i, i + g, ...
+        for whole, part in zip(out, run):
+            whole[i::g] = part
+    return out
 
+
+def _smacof_stack(starts, d_in, wd, neg_wm, v, v_pinv, uniform_w, max_iter, eps):
+    """`_smacof_starts` on one thread: the starts run as one (s, m, 2) stack,
+    into buffers allocated once per call. A stopped start's result is frozen
+    and it leaves the stack."""
+    s, m = len(starts), d_in.shape[0]
+    stresses = _stresses(d_in, wd, v, s)
+    if v_pinv is not None:
         def update(bx, out):
             np.matmul(v_pinv, bx, out=out)
     else:
         def update(bx, out):
             np.divide(bx, m * uniform_w, out=out)
-    neg_wm = -wm
     x, x_new, bx = (np.empty((s, m, 2)) for _ in range(3))
     d, b = np.empty((s, m, m)), np.empty((s, m, m))
     near = np.empty((s, m, m), dtype=bool)

@@ -53,6 +53,21 @@ def test_parse_output_rejects_an_incomplete_output(cut):
         record.parse_output(text)
 
 
+def test_digests_gather_both_seeds_per_side_and_workload():
+    # seed 1 of this workload makes datasets 5 and 6; the seed-0 record
+    # comes twice, once with another digest for dataset 0
+    seed1 = (CANNED.replace("seed 0  N", "seed 1  N").replace("dataset seed 1", "dataset seed 6")
+             .replace("dataset seed 0", "dataset seed 5"))
+    other = CANNED.replace("a" * 64, "b" * 64)
+    runs = [{"side": side, "workload": "sparse-kernel-6000", **record.parse_output(text)}
+            for side, text in (("this", CANNED), ("this", seed1), ("against", CANNED),
+                               ("against", other))]
+    assert record.collect_digests(runs) == {
+        "this": {"sparse-kernel-6000": {"0": ["a" * 64], "1": [], "5": ["a" * 64], "6": []}},
+        "against": {"sparse-kernel-6000": {"0": ["a" * 64, "b" * 64], "1": []}},
+    }
+
+
 def test_checkout_state_tells_an_uncommitted_tree_from_its_commit(tmp_path):
     def git(*args):
         subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",

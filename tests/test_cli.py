@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -421,3 +424,38 @@ def test_benchmark_smoke_runs():
     proc = subprocess.run([sys.executable, str(BENCH), "--smoke"], capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.skipif(not BENCH.is_file(), reason="no perfbench/ beside the tests")
+def test_benchmark_hooks_run_on_the_main_thread_when_work_splits(tmp_path, capsys,
+                                                                   monkeypatch):
+    # perfbench's tracer keeps one span stack, so no function it wraps may
+    # run on a worker thread. Both splits are forced here, and both must
+    # still run some of their work off the main thread.
+    spec = importlib.util.spec_from_file_location("perfbench_child", BENCH.parent / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    monkeypatch.setattr(clmds.core, "_WORKERS", 2)
+    monkeypatch.setattr(clmds.mds, "_THREAD_MIN_POINTS", 0)
+    monkeypatch.setattr(clmds.kmedoids, "_THREAD_MIN_ELEMENTS", 0)
+    calls = []
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return call
+
+    for name, module_name, attr in child.HOOKS:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, recording(name, getattr(module, attr)))
+    for name, module, attr in (("split.smacof", clmds.mds, "_guttman_b"),
+                               ("split.kmedoids", clmds.kmedoids, "_assign")):
+        monkeypatch.setattr(module, attr, recording(name, getattr(module, attr)))
+    inp, _ = write_features(tmp_path)
+    code, _, err = run(embed_args(inp, tmp_path / "out"), capsys)
+    assert code == 0, err
+    fired = {name for name, _ in calls}
+    assert {"kmedoids.once", "mds.embed", "cli.write"} <= fired
+    assert all(main for name, main in calls if not name.startswith("split."))
+    assert {name for name, main in calls if not main} == {"split.smacof", "split.kmedoids"}

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
@@ -5,7 +7,7 @@ from scipy.spatial.distance import cdist, pdist
 from clmds import (DistanceMatrix, FeatureSet, HierarchySpec, ValidationError,
                    euclidean_distances, kernel_matrix, kernel_to_distance,
                    load_distance_matrix, load_feature_set, validate_distance_matrix)
-from clmds.core import _MATMUL_MIN_ENTRIES, pairwise_distances
+from clmds.core import _MATMUL_MIN_ENTRIES, _run_parts, pairwise_distances
 
 
 def test_accepts_identical_points():
@@ -180,3 +182,25 @@ def test_submatrix_is_the_block():
         sub = dm.submatrix(idx)
         assert isinstance(sub, DistanceMatrix)
         assert np.array_equal(sub.d, dm.d[np.ix_(idx, idx)])
+
+
+def test_run_parts_keeps_the_order_and_raises_the_first_parts_error():
+    caller = threading.current_thread()
+    where = _run_parts([lambda: threading.current_thread() is caller for _ in range(3)])
+    assert where == [True, False, False]  # parts[0] on the calling thread
+    # part 2 raises first in time, part 1 after it: part 1's error is raised,
+    # and only once every thread is joined
+    before = threading.active_count()
+    raised = threading.Event()
+
+    def second():
+        raised.wait(10)
+        raise KeyError("part 1")
+
+    def third():
+        raised.set()
+        raise IndexError("part 2")
+
+    with pytest.raises(KeyError, match="part 1"):
+        _run_parts([lambda: 0, second, third])
+    assert threading.active_count() == before

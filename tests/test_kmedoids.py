@@ -1,10 +1,12 @@
 import re
+import threading
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 import clmds.kmedoids as kmedoids_mod
+from clmds import core
 from clmds import (Clustering, FeatureSet, KmedoidsConfig, ValidationError,
                    euclidean_distances, kmedoids_best, kmedoids_once,
                    relative_incoherence, validate_distance_matrix)
@@ -263,30 +265,33 @@ def test_lockstep_gathers_stay_within_the_element_budget(monkeypatch):
     # Two far-apart blobs of 300 points and k=2: every start with one medoid
     # in each blob splits the points 300/300 on its first assignment, so 60
     # such starts hold 120 clusters of one size, 10.8M distances in one
-    # gather without a budget. Each gather must stay within it, and each
-    # row must still end where it ends alone.
+    # gather without a budget. Each gather must stay within it, also when the
+    # rows split into 2 thread groups that share it, and each row must still
+    # end where it ends alone.
     rng = np.random.default_rng(23)
     pts = np.vstack([rng.normal(0, 1, (300, 2)), rng.normal(100, 1, (300, 2))])
     D = euclidean_distances(FeatureSet(pts))
     starts = np.array([[rng.integers(0, 300), rng.integers(300, 600)] for _ in range(60)]
                       + [rng.choice(300, size=2, replace=False) for _ in range(10)])
-    blocks = []
+    alone = [kmedoids_once(D, [row])[0] for row in starts]
     real_medoid = kmedoids_mod.medoid
+    monkeypatch.setattr(kmedoids_mod, "_THREAD_MIN_ELEMENTS", 0)
+    for groups in (1, 2):
+        monkeypatch.setattr(core, "_WORKERS", groups)
+        blocks = []
 
-    def recording_medoid(d, members):
-        blocks.append(np.asarray(members).shape)
-        return real_medoid(d, members)
+        def recording_medoid(d, members):
+            blocks.append(np.asarray(members).shape)
+            return real_medoid(d, members)
 
-    monkeypatch.setattr(kmedoids_mod, "medoid", recording_medoid)
-    got = kmedoids_once(D, starts)
-    monkeypatch.undo()
-    budget = kmedoids_mod._GATHER_ELEMENTS
-    assert max(g * length * length for g, length in blocks) <= budget
-    assert (budget // 300 ** 2, 300) in blocks  # equal sizes still share gathers
-    for c, row in zip(got, starts):
-        alone, = kmedoids_once(D, [row])
-        assert np.array_equal(c.assignment, alone.assignment)
-        assert np.array_equal(c.medoids, alone.medoids)
+        monkeypatch.setattr(kmedoids_mod, "medoid", recording_medoid)
+        got = kmedoids_once(D, starts)
+        budget = kmedoids_mod._GATHER_ELEMENTS // groups
+        assert max(g * length * length for g, length in blocks) <= budget
+        assert (budget // 300 ** 2, 300) in blocks  # equal sizes still share gathers
+        for c, one in zip(got, alone):
+            assert np.array_equal(c.assignment, one.assignment)
+            assert np.array_equal(c.medoids, one.medoids)
 
 
 def test_starts_must_be_a_stack_of_distinct_in_range_medoids():
@@ -308,3 +313,56 @@ def test_restarts_draw_the_same_initial_medoids(monkeypatch):
                 for child in np.random.SeedSequence(cfg.seed).spawn(cfg.iter_med)]
     assert len(seen) == 20
     assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+
+
+def test_the_worker_count_changes_no_bit(monkeypatch):
+    # The rows split into 1, 2 and 3 contiguous thread groups (the gate
+    # forced down); rows that stop at different iterations must end with the
+    # same labels and medoids as in one group.
+    monkeypatch.setattr(kmedoids_mod, "_THREAD_MIN_ELEMENTS", 0)
+    real_assign = kmedoids_mod._assign
+    threads = set()
+
+    def recording_assign(d, medoids):
+        threads.add(threading.current_thread().name)
+        return real_assign(d, medoids)
+
+    monkeypatch.setattr(kmedoids_mod, "_assign", recording_assign)
+    rng = np.random.default_rng(41)
+    stop_spread = 0
+    for _ in range(12):
+        n = int(rng.integers(30, 150))
+        D = euclidean_distances(FeatureSet(rng.normal(size=(n, 3))))
+        k = int(rng.integers(2, 9))
+        starts = np.array([rng.choice(n, size=k, replace=False) for _ in range(7)])
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(core, "_WORKERS", workers)
+            threads.clear()
+            runs.append(kmedoids_once(D, starts))
+            assert len(threads) == workers
+        for run in runs[1:]:
+            assert all(np.array_equal(a.assignment, b.assignment)
+                       and np.array_equal(a.medoids, b.medoids) for a, b in zip(run, runs[0]))
+        stop_spread += len({reference_kmedoids_once(D.d, row)[2] for row in starts}) > 1
+    assert stop_spread >= 6
+
+
+def test_kmedoids_best_calls_kmedoids_once_once_on_the_main_thread(monkeypatch):
+    # perfbench traces kmedoids_once by name in one span stack, and counts its
+    # calls: the split into thread groups must stay inside that one call
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(kmedoids_mod, "_THREAD_MIN_ELEMENTS", 0)
+    calls = []
+    real_once = kmedoids_mod.kmedoids_once
+
+    def recording_once(D, starts, max_swaps=1000):
+        calls.append(threading.current_thread() is threading.main_thread())
+        return real_once(D, starts, max_swaps)
+
+    monkeypatch.setattr(kmedoids_mod, "kmedoids_once", recording_once)
+    rng = np.random.default_rng(9)
+    D = euclidean_distances(FeatureSet(rng.normal(size=(60, 3))))
+    for _ in range(2):
+        kmedoids_best(D, KmedoidsConfig(k=5, iter_med=12))
+    assert calls == [True, True]

@@ -1,10 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 from clmds import (FeatureSet, MdsConfig, ValidationError, euclidean_distances, mds_embed,
                    stress, validate_distance_matrix)
-from clmds import mds
+from clmds import core, mds
 from clmds.mds import (_EPS_DIST, _classical_start, _smacof, _smacof_starts, _weight_matrix,
                        relative_stress_weights)
 
@@ -311,3 +313,71 @@ def test_stacked_starts_equal_single_start_runs(monkeypatch):
     assert any({"max_iter", "eps"} <= stops for stops in stops_per_call)
     assert any("increase" in stops and len(stops) > 1 for stops in stops_per_call)
     assert any(coincident_calls) and not all(coincident_calls)
+
+
+def _split_problem(m, seed, weighted):
+    """A distance matrix with two coincident points, its weights and the
+    uniform weight (None on the relative path), and six starts: classical,
+    four random and one in which points 0 and 1 coincide."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(m, 3))
+    pts[1] = pts[0]
+    D = euclidean_distances(FeatureSet(pts))
+    wm = _weight_matrix(D, relative_stress_weights(D.d) if weighted else None)
+    together = rng.uniform(-1.0, 1.0, size=(m, 2))
+    together[1] = together[0]
+    starts = ([_classical_start(D.d)] + [rng.uniform(-1.0, 1.0, size=(m, 2)) for _ in range(4)]
+              + [together])
+    return D, wm, None if weighted else 1.0, starts
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "relative"])
+def test_the_worker_count_changes_no_bit(monkeypatch, weighted):
+    # The starts split into 1, 2 and 3 thread groups, dealt round-robin; the
+    # gate is forced down. Every start must end bitwise where it ends in one
+    # group, with the same stress, update count and stop reason.
+    monkeypatch.setattr(mds, "_THREAD_MIN_POINTS", 0)
+    real_b = mds._guttman_b
+    threads = set()
+
+    def recording_b(*args):
+        threads.add(threading.current_thread().name)
+        real_b(*args)
+
+    monkeypatch.setattr(mds, "_guttman_b", recording_b)
+    stops = set()
+    for m in (7, 19, 40):
+        D, wm, uniform_w, starts = _split_problem(m, m, weighted)
+        for max_iter, eps in ((300, 1e-6), (40, 1e-5), (300, 1e-15)):
+            runs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(core, "_WORKERS", workers)
+                threads.clear()
+                runs.append(_smacof_starts(D.d, wm, starts, max_iter, eps, uniform_w))
+                assert len(threads) == workers
+            xs, sigs, iters, how = runs[0]
+            for other in runs[1:]:
+                assert other[0].tobytes() == xs.tobytes(), (m, max_iter)
+                assert other[1:] == (sigs, iters, how), (m, max_iter)
+            stops.update(how)
+    assert stops == {"eps", "increase", "max_iter"}
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_an_error_in_a_thread_group_reaches_the_caller(monkeypatch, where):
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(mds, "_THREAD_MIN_POINTS", 0)
+    caller = threading.current_thread()
+    real_b = mds._guttman_b
+
+    def failing_b(*args):
+        if (threading.current_thread() is caller) == (where == "caller"):
+            raise FloatingPointError(where)
+        real_b(*args)
+
+    monkeypatch.setattr(mds, "_guttman_b", failing_b)
+    D, wm, uniform_w, starts = _split_problem(12, 3, False)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=where):
+        _smacof_starts(D.d, wm, starts, 300, 1e-6, uniform_w)
+    assert threading.active_count() == before
