@@ -17,7 +17,9 @@ each side it also records the checkout: its commit, whether src/ or
 perfbench/ differ from that commit, and if so a sha256 of the difference,
 so that an uncommitted tree is told apart from its commit. Per side and
 workload, the digests of every dataset of seeds 0 and 1 are gathered in one
-place. The file is written to the root of this checkout.
+place. Each side also runs a fixed-work loop once (`calibrate`), so that
+records taken on other hosts or in other sessions compare as ratios. The
+file is written to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +36,25 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGEST_PREFIX = "coords.csv sha256 dataset seed "
 ENVIRONMENT_PREFIX = "environment "
 RUN_PATHS = ("src", "perfbench")  # what perfbench/run.py runs of a checkout
+# one BLAS thread, as perfbench/run.py sets for its children
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# The fixed-work loop: passes of a size x size matmul plus the eigh of the
+# product, on a fixed symmetric matrix, for at least `seconds`; the fastest
+# pass is the host's speed. Run as `python -c CALIBRATION size seconds`.
+CALIBRATION = """
+import json, sys, time
+import numpy as np
+size, seconds = int(sys.argv[1]), float(sys.argv[2])
+a = np.random.default_rng(0).normal(size=(size, size))
+a = a + a.T
+times = []
+end = time.perf_counter() + seconds
+while not times or time.perf_counter() < end:
+    t0 = time.perf_counter()
+    np.linalg.eigh(a @ a)
+    times.append(time.perf_counter() - t0)
+print(json.dumps({"size": size, "passes": len(times), "best_s": min(times)}))
+"""
 
 
 def parse_output(text: str) -> dict:
@@ -57,6 +79,26 @@ def parse_output(text: str) -> dict:
     if environment is None:
         raise ValueError("no environment line in the benchmark output")
     return {"result": final, "digests": digests, "environment": environment}
+
+
+def parse_calibration(text: str) -> dict:
+    """The record the calibration loop prints; raises ValueError when it is
+    missing or holds no positive time."""
+    lines = text.strip().splitlines()
+    got = json.loads(lines[-1]) if lines else None
+    if not isinstance(got, dict) or not {"size", "passes", "best_s"} <= got.keys():
+        raise ValueError("no calibration record in the output")
+    if not got["best_s"] > 0 or got["passes"] < 1:
+        raise ValueError(f"calibration record without a positive time: {got}")
+    return got
+
+
+def calibrate(size: int = 400, seconds: float = 2.0) -> dict:
+    """Run the calibration loop in a child with one BLAS thread."""
+    done = subprocess.run([sys.executable, "-c", CALIBRATION, str(size), str(seconds)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, **BLAS_ENV})
+    return parse_calibration(done.stdout)
 
 
 def checkout_state(checkout: Path) -> dict:
@@ -112,6 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     checkouts = {side: checkout_state(path) for side, path in sides.items()}
+    calibration = {side: calibrate() for side in sides}
+    print("calibration " + ", ".join(f"{side} {c['best_s']:.4f} s"
+                                     for side, c in calibration.items()), flush=True)
     runs = []
     for workload in [w["name"] for w in spec["workloads"]]:
         # the last round is the traced one, and one more gives the seed-1 digests
@@ -129,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
         "label": args.label, "seconds": seconds, "checkouts": checkouts,
+        "calibration": calibration,
         "digests": collect_digests(runs), "runs": runs,
     }, indent=1) + "\n")
     print(f"wrote {out}")

@@ -16,32 +16,27 @@ from .core import (ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec, Valid
                    euclidean_distances, load_distance_matrix, load_feature_set)
 from .datagen import HolesSpec, gen_holes_dataset, gen_s_curve, voronoi_containment
 from .kernel import KernelConfig, kernel_matrix, kernel_to_distance, unit_descriptors
-from .kmedoids import KmedoidsConfig
-from .mds import MdsConfig
 from .pipeline import ClmdsConfig, clmds_embed
 from .svgplot import render_scatter
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _FORMS = {bool: "a boolean (true/false, yes/no, 1/0)", int: "an integer", float: "a number"}
 
+# a key named like a bool, int or float field of ClmdsConfig or KernelConfig
+# sets that field: class -> {name: (type, default)}
+_TYPED = {cls: {name: (kind, getattr(cls, name))
+                for name, kind in typing.get_type_hints(cls).items() if kind in _FORMS}
+          for cls in (ClmdsConfig, KernelConfig)}
 _DEFAULTS = {
     "input": None,
     "input_kind": "distances",  # distances | features | descriptors
     "hierarchy": "8,1",
-    "n_iso": "1",
-    "iter_med": "100",
-    "mds_n_init": "4",
-    "mds_max_iter": "300",
-    "mds_eps": "1e-6",
     "sparsify": "none",
     "n_sparse": "",
-    "seed": "0",
-    "zeta": "1.0",
-    "eta": "1",
-    "normalize": "false",
     "weighted": "false",
     "output_dir": ".",
     "plot": "false",
+    **{name: str(default) for fields in _TYPED.values() for name, (_, default) in fields.items()},
 }
 
 
@@ -74,13 +69,14 @@ def _parse(cfg: dict, key: str, kind: type = bool, raw: str | None = None):
         raise ValidationError(f"{key}: {raw!r} is not {_FORMS[kind]}") from None
 
 
+def _typed(cfg: dict, cls) -> dict:
+    """The values of cfg's keys named like a typed field of cls, parsed."""
+    return {name: _parse(cfg, name, kind) for name, (kind, _) in _TYPED[cls].items()}
+
+
 def build_run_config(cfg: dict) -> ClmdsConfig:
     hierarchy = HierarchySpec(tuple(_parse(cfg, "hierarchy", int, x)
                                     for x in cfg["hierarchy"].split(",")))
-    km = KmedoidsConfig(k=hierarchy.levels[0], n_iso=_parse(cfg, "n_iso", int),
-                        iter_med=_parse(cfg, "iter_med", int))
-    mds = MdsConfig(n_init=_parse(cfg, "mds_n_init", int),
-                    max_iter=_parse(cfg, "mds_max_iter", int), eps=_parse(cfg, "mds_eps", float))
     sparsify = cfg["sparsify"]
     if sparsify not in ("none", "random", "cur"):
         try:
@@ -90,11 +86,9 @@ def build_run_config(cfg: dict) -> ClmdsConfig:
                                   f"list of point indices, got {sparsify!r}") from None
     n_sparse = _parse(cfg, "n_sparse", int) if cfg["n_sparse"] else None
     weighted = _parse(cfg, "weighted") and cfg["input_kind"] == "descriptors"
-    return ClmdsConfig(
-        hierarchy=hierarchy, kmedoids=km, mds=mds,
-        sparsify=sparsify, n_sparse=n_sparse, seed=_parse(cfg, "seed", int),
-        kernel_eta=_parse(cfg, "eta", int) if weighted else None,
-    )
+    return ClmdsConfig(hierarchy=hierarchy, sparsify=sparsify, n_sparse=n_sparse,
+                       kernel_eta=_parse(cfg, "eta", int) if weighted else None,
+                       **_typed(cfg, ClmdsConfig))
 
 
 class FeatureDistances:
@@ -238,8 +232,7 @@ def cmd_embed(args) -> int:
         raise ValidationError("no input file configured")
     run_cfg = build_run_config(cfg)
     # checked for every input kind, before the input is read
-    kernel = KernelConfig(zeta=_parse(cfg, "zeta", float), eta=_parse(cfg, "eta", int),
-                          normalize=_parse(cfg, "normalize"))
+    kernel = KernelConfig(**_typed(cfg, KernelConfig))
     plot = _parse(cfg, "plot")
 
     kind = cfg["input_kind"]

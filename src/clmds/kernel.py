@@ -38,7 +38,7 @@ def unit_descriptors(fs: FeatureSet, cfg: KernelConfig) -> np.ndarray:
     return q
 
 
-def kernel_matrix(fs: FeatureSet, cfg: KernelConfig | None = None) -> np.ndarray:
+def kernel_matrix(fs: FeatureSet, cfg: KernelConfig = KernelConfig()) -> np.ndarray:
     """Polynomial similarity K_ij = (q_i . q_j)^zeta for unit-norm descriptors.
 
     Negative dot products are clamped to zero before exponentiation so
@@ -47,8 +47,6 @@ def kernel_matrix(fs: FeatureSet, cfg: KernelConfig | None = None) -> np.ndarray
     BLAS product's does), so the kernel of a block of descriptors is that
     block of the full kernel, bit for bit, and K is exactly symmetric.
     """
-    if cfg is None:
-        cfg = KernelConfig()
     q = unit_descriptors(fs, cfg)
     k = np.clip(np.einsum("ik,jk->ij", q, q), 0.0, None) ** cfg.zeta
     np.fill_diagonal(k, 1.0)
@@ -77,14 +75,12 @@ def kernel_to_distance(k: np.ndarray) -> DistanceMatrix:
 
 
 def medoid_weighted_distance(k: np.ndarray, c: Clustering,
-                             cfg: KernelConfig | None = None) -> DistanceMatrix:
+                             cfg: KernelConfig = KernelConfig()) -> DistanceMatrix:
     """Cross-cluster distances inflated by the medoid-pair similarity.
 
     D_ij = sqrt(1 - K_ij * K(m_k, m_s)^eta) for i in cluster k, j in
     cluster s; same-cluster pairs keep the plain kernel distance.
     """
-    if cfg is None:
-        cfg = KernelConfig()
     k = _check_kernel(k)
     if c.n_points != k.shape[0]:
         raise ValidationError("clustering size does not match kernel matrix")

@@ -267,7 +267,7 @@ def _classical_start(d: np.ndarray) -> np.ndarray | None:
 
 
 def mds_embed(D: DistanceMatrix, w=None,
-              cfg: MdsConfig | None = None) -> tuple[np.ndarray, float]:
+              cfg: MdsConfig = MdsConfig()) -> tuple[np.ndarray, float]:
     """Embed D in the plane, keeping the lowest-stress of n_init starts.
 
     The first start is the classical-scaling solution (when defined), the
@@ -275,8 +275,6 @@ def mds_embed(D: DistanceMatrix, w=None,
     stress. One point maps to the origin; two points are placed exactly.
     ``w`` is None for uniform pair weights or an explicit (m, m) matrix.
     """
-    if cfg is None:
-        cfg = MdsConfig()
     m = D.n_points
     wm = _weight_matrix(D, w)
     if m == 1:

@@ -4,7 +4,7 @@ hierarchical merging, sparsification and out-of-sample estimation."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,32 +19,43 @@ from .transforms import choose_best_transform, project
 
 @dataclass(frozen=True)
 class SparseSelection:
+    """A split of the points into the sparse set and its complement."""
+
     sparse: np.ndarray
     complement: np.ndarray
 
     def __post_init__(self):
         sp = np.sort(np.asarray(self.sparse, dtype=int))
         co = np.sort(np.asarray(self.complement, dtype=int))
+        both = np.concatenate([sp, co])
+        if np.any(both < 0):
+            raise ValidationError("sparse selection index is negative")
+        if np.unique(both).size != both.size:
+            raise ValidationError("sparse set and complement have a repeated or shared index")
         object.__setattr__(self, "sparse", sp)
         object.__setattr__(self, "complement", co)
 
 
 @dataclass(frozen=True)
 class ClmdsConfig:
-    """Settings of one cl-MDS run.
+    """Settings of one cl-MDS run, each named as its `clmds embed` key.
 
-    The ``k`` and ``seed`` of ``kmedoids`` and the ``seed`` of ``mds`` are
-    overridden: each level takes ``k`` from the hierarchy, and every
-    k-medoids and MDS call gets its own sub-seed drawn from ``seed``.
-    ``mds.n_init`` sets the starts of the anchor MDS only: a local MDS maps
-    just its own cluster and runs one start, the classical one when defined.
-    With ``kernel_eta`` set, D must be kernel-induced, and each anchor MDS
-    reads its block of ``medoid_weighted_distance`` with that eta.
+    The finest level runs k-medoids with k = ``hierarchy.levels[0]``,
+    ``iter_med`` restarts and ``n_iso`` farthest-point picks; each merge
+    reuses them with its own k, n_iso capped at k. ``mds_n_init`` sets the
+    starts of the anchor MDS only: a local MDS maps just its own cluster and
+    runs one start, the classical one when defined. Every k-medoids and MDS
+    call gets its own sub-seed drawn from ``seed``. With ``kernel_eta`` set,
+    D must be kernel-induced, and each anchor MDS reads its block of
+    ``medoid_weighted_distance`` with that eta.
     """
 
     hierarchy: HierarchySpec
-    kmedoids: KmedoidsConfig | None = None
-    mds: MdsConfig = field(default_factory=MdsConfig)
+    n_iso: int = 1
+    iter_med: int = 100
+    mds_n_init: int = 4
+    mds_max_iter: int = 300
+    mds_eps: float = 1e-6
     sparsify: object = "none"  # "none" | "random" | "cur" | sequence of indices
     n_sparse: int | None = None
     seed: int = 0
@@ -53,14 +64,23 @@ class ClmdsConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
-        if self.kmedoids is None:
-            object.__setattr__(self, "kmedoids", KmedoidsConfig(k=self.hierarchy.levels[0]))
+        self.kmedoids, self.mds  # their constructors check the values
+        if self.kernel_eta is not None:
+            KernelConfig(eta=self.kernel_eta)
         mode = self.sparsify if isinstance(self.sparsify, str) else "list"
         if mode not in ("none", "random", "cur", "list"):
             raise ValidationError(f"unknown sparsify mode {self.sparsify!r}")
         # its upper bound N is known only once the input is read
         if mode in ("random", "cur") and (self.n_sparse is None or self.n_sparse < 1):
             raise ValidationError(f"n_sparse must be at least 1 for {mode}, got {self.n_sparse}")
+
+    @property
+    def kmedoids(self) -> KmedoidsConfig:  # the finest level's; each call sets the seed
+        return KmedoidsConfig(k=self.hierarchy.levels[0], n_iso=self.n_iso, iter_med=self.iter_med)
+
+    @property
+    def mds(self) -> MdsConfig:  # the anchor MDS's; each call sets the seed
+        return MdsConfig(n_init=self.mds_n_init, max_iter=self.mds_max_iter, eps=self.mds_eps)
 
 
 def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
@@ -170,7 +190,7 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
                               "medoid weighting needs kernel-induced distances")
 
     t0 = time.perf_counter()
-    c0 = kmedoids_best(D, replace(cfg.kmedoids, k=levels[0], seed=next(seeds)))
+    c0 = kmedoids_best(D, replace(cfg.kmedoids, seed=next(seeds)))
     irel = relative_incoherence(D, c0)
     timings["kmedoids"] = time.perf_counter() - t0
 
@@ -273,6 +293,9 @@ def estimate_out_of_sample(fs: FeatureSet, sparse_result: ClmdsResult,
     sp, comp_idx = sparse_sel.sparse, sparse_sel.complement
     if sp.size != sparse_result.n_points:
         raise ValidationError("sparse selection does not match the sparse result")
+    if not np.array_equal(np.union1d(sp, comp_idx), np.arange(n)):  # the two are disjoint
+        raise ValidationError(f"sparse set ({sp.size}) and complement ({comp_idx.size}) "
+                              f"must split the {n} feature rows exactly")
     c = sparse_result.clustering
     med_orig = sp[c.medoids]
 

@@ -118,8 +118,7 @@ def test_criterion_3_stitching_exactness():
                          for c in centers])
         D = euclidean_distances(FeatureSet(pts))
         cfg = ClmdsConfig(hierarchy=HierarchySpec((k, 1)),
-                          kmedoids=KmedoidsConfig(k=k, iter_med=5, seed=run),
-                          mds=MdsConfig(n_init=2, seed=run), seed=run)
+                          iter_med=5, mds_n_init=2, seed=run)
         res = clmds_embed(D, cfg)
         for s in res.per_level[1].stitches:
             if s.n_anchors < 3:

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from clmds import (ClmdsConfig, Clustering, FeatureSet, HierarchySpec, KmedoidsConfig,
+from clmds import (ClmdsConfig, Clustering, FeatureSet, HierarchySpec,
                    ValidationError, best_quadruple, candidate_vertices, clmds_embed,
                    euclidean_distances, select_anchors, simplex_volume_sq)
 from clmds import anchors
@@ -184,7 +184,6 @@ def test_anchor_search_pool_is_bounded_when_every_distance_ties(monkeypatch):
         return triple_table(n)
     monkeypatch.setattr(anchors, "_triple_table", recording)
     D = euclidean_distances(FeatureSet(np.eye(300)))
-    cfg = ClmdsConfig(hierarchy=HierarchySpec((3, 1)),
-                      kmedoids=KmedoidsConfig(k=3, iter_med=2))
+    cfg = ClmdsConfig(hierarchy=HierarchySpec((3, 1)), iter_med=2)
     clmds_embed(D, cfg)
     assert sizes and max(sizes) <= anchors.MAX_POOL

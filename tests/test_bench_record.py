@@ -90,3 +90,12 @@ def test_checkout_state_tells_an_uncommitted_tree_from_its_commit(tmp_path):
     (tmp_path / "src" / "b.py").write_text("y = 1\n")
     added = record.checkout_state(tmp_path)
     assert added["dirty"] and added["diff_sha256"] != edited["diff_sha256"]
+
+
+def test_calibration_loop_runs_and_parses_on_a_tiny_size():
+    got = record.calibrate(size=8, seconds=0.05)
+    assert got["size"] == 8 and got["passes"] >= 1 and got["best_s"] > 0
+    json.dumps(got)
+    for text in ("", "not json", json.dumps({"size": 8, "passes": 0, "best_s": 0.0})):
+        with pytest.raises(ValueError):
+            record.parse_calibration(text)

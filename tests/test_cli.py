@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import clmds
-from clmds import (ClmdsConfig, HierarchySpec, KernelConfig, KmedoidsConfig, Stitch,
+from clmds import (ClmdsConfig, HierarchySpec, KernelConfig, Stitch,
                    ValidationError, clmds_embed, euclidean_distances, kernel_matrix,
                    kernel_to_distance, load_feature_set, voronoi_containment)
 from clmds.cli import (build_run_config, load_result, main, parse_config,
@@ -69,6 +69,45 @@ def test_config_unknown_key_rejected(tmp_path):
             parse_config(None, [item])
     with pytest.raises(ValidationError, match="^--set: expected key = value, got 'seed'$"):
         parse_config(None, ["seed"])
+
+
+def test_the_keys_and_their_defaults():
+    cfg = parse_config(None, [])
+    assert sorted(cfg) == sorted([
+        "input", "input_kind", "hierarchy", "n_iso", "iter_med", "mds_n_init", "mds_max_iter",
+        "mds_eps", "sparsify", "n_sparse", "seed", "zeta", "eta", "normalize", "weighted",
+        "output_dir", "plot"])
+    assert (cfg["input"], cfg["input_kind"], cfg["hierarchy"], cfg["sparsify"], cfg["n_sparse"],
+            cfg["weighted"], cfg["output_dir"], cfg["plot"]) == (
+        None, "distances", "8,1", "none", "", "false", ".", "false")
+    # the numeric and boolean defaults are the config fields' own
+    assert build_run_config(cfg) == ClmdsConfig(hierarchy=HierarchySpec((8, 1)))
+    assert build_run_config(parse_config(None, ["hierarchy=12,1"])) == ClmdsConfig(
+        hierarchy=HierarchySpec((12, 1)))
+    run_cfg = build_run_config(cfg)
+    assert (run_cfg.n_iso, run_cfg.iter_med, run_cfg.mds_n_init, run_cfg.mds_max_iter,
+            run_cfg.mds_eps, run_cfg.seed) == (1, 100, 4, 300, 1e-6, 0)
+
+
+def test_the_default_kernel_is_the_kernel_config_default(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(2)
+    raw = rng.normal(size=(12, 3))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    inp = tmp_path / "desc.csv"
+    inp.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in raw) + "\n")
+    kernels = []
+    real = clmds.cli.FeatureDistances
+
+    def recording(features, kernel=None):
+        kernels.append(kernel)
+        return real(features, kernel)
+
+    monkeypatch.setattr(clmds.cli, "FeatureDistances", recording)
+    code, _, err = run(["embed", "--set", f"input={inp}", "--set", "input_kind=descriptors",
+                        "--set", "hierarchy=2,1", "--set", "iter_med=3",
+                        "--output-dir", tmp_path / "out"], capsys)
+    assert code == 0, err
+    assert kernels == [KernelConfig()]
 
 
 def test_embed_writes_artifacts(tmp_path, capsys):
@@ -132,8 +171,7 @@ def test_artifacts_load_back_to_the_result(tmp_path):
     D = euclidean_distances(fs)
 
     def cfg(**kw):
-        return ClmdsConfig(hierarchy=HierarchySpec((4, 2, 1)),
-                           kmedoids=KmedoidsConfig(k=4, iter_med=5), **kw)
+        return ClmdsConfig(hierarchy=HierarchySpec((4, 2, 1)), iter_med=5, **kw)
 
     runs = {
         "full": clmds_embed(D, cfg(), features=fs),

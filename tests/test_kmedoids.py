@@ -49,9 +49,9 @@ def recorded_initial_medoids(monkeypatch, D, cfg):
     seen = []
     real_once = kmedoids_mod.kmedoids_once
 
-    def recording_once(D, starts, max_swaps=1000):
+    def recording_once(D, starts):
         seen.extend(np.array(starts))
-        return real_once(D, starts, max_swaps)
+        return real_once(D, starts)
 
     monkeypatch.setattr(kmedoids_mod, "kmedoids_once", recording_once)
     kmedoids_best(D, cfg)
@@ -217,7 +217,7 @@ def reference_kmedoids_once(d, initial_medoids, max_swaps=1000):
 
 
 @pytest.mark.parametrize("duplicated", [False, True])
-def test_incremental_updates_match_full_updates(duplicated):
+def test_incremental_updates_match_full_updates(monkeypatch, duplicated):
     # Stacks of 1-8 starts run in lockstep; every row must end bitwise where
     # the full-update loop ends from it alone, whatever iteration it stops at.
     rng = np.random.default_rng(31)
@@ -232,7 +232,8 @@ def test_incremental_updates_match_full_updates(duplicated):
         starts = np.array([rng.choice(n, size=k, replace=False)
                            for _ in range(int(rng.integers(1, 9)))])
         max_swaps = 1000 if trial % 4 else int(rng.integers(1, 4))
-        got = kmedoids_once(D, starts, max_swaps)
+        monkeypatch.setattr(kmedoids_mod, "_MAX_SWAPS", max_swaps)
+        got = kmedoids_once(D, starts)
         assert len(got) == len(starts)
         iterations = set()
         for c, init in zip(got, starts):
@@ -356,9 +357,9 @@ def test_kmedoids_best_calls_kmedoids_once_once_on_the_main_thread(monkeypatch):
     calls = []
     real_once = kmedoids_mod.kmedoids_once
 
-    def recording_once(D, starts, max_swaps=1000):
+    def recording_once(D, starts):
         calls.append(threading.current_thread() is threading.main_thread())
-        return real_once(D, starts, max_swaps)
+        return real_once(D, starts)
 
     monkeypatch.setattr(kmedoids_mod, "kmedoids_once", recording_once)
     rng = np.random.default_rng(9)

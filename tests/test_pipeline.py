@@ -103,14 +103,13 @@ def test_hierarchy_merge_caps_n_iso_at_the_target():
     capped = hierarchy_merge(c6, D, 3, replace(km, n_iso=3), seed=4)
     assert np.array_equal(c3.assignment, capped.assignment)
     assert np.array_equal(c3.medoids, capped.medoids)
-    res = clmds_embed(D, ClmdsConfig(hierarchy=HierarchySpec((6, 3, 1)), kmedoids=km))
+    res = clmds_embed(D, ClmdsConfig(hierarchy=HierarchySpec((6, 3, 1)), n_iso=5, iter_med=20))
     assert [lv.clustering.n_clusters for lv in res.per_level] == [6, 3, 1]
 
 
 def base_config(levels=(3, 1), **kw):
-    return ClmdsConfig(hierarchy=HierarchySpec(levels),
-                       kmedoids=KmedoidsConfig(k=levels[0], iter_med=20, seed=0),
-                       mds=MdsConfig(n_init=2, max_iter=200, seed=0), **kw)
+    return ClmdsConfig(hierarchy=HierarchySpec(levels), iter_med=20, mds_n_init=2,
+                       mds_max_iter=200, **kw)
 
 
 def test_three_blobs_full_pipeline():
@@ -294,9 +293,8 @@ def degenerate_problems(draw):
 @given(degenerate_problems())
 def test_degenerate_inputs_embed_finite_or_raise_validation_error(problem):
     D, levels = problem
-    cfg = ClmdsConfig(hierarchy=HierarchySpec(levels), seed=3,
-                      kmedoids=KmedoidsConfig(k=levels[0], iter_med=5),
-                      mds=MdsConfig(n_init=2, max_iter=100))
+    cfg = ClmdsConfig(hierarchy=HierarchySpec(levels), seed=3, iter_med=5, mds_n_init=2,
+                      mds_max_iter=100)
     try:
         res = clmds_embed(D, cfg)
     except ValidationError:
@@ -332,9 +330,8 @@ def test_tiny_clusters_embed_finite_or_raise_validation_error(seed):
     x, k = blobs_with_tiny_ones(seed)
     D = euclidean_distances(FeatureSet(x))
     for levels in ((k, 1), (k, -(-k // 2), 1)):
-        cfg = ClmdsConfig(hierarchy=HierarchySpec(levels), seed=3,
-                          kmedoids=KmedoidsConfig(k=k, iter_med=5),
-                          mds=MdsConfig(n_init=2, max_iter=100))
+        cfg = ClmdsConfig(hierarchy=HierarchySpec(levels), seed=3, iter_med=5, mds_n_init=2,
+                          mds_max_iter=100)
         try:
             res = clmds_embed(D, cfg)
         except ValidationError:
@@ -371,8 +368,7 @@ def same_partition(a, b):
 def rigid_motion_embeddings(seed, levels):
     k, x, y = rigidly_moved_blobs(seed)
     levels = (k, *levels)
-    cfg = ClmdsConfig(hierarchy=HierarchySpec(levels), seed=seed,
-                      kmedoids=KmedoidsConfig(k=k, iter_med=10), mds=MdsConfig(n_init=2))
+    cfg = ClmdsConfig(hierarchy=HierarchySpec(levels), seed=seed, iter_med=10, mds_n_init=2)
     return [clmds_embed(euclidean_distances(FeatureSet(p)), cfg) for p in (x, y)]
 
 
@@ -559,6 +555,80 @@ def test_calls_take_sub_seeds_in_spawn_order(monkeypatch, levels):
     assert [c[1] for c in calls] == spawned
     assert [c[2] for c in calls if c[0] == "local"] == [1] * levels[0]
     assert [c[2] for c in calls if c[0] == "anchor"] == [cfg.mds.n_init] * sum(levels[1:])
+
+
+def test_every_setting_reaches_the_calls_it_configures(monkeypatch):
+    # no idle setting: each non-default value shows in the configs that
+    # k-medoids, the merges and every MDS call receive
+    _, D = six_blob_problem()
+    cfg = ClmdsConfig(hierarchy=HierarchySpec((6, 3, 1)), n_iso=2, iter_med=7, mds_n_init=3,
+                      mds_max_iter=150, mds_eps=1e-5, seed=5)
+    km_cfgs, merge_cfgs, mds_cfgs = [], [], []
+    real_km, real_mds, real_merge = (pipeline.kmedoids_best, pipeline.mds_embed,
+                                     pipeline.hierarchy_merge)
+
+    def km(D, km_cfg):
+        km_cfgs.append(km_cfg)
+        return real_km(D, km_cfg)
+
+    def embed(D, w=None, cfg=None):
+        mds_cfgs.append(("local" if w is None else "anchor", cfg))
+        return real_mds(D, w, cfg)
+
+    def merge(previous, D, target, km_cfg=None, seed=0):
+        merge_cfgs.append(km_cfg)
+        return real_merge(previous, D, target, km_cfg, seed)
+
+    monkeypatch.setattr(pipeline, "kmedoids_best", km)
+    monkeypatch.setattr(pipeline, "mds_embed", embed)
+    monkeypatch.setattr(pipeline, "hierarchy_merge", merge)
+    clmds_embed(D, cfg)
+
+    # the finest level, then the merge to 3 (the merge to 1 draws nothing)
+    assert [(c.k, c.n_iso, c.iter_med) for c in km_cfgs] == [(6, 2, 7), (3, 2, 7)]
+    assert [(c.k, c.n_iso, c.iter_med) for c in merge_cfgs] == [(6, 2, 7)] * 2
+    assert [(kind, c.n_init, c.max_iter, c.eps) for kind, c in mds_cfgs] == (
+        [("local", 1, 150, 1e-5)] * 6 + [("anchor", 3, 150, 1e-5)] * 4)
+
+
+def test_sub_configs_are_derived_not_passed():
+    cfg = ClmdsConfig(hierarchy=HierarchySpec((6, 2, 1)), n_iso=3, iter_med=9, mds_n_init=2,
+                      mds_max_iter=50, mds_eps=1e-4)
+    assert cfg.kmedoids == KmedoidsConfig(k=6, n_iso=3, iter_med=9)
+    assert cfg.mds == MdsConfig(n_init=2, max_iter=50, eps=1e-4)
+    for kw in ({"kmedoids": KmedoidsConfig(k=6)}, {"mds": MdsConfig()}):
+        with pytest.raises(TypeError):
+            ClmdsConfig(hierarchy=HierarchySpec((6, 1)), **kw)
+    # the sub-configs' own checks run at construction
+    for kw in ({"n_iso": 7}, {"iter_med": 0}, {"mds_n_init": 0}, {"mds_max_iter": 0},
+               {"mds_eps": 1.0}):
+        with pytest.raises(ValidationError):
+            ClmdsConfig(hierarchy=HierarchySpec((6, 1)), **kw)
+
+
+@pytest.mark.parametrize("eta", [0, -2, 1.5])
+def test_a_bad_kernel_eta_is_rejected_at_construction(eta):
+    with pytest.raises(ValidationError, match="eta must be a positive integer"):
+        ClmdsConfig(hierarchy=HierarchySpec((3, 1)), kernel_eta=eta)
+
+
+def test_sparse_selection_rejects_negative_repeated_and_shared_indices():
+    for sparse, complement in ((np.arange(20), np.arange(-5, 0)), ([0, 0, 1], [2]),
+                               (np.arange(20), np.arange(10, 40))):
+        with pytest.raises(ValidationError):
+            SparseSelection(np.array(sparse), np.array(complement))
+
+
+@pytest.mark.parametrize("complement", [np.arange(20, 45), np.arange(25, 40)],
+                         ids=["beyond-the-rows", "rows-left-out"])
+def test_estimation_needs_the_selection_to_split_every_row(complement):
+    fs, _ = three_blob_problem(seed=12)
+    fs = FeatureSet(np.vstack([fs.vectors, fs.vectors[:4]]))  # 40 rows
+    sparse = clmds_embed(euclidean_distances(FeatureSet(fs.vectors[:20])), base_config())
+    assert estimate_out_of_sample(
+        fs, sparse, SparseSelection(np.arange(20), np.arange(20, 40))).n_points == 40
+    with pytest.raises(ValidationError, match="split the 40 feature rows"):
+        estimate_out_of_sample(fs, sparse, SparseSelection(np.arange(20), complement))
 
 
 @pytest.mark.parametrize("levels", [(6, 1), (6, 3, 1)])
