@@ -2,7 +2,10 @@
 
 Initialization mixes farthest point sampling (to seed the most isolated
 points) with uniform random picks, and the best of several restarts is
-kept according to the relative intra-cluster incoherence.
+kept according to the relative intra-cluster incoherence. Every
+clustering is returned in one canonical labelling, medoids in increasing
+index order, so restarts that reach one partition tie exactly and the
+earliest wins.
 
 The restarts run in lockstep: one `kmedoids_once` call takes every
 restart's initial medoids as one (R, k) stack. Each iteration updates the
@@ -119,10 +122,10 @@ def kmedoids_once(D: DistanceMatrix, starts) -> list[Clustering]:
     from every row of starts, an (R, k) array of initial medoids.
 
     Returns one Clustering per row, each exactly what that row gives run
-    alone. The rows run in lockstep (`_lockstep`). From k n =
-    _THREAD_MIN_ELEMENTS on, the rows split into one contiguous group per
-    usable core, each group in lockstep on its own thread with an equal
-    share of the gather budget.
+    alone, relabelled by `_canonical`. The rows run in lockstep
+    (`_lockstep`). From k n = _THREAD_MIN_ELEMENTS on, the rows split into
+    one contiguous group per usable core, each group in lockstep on its own
+    thread with an equal share of the gather budget.
     """
     d = D.d
     medoids = np.array(starts, dtype=int)
@@ -136,7 +139,14 @@ def kmedoids_once(D: DistanceMatrix, starts) -> list[Clustering]:
     g = _thread_groups(medoids.shape[0]) if big else 1
     runs = _run_parts([partial(_lockstep, d, rows, _GATHER_ELEMENTS // g)
                        for rows in np.array_split(medoids, g)])
-    return [c for run in runs for c in run]
+    return [_canonical(c) for run in runs for c in run]
+
+
+def _canonical(c: Clustering) -> Clustering:
+    """c with its medoids in increasing index order and its labels
+    renumbered to match, so that one partition has one labelling."""
+    order = np.argsort(c.medoids)
+    return Clustering(np.argsort(order)[c.assignment], c.medoids[order])
 
 
 def _lockstep(d: np.ndarray, medoids: np.ndarray, budget: int) -> list[Clustering]:
@@ -199,7 +209,9 @@ def relative_incoherence(D: DistanceMatrix, c: Clustering) -> float:
 def kmedoids_best(D: DistanceMatrix, cfg: KmedoidsConfig) -> Clustering:
     """Best clustering over iter_med restarts, by minimal incoherence.
 
-    Ties between restarts go to the earliest one.
+    Ties between restarts go to the earliest one. Restarts that reach one
+    partition carry one labelling, so they tie bitwise whatever the order
+    of their initial medoids.
     """
     n = D.n_points
     if cfg.k > n:

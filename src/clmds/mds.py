@@ -7,17 +7,21 @@ call. The per-cluster MDS is unweighted; only the anchor MDS passes a
 weight matrix (relative stress). Both paths take their stress from the
 same precomputed sums, and run the starts of a call in one stacked loop,
 into buffers allocated once per call; each start gets exactly the result
-it would get alone. The stack stays: one start at a time gives the same
-bits but is slower (2 cores, 1 BLAS thread, best of 3): 0.29 s against
-0.15 s on the nine anchor MDS calls (4-40 points) of a sparse-kernel-6000
-dataset, and 1.51 s against 1.35 s on the 399-point s-curve one.
+it would get alone. The stack stays: with 4 starts, one start at a time
+gives the same bits but is slower (2 cores, 1 BLAS thread, best of 3):
+0.29 s against 0.15 s on the nine anchor MDS calls (4-40 points) of a
+sparse-kernel-6000 dataset, and 1.51 s against 1.35 s on the 399-point
+s-curve one.
 
 From _THREAD_MIN_POINTS points on, a call with several starts deals them
 to one stack per usable core, each on its own thread, sharing the fixed
-matrices; the output does not depend on the number of cores. The 399-point
-s-curve call then takes 0.86-0.89 s on 2 cores. With 4 of its starts on
-its first m points, two threads against one took 38 against 30 ms at
-m=80, broke even at m=128-160 and took 284 against 445 ms at m=250.
+matrices; the output does not depend on the number of cores. The pipeline's
+anchor MDS runs one start by default, so the split serves plain MDS and an
+anchor MDS with mds_n_init >= 2. With 4 starts the 399-point s-curve call
+takes 0.62 s on 2 cores against 1.04 s on one, and 0.21 s with its one
+default start. With 4 of its starts on its first m points, two threads
+against one took 38 against 30 ms at m=80, broke even at m=128-160 and
+took 284 against 445 ms at m=250.
 """
 
 from __future__ import annotations

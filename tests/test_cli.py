@@ -86,7 +86,7 @@ def test_the_keys_and_their_defaults():
         hierarchy=HierarchySpec((12, 1)))
     run_cfg = build_run_config(cfg)
     assert (run_cfg.n_iso, run_cfg.iter_med, run_cfg.mds_n_init, run_cfg.mds_max_iter,
-            run_cfg.mds_eps, run_cfg.seed) == (1, 100, 4, 300, 1e-6, 0)
+            run_cfg.mds_eps, run_cfg.seed) == (1, 100, 1, 300, 1e-6, 0)
 
 
 def test_the_default_kernel_is_the_kernel_config_default(tmp_path, capsys, monkeypatch):
@@ -469,7 +469,8 @@ def test_benchmark_hooks_run_on_the_main_thread_when_work_splits(tmp_path, capsy
                                                                    monkeypatch):
     # perfbench's tracer keeps one span stack, so no function it wraps may
     # run on a worker thread. Both splits are forced here, and both must
-    # still run some of their work off the main thread.
+    # still run some of their work off the main thread; the SMACOF split
+    # needs two anchor starts, above the default of one.
     spec = importlib.util.spec_from_file_location("perfbench_child", BENCH.parent / "child.py")
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
@@ -491,7 +492,7 @@ def test_benchmark_hooks_run_on_the_main_thread_when_work_splits(tmp_path, capsy
                                ("split.kmedoids", clmds.kmedoids, "_assign")):
         monkeypatch.setattr(module, attr, recording(name, getattr(module, attr)))
     inp, _ = write_features(tmp_path)
-    code, _, err = run(embed_args(inp, tmp_path / "out"), capsys)
+    code, _, err = run(embed_args(inp, tmp_path / "out", ["--set", "mds_n_init=2"]), capsys)
     assert code == 0, err
     fired = {name for name, _ in calls}
     assert {"kmedoids.once", "mds.embed", "cli.write"} <= fired

@@ -179,6 +179,30 @@ def test_custom_initial_medoids_override():
     assert np.array_equal(c.assignment, [0, 0, 1, 1])
 
 
+def test_one_partition_has_one_labelling():
+    rng = np.random.default_rng(5)
+    ties = 0
+    for _ in range(10):
+        n, k = int(rng.integers(30, 80)), int(rng.integers(2, 8))
+        D = euclidean_distances(FeatureSet(rng.normal(size=(n, 2))))
+        s = rng.choice(n, size=k, replace=False)
+        got = kmedoids_once(D, [s, s[::-1], np.roll(s, 1)])
+        for c in got:
+            assert np.all(np.diff(c.medoids) > 0)
+            assert np.array_equal(c.assignment[c.medoids], np.arange(k))
+            assert np.array_equal(c.assignment, got[0].assignment)
+            assert np.array_equal(c.medoids, got[0].medoids)
+        # restarts from other medoids that reach one partition tie bitwise
+        restarts = kmedoids_once(D, [rng.choice(n, size=k, replace=False) for _ in range(20)])
+        by_set = {}
+        for c in restarts:
+            by_set.setdefault(np.sort(c.medoids).tobytes(), []).append(relative_incoherence(D, c))
+        for irels in by_set.values():
+            assert len(set(irels)) == 1
+            ties += len(irels) > 1
+    assert ties >= 5
+
+
 def reference_kmedoids_once(d, initial_medoids, max_swaps=1000):
     """The loop before incremental updates: every medoid recomputed on every
     iteration, assignment by a column gather, empty clusters reseeded.
@@ -238,8 +262,9 @@ def test_incremental_updates_match_full_updates(monkeypatch, duplicated):
         iterations = set()
         for c, init in zip(got, starts):
             ref_assignment, ref_medoids, it = reference_kmedoids_once(D.d, init, max_swaps)
-            assert np.array_equal(c.assignment, ref_assignment)
-            assert np.array_equal(c.medoids, ref_medoids)
+            ref = kmedoids_mod._canonical(Clustering(ref_assignment, ref_medoids))
+            assert np.array_equal(c.assignment, ref.assignment)
+            assert np.array_equal(c.medoids, ref.medoids)
             iterations.add(it)
         stop_spread += len(iterations) > 1
     assert stop_spread >= 10  # rows of one stack leave it at different iterations
