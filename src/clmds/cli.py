@@ -13,9 +13,11 @@ import typing
 import numpy as np
 
 from .core import (ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec, ValidationError,
-                   euclidean_distances, load_distance_matrix, load_feature_set)
+                   euclidean_distances, load_distance_matrix, load_feature_set,
+                   pairwise_distances)
 from .datagen import HolesSpec, gen_holes_dataset, gen_s_curve, voronoi_containment
-from .kernel import KernelConfig, kernel_matrix, kernel_to_distance, unit_descriptors
+from .kernel import (KernelConfig, kernel_distance_block, kernel_matrix, kernel_to_distance,
+                     unit_descriptors)
 from .pipeline import ClmdsConfig, clmds_embed
 from .svgplot import render_scatter
 
@@ -113,6 +115,13 @@ class FeatureDistances:
         if self.kernel is None:
             return euclidean_distances(fs)
         return kernel_to_distance(kernel_matrix(fs, self.kernel))
+
+    def block(self, rows, cols) -> np.ndarray:
+        """The distances from the points rows to the points cols, built for
+        those pairs only: bit for bit ``submatrix(all).d[np.ix_(rows, cols)]``."""
+        if self.kernel is None:
+            return pairwise_distances(self.features.vectors[rows], self.features.vectors[cols])
+        return kernel_distance_block(self.features, rows, cols, self.kernel)
 
 
 def _fmt(x: float) -> str:

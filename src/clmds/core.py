@@ -43,12 +43,13 @@ class DistanceMatrix:
     d: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.d)
+        d = np.ascontiguousarray(self.d)  # k-medoids gathers from d.ravel()
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValidationError("distance matrix must be square")
         # k-medoids reads rows for columns, which is exact only on an exactly
         # symmetric matrix
-        if not np.array_equal(d, d.T):
+        if not all(np.array_equal(d[s, s.start:], d[s.start:, s].T)
+                   for s in _row_blocks(*d.shape)):
             raise ValidationError("distance matrix is not exactly symmetric; "
                                   "build it with validate_distance_matrix")
         object.__setattr__(self, "d", d)
@@ -56,6 +57,10 @@ class DistanceMatrix:
     @property
     def n_points(self) -> int:
         return self.d.shape[0]
+
+    def block(self, rows, cols) -> np.ndarray:
+        """The distances from the points rows to the points cols."""
+        return self.d[np.ix_(rows, cols)]
 
     def submatrix(self, idx) -> DistanceMatrix:
         """The distances among the points idx, in that order; self when idx
@@ -71,26 +76,53 @@ def validate_distance_matrix(raw) -> DistanceMatrix:
 
     Small asymmetries (below 1e-9) are repaired by averaging; anything
     larger is an error, as are negative, non-finite or non-zero-diagonal
-    entries.
+    entries. The result is a read-only copy of raw, the only one made.
     """
-    d = np.asarray(raw, dtype=float)
+    return _validated(np.array(raw, dtype=float, order="C"))
+
+
+def _validated(d: np.ndarray) -> DistanceMatrix:
+    """`validate_distance_matrix` of d, repaired in place: d must be owned by
+    the caller, who gives it up."""
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValidationError("distance matrix must be square")
-    if not np.all(np.isfinite(d)):
+    if not all(np.all(np.isfinite(d[s])) for s in _row_blocks(*d.shape)):
         raise ValidationError("distance matrix contains non-finite entries")
-    asym = np.max(np.abs(d - d.T)) if d.size else 0.0
+    asym = _asymmetry(d)
     if asym > SYMMETRY_TOL:
         raise ValidationError(f"distance matrix asymmetry {asym:g} exceeds {SYMMETRY_TOL:g}")
     if asym > 0.0:
-        d = 0.5 * (d + d.T)
-    if np.any(d < 0):
+        for s in _row_blocks(*d.shape):  # x + y = y + x: both halves get one mean
+            mean = 0.5 * (d[s, s.start:] + d[s.start:, s].T)
+            d[s, s.start:] = mean
+            d[s.start:, s] = mean.T
+    if any(np.any(d[s] < 0) for s in _row_blocks(*d.shape)):
         raise ValidationError("distance matrix has negative entries")
     if np.max(np.abs(np.diag(d)), initial=0.0) > DIAGONAL_TOL:
         raise ValidationError("distance matrix diagonal is not zero")
-    d = d.copy()
     np.fill_diagonal(d, 0.0)
     d.flags.writeable = False
     return DistanceMatrix(d)
+
+
+# the most entries one row block holds: checks and scratch of an n x n
+# matrix go a block at a time, 1 MiB of float64, however large n is (at
+# n = 3000, 2^16 to 2^18 entries per block build and check equally fast)
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive row slices of an n_rows x n_cols array, each of at most
+    _BLOCK_ENTRIES entries (one row at least), together all of its rows."""
+    step = max(1, _BLOCK_ENTRIES // max(1, n_cols))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _asymmetry(a: np.ndarray) -> float:
+    """max |a - a.T| of a square array a (NaN if any entry is NaN), read
+    one row block of the upper triangle at a time: |x - y| = |y - x|."""
+    return np.max([np.max(np.abs(a[s, s.start:] - a[s.start:, s].T))
+                   for s in _row_blocks(*a.shape)], initial=0.0)
 
 
 # From this many entries a table of differences is cheaper as a matmul than as
@@ -124,8 +156,10 @@ def pairwise_distances(a, b, out=None, work=None) -> np.ndarray:
     rooted, as a plain loop over the pairs would; the tests check that the
     values equal ``cdist``'s bit for bit. With a is b the result is exactly
     symmetric with a zero diagonal, as (x - y)^2 and (y - x)^2 are the same
-    number. ``out`` receives the result when given; ``work``, scratch of the
-    result's shape, is used when n > 1.
+    number. ``out`` receives the result when given. ``work``, scratch of
+    the result's shape, is used when n > 1; without it the rows go one
+    block of at most _BLOCK_ENTRIES results at a time, through scratch of
+    one block.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -134,10 +168,19 @@ def pairwise_distances(a, b, out=None, work=None) -> np.ndarray:
     if out is None:
         out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
                        + (a.shape[-2], b.shape[-2]))
+    if work is not None:
+        return _distances_into(a, b, out, work)
+    for s in _row_blocks(out.shape[-2], out[..., :1, :].size):
+        rows = out[..., s, :]
+        if work is None:  # the first block is the largest
+            work = np.empty(rows.shape)
+        _distances_into(a[..., s, :], b, rows, work[..., :rows.shape[-2], :])
+    return out
+
+
+def _distances_into(a, b, out, work) -> np.ndarray:
     _squared_differences(a[..., 0], b[..., 0], out)
     for k in range(1, a.shape[-1]):
-        if work is None:
-            work = np.empty_like(out)
         _squared_differences(a[..., k], b[..., k], work)
         np.add(out, work, out=out)
     return np.sqrt(out, out=out)

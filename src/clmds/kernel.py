@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clustering, DistanceMatrix, FeatureSet, ValidationError, validate_distance_matrix
+from .core import (Clustering, DistanceMatrix, FeatureSet, ValidationError, _asymmetry,
+                   _row_blocks, _validated)
 
 _UNIT_NORM_TOL = 1e-6
 
@@ -48,30 +49,64 @@ def kernel_matrix(fs: FeatureSet, cfg: KernelConfig = KernelConfig()) -> np.ndar
     block of the full kernel, bit for bit, and K is exactly symmetric.
     """
     q = unit_descriptors(fs, cfg)
-    k = np.clip(np.einsum("ik,jk->ij", q, q), 0.0, None) ** cfg.zeta
+    k = _similarities(q, q, cfg.zeta)
     np.fill_diagonal(k, 1.0)
     return k
+
+
+def _similarities(p: np.ndarray, q: np.ndarray, zeta: float) -> np.ndarray:
+    """(p_i . q_j)^zeta, dot products clamped to zero first, in one array."""
+    k = np.einsum("ik,jk->ij", p, q)
+    np.clip(k, 0.0, None, out=k)
+    k **= zeta  # in place, through the same power as k ** zeta
+    return k
+
+
+def _induced_distance(k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sqrt(max(1 - k, 0)) entry by entry; out may be k."""
+    np.subtract(1.0, k, out=out)
+    np.clip(out, 0.0, None, out=out)
+    return np.sqrt(out, out=out)
 
 
 def _check_kernel(k: np.ndarray):
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValidationError("kernel matrix must be square")
-    if np.max(np.abs(k - k.T)) > 1e-9:
+    if _asymmetry(k) > 1e-9:
         raise ValidationError("kernel matrix must be symmetric")
     if np.max(np.abs(np.diag(k) - 1.0)) > 1e-12:
         raise ValidationError("kernel matrix must have unit diagonal")
-    if np.min(k) < -1e-12 or np.max(k) > 1.0 + 1e-12:
+    blocks = _row_blocks(*k.shape)
+    if (np.min([np.min(k[s]) for s in blocks]) < -1e-12
+            or np.max([np.max(k[s]) for s in blocks]) > 1.0 + 1e-12):
         raise ValidationError("kernel entries must lie in [0, 1]")
     return k
 
 
 def kernel_to_distance(k: np.ndarray) -> DistanceMatrix:
-    """Induced distance D_ij = sqrt(1 - K_ij); 1 - D^2 gives K back up to rounding."""
+    """Induced distance D_ij = sqrt(1 - K_ij); 1 - D^2 gives K back up to rounding.
+
+    k is read only; the result is the one new n x n array.
+    """
     k = _check_kernel(k)
-    d = np.sqrt(np.clip(1.0 - k, 0.0, None))
+    d = _induced_distance(k, np.empty(k.shape))
     np.fill_diagonal(d, 0.0)
-    return validate_distance_matrix(d)
+    return _validated(d)
+
+
+def kernel_distance_block(fs: FeatureSet, rows, cols,
+                          cfg: KernelConfig = KernelConfig()) -> np.ndarray:
+    """The kernel-induced distances from the points rows of fs to the points
+    cols, built for those pairs only: bit for bit
+    ``kernel_to_distance(kernel_matrix(fs, cfg)).d[np.ix_(rows, cols)]``, as
+    unit rows, dot products and the entries of one point with itself (K 1,
+    D 0) are all the same."""
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    q = unit_descriptors(fs, cfg)
+    k = _similarities(q[rows], q[cols], cfg.zeta)
+    k[rows[:, None] == cols] = 1.0
+    return _induced_distance(k, out=k)
 
 
 def medoid_weighted_distance(k: np.ndarray, c: Clustering,
@@ -89,4 +124,4 @@ def medoid_weighted_distance(k: np.ndarray, c: Clustering,
     km = med_sim[c.assignment[:, None], c.assignment[None, :]]
     d = np.sqrt(np.clip(1.0 - k * km, 0.0, None))
     np.fill_diagonal(d, 0.0)
-    return validate_distance_matrix(d)
+    return _validated(d)

@@ -36,8 +36,9 @@ import numpy as np
 from .core import Clustering, DistanceMatrix, ValidationError, _run_parts, _thread_groups
 
 # the most distances the lockstep medoid gathers of one call hold at once
-# (32 MiB of float64), unless a single cluster's L x L block is larger
-_GATHER_ELEMENTS = 1 << 22
+# (32 MiB with their int64 flat indices), unless a single cluster's L x L
+# block is larger
+_GATHER_ELEMENTS = 1 << 21
 # the fewest distances per assignment (k n) at which a call's rows split
 # across threads: below it the stages are too short to overlap
 _THREAD_MIN_ELEMENTS = 1 << 17
@@ -84,15 +85,20 @@ def medoid(d: np.ndarray, members: np.ndarray) -> np.ndarray:
     bitwise what each row gives alone.
     """
     members = np.asarray(members)
-    sums = d[members[..., :, None], members[..., None, :]].sum(axis=-1)
+    # one gather by flat index: the same block as d[members[..., :, None],
+    # members[..., None, :]], taken faster
+    sums = d.ravel().take(members[..., :, None] * d.shape[1] + members[..., None, :]).sum(axis=-1)
     return np.take_along_axis(members, np.argmin(sums, axis=-1)[..., None], axis=-1)[..., 0]
 
 
-def _assign(d: np.ndarray, medoids: np.ndarray) -> np.ndarray:
-    # rows d[medoids] stand for the columns d[:, medoids]: DistanceMatrix
-    # admits only exactly symmetric arrays, and a contiguous row gather is
-    # the cheaper one
-    a = np.argmin(d[medoids], axis=0)
+def _assign(rows: np.ndarray, medoids: np.ndarray) -> np.ndarray:
+    """Each point's cluster, given rows = d[medoids].
+
+    The rows stand for the columns d[:, medoids]: DistanceMatrix admits
+    only exactly symmetric arrays, and a contiguous row gather is the
+    cheaper one.
+    """
+    a = np.argmin(rows, axis=0)
     # argmin breaks ties by lowest cluster index; a medoid always stays in
     # its own cluster, so with distinct medoids no cluster is ever empty
     a[medoids] = np.arange(medoids.shape[0])
@@ -122,7 +128,8 @@ def kmedoids_once(D: DistanceMatrix, starts) -> list[Clustering]:
     from every row of starts, an (R, k) array of initial medoids.
 
     Returns one Clustering per row, each exactly what that row gives run
-    alone, relabelled by `_canonical`. The rows run in lockstep
+    alone with its medoids sorted, relabelled by `_canonical`; so a row's
+    order does not matter, also where distances tie. The rows run in lockstep
     (`_lockstep`). From k n = _THREAD_MIN_ELEMENTS on, the rows split into
     one contiguous group per usable core, each group in lockstep on its own
     thread with an equal share of the gather budget.
@@ -131,7 +138,10 @@ def kmedoids_once(D: DistanceMatrix, starts) -> list[Clustering]:
     medoids = np.array(starts, dtype=int)
     if medoids.ndim != 2 or medoids.shape[1] < 1:
         raise ValidationError("starts must be an (R, k) array of initial medoids")
-    if np.any(np.diff(np.sort(medoids, axis=1), axis=1) == 0):
+    # `_assign` gives a tied point to the medoid listed first: in index
+    # order, the result is a function of each row's set of medoids
+    medoids.sort(axis=1)
+    if np.any(np.diff(medoids, axis=1) == 0):
         raise ValidationError("initial medoids must be distinct")
     if np.any(medoids < 0) or np.any(medoids >= d.shape[0]):
         raise ValidationError("initial medoid index out of range")
@@ -160,9 +170,16 @@ def _lockstep(d: np.ndarray, medoids: np.ndarray, budget: int) -> list[Clusterin
     iteration (see `_assign`).
     """
     k = medoids.shape[1]
+    # one buffer for every row gather of `_assign`: a new k x n array per
+    # restart and iteration is a fresh mmap, and so a page fault per 4 KiB,
+    # wherever the allocator maps arrays of that size (s-curve k=100 took
+    # 0.2-0.3 M faults and ~0.3 s more that way). The medoids are in range,
+    # so mode "clip" takes the same rows, without take's temporary copy.
+    gathered = np.empty((k, d.shape[0]))
     out: list[Clustering | None] = [None] * medoids.shape[0]
     live = np.arange(medoids.shape[0])  # the row of starts each stack row holds
-    assignment = np.stack([_assign(d, m) for m in medoids])
+    assignment = np.stack([_assign(np.take(d, m, axis=0, out=gathered, mode="clip"), m)
+                           for m in medoids])
     changed = np.ones(medoids.shape, dtype=bool)
     for _ in range(_MAX_SWAPS):
         order, bounds = _members_by_cluster(assignment, k)
@@ -183,7 +200,8 @@ def _lockstep(d: np.ndarray, medoids: np.ndarray, budget: int) -> list[Clusterin
         if done.all():
             break
         medoids, live, previous = new[~done], live[~done], assignment[~done]
-        assignment = np.stack([_assign(d, m) for m in medoids])
+        assignment = np.stack([_assign(np.take(d, m, axis=0, out=gathered, mode="clip"), m)
+                               for m in medoids])
         rows, points = np.nonzero(assignment != previous)
         changed = np.zeros(medoids.shape, dtype=bool)
         changed[rows, previous[rows, points]] = True

@@ -10,7 +10,7 @@ import numpy as np
 
 from .anchors import best_quadruple, select_anchors
 from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
-                   LevelArtifacts, Stitch, ValidationError, pairwise_distances)
+                   LevelArtifacts, Stitch, ValidationError, _row_blocks, pairwise_distances)
 from .kernel import KernelConfig, medoid_weighted_distance
 from .kmedoids import KmedoidsConfig, kmedoids_best, medoid, relative_incoherence
 from .mds import MdsConfig, mds_embed, relative_stress_weights
@@ -109,7 +109,9 @@ def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
             rng = np.random.default_rng(seed)
             sp = np.sort(rng.choice(n, size=n_sparse, replace=False))
         elif sparsify == "cur":
-            norms = np.linalg.norm(D.submatrix(everything).d, axis=1)
+            # each norm over its whole row, one block of rows at a time
+            norms = np.concatenate([np.linalg.norm(D.block(everything[s], everything), axis=1)
+                                    for s in _row_blocks(n, n)])
             order = np.lexsort((everything, -norms))  # descending norm, ties low index
             sp = np.sort(order[:n_sparse])
         else:
@@ -152,7 +154,8 @@ def clmds_embed(D: DistanceMatrix, cfg: ClmdsConfig,
     The pipeline embeds the sparse subset (every point when sparsify is
     "none") through `D.submatrix`, so D may be any object with `n_points`
     and `submatrix(idx) -> DistanceMatrix` that builds only the distances
-    asked for; `sparsify="cur"` asks for every point. Points left out get
+    asked for; `sparsify="cur"` also needs `block(rows, cols) -> ndarray`,
+    and reads every row through it, one row block at a time. Points left out get
     estimated coordinates when descriptor vectors are supplied; otherwise
     the result covers the sparse subset only (estimation needs vectors).
     With `cfg.kernel_eta` set, a distance above 1 raises a ValidationError.

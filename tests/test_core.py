@@ -1,13 +1,15 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
-from clmds import (DistanceMatrix, FeatureSet, HierarchySpec, ValidationError,
+from clmds import (DistanceMatrix, FeatureSet, HierarchySpec, KernelConfig, ValidationError,
                    euclidean_distances, kernel_matrix, kernel_to_distance,
                    load_distance_matrix, load_feature_set, validate_distance_matrix)
-from clmds.core import _MATMUL_MIN_ENTRIES, _run_parts, pairwise_distances
+from clmds.cli import FeatureDistances
+from clmds.core import _BLOCK_ENTRIES, _MATMUL_MIN_ENTRIES, _run_parts, pairwise_distances
 
 
 def test_accepts_identical_points():
@@ -204,3 +206,85 @@ def test_run_parts_keeps_the_order_and_raises_the_first_parts_error():
     with pytest.raises(KeyError, match="part 1"):
         _run_parts([lambda: 0, second, third])
     assert threading.active_count() == before
+
+
+def traced_peak(call) -> int:
+    """The most bytes held at once while call() runs, its result included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_euclidean_build_holds_one_matrix():
+    # the scratch of the coordinate sums is one row block, not a second n x n
+    # array (2.0 matrices before)
+    n = 1500
+    fs = FeatureSet(np.random.default_rng(0).normal(size=(n, 12)))
+    assert traced_peak(lambda: euclidean_distances(fs)) <= 1.1 * n * n * 8
+
+
+def test_kernel_build_holds_two_matrices():
+    # the kernel is clamped and powered in place, and the distances are
+    # converted and checked in the one array that is returned (4.0 matrices
+    # before)
+    n = 1500
+    fs = FeatureSet(np.random.default_rng(0).normal(size=(n, 12)))
+    dist = FeatureDistances(fs, KernelConfig(zeta=2.0, normalize=True))
+    assert traced_peak(lambda: dist.submatrix(np.arange(n))) <= 2.3 * n * n * 8
+
+
+# a matrix of three row blocks, and a fault in its last row: below the
+# diagonal, read through the first block's columns, or next to it, read
+# within the last block
+N_BLOCKED = int(np.sqrt(2.5 * _BLOCK_ENTRIES))
+
+
+def blocked_distances():
+    fs = FeatureSet(np.random.default_rng(5).normal(size=(N_BLOCKED, 3)))
+    return euclidean_distances(fs).d.copy()
+
+
+@pytest.mark.parametrize("col", [0, N_BLOCKED - 2])
+@pytest.mark.parametrize("fault, message", [
+    ("nan", "contains non-finite entries"),
+    ("asymmetry", "asymmetry 2e-09 exceeds 1e-09"),
+    ("negative", "has negative entries"),
+    ("diagonal", "diagonal is not zero"),
+])
+def test_validation_finds_a_fault_in_the_last_row_block(fault, message, col):
+    d, last = blocked_distances(), N_BLOCKED - 1
+    assert d.size > 2 * _BLOCK_ENTRIES
+    if fault == "nan":
+        d[last, col] = np.nan
+    elif fault == "asymmetry":
+        d[last, col] += 2e-9
+    elif fault == "negative":
+        d[last, col] = d[col, last] = -1.0
+    else:
+        d[last, last] = 1e-11
+    with pytest.raises(ValidationError, match=message):
+        validate_distance_matrix(d)
+
+
+@pytest.mark.parametrize("col", [0, N_BLOCKED - 2])
+def test_exact_symmetry_check_finds_one_ulp_in_the_last_row_block(col):
+    d, last = blocked_distances(), N_BLOCKED - 1
+    DistanceMatrix(d)
+    d[last, col] = np.nextafter(d[last, col], np.inf)
+    with pytest.raises(ValidationError, match="not exactly symmetric"):
+        DistanceMatrix(d)
+
+
+@pytest.mark.parametrize("col", [0, N_BLOCKED - 2])
+def test_tiny_asymmetry_in_the_last_row_block_is_averaged(col):
+    d, last = blocked_distances(), N_BLOCKED - 1
+    d[last, col] += 1e-12
+    raw = d.copy()
+    dm = validate_distance_matrix(d)
+    assert np.array_equal(d, raw)  # the input is copied, not repaired
+    mean = 0.5 * (raw[last, col] + raw[col, last])
+    assert dm.d[last, col] == dm.d[col, last] == mean
+    assert np.array_equal(dm.d, 0.5 * (raw + raw.T))

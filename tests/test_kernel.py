@@ -4,6 +4,7 @@ import pytest
 from clmds import (Clustering, FeatureSet, HolesSpec, KernelConfig, ValidationError,
                    gen_holes_dataset, kernel_matrix, kernel_to_distance,
                    medoid_weighted_distance)
+from clmds.core import _BLOCK_ENTRIES
 
 
 def unit_rows(a):
@@ -138,3 +139,41 @@ def test_kernel_of_a_block_is_the_block_of_the_kernel(n, holes, n_block):
         block = kernel_matrix(FeatureSet(fs.vectors[idx]), cfg)
         assert np.array_equal(block, full[np.ix_(idx, idx)])
         assert np.array_equal(block, block.T)
+
+
+def test_kernel_to_distance_leaves_the_kernel_unchanged():
+    fs, _, _ = gen_holes_dataset(HolesSpec(n_points=200, n_holes=4, seed=1))
+    k = kernel_matrix(fs, KernelConfig(zeta=2.0, normalize=True))
+    before = k.copy()
+    d = kernel_to_distance(k)
+    assert np.array_equal(k, before) and k.flags.writeable
+    assert np.array_equal(d.d, np.sqrt(np.clip(1.0 - before, 0.0, None)))
+
+
+# a kernel of three row blocks, with its fault in the last row
+N_BLOCKED = int(np.sqrt(2.5 * _BLOCK_ENTRIES))
+
+
+@pytest.mark.parametrize("col", [0, N_BLOCKED - 2])
+@pytest.mark.parametrize("fault, message", [
+    ("asymmetry", "kernel matrix must be symmetric"),
+    ("diagonal", "kernel matrix must have unit diagonal"),
+    ("above one", r"kernel entries must lie in \[0, 1\]"),
+    ("nan", "distance matrix contains non-finite entries"),
+])
+def test_kernel_checks_find_a_fault_in_the_last_row_block(fault, message, col):
+    fs = FeatureSet(np.random.default_rng(4).normal(size=(N_BLOCKED, 5)))
+    k = kernel_matrix(fs, KernelConfig(normalize=True))
+    assert k.size > 2 * _BLOCK_ENTRIES
+    kernel_to_distance(k)
+    last = N_BLOCKED - 1
+    if fault == "asymmetry":
+        k[last, col] += 2e-9
+    elif fault == "diagonal":
+        k[last, last] = 1.0 + 1e-11
+    elif fault == "above one":
+        k[last, col] = k[col, last] = 1.0 + 1e-11
+    else:  # the kernel checks let NaN through; the distance check refuses it
+        k[last, col] = k[col, last] = np.nan
+    with pytest.raises(ValidationError, match=message):
+        kernel_to_distance(k)

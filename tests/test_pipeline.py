@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,53 @@ def test_sparsify_cur_picks_largest_row_norms():
     norms = np.linalg.norm(D.d, axis=1)
     expected = np.sort(np.lexsort((np.arange(36), -norms))[:12])
     assert np.array_equal(sel.sparse, expected)
+
+
+def block_sources(n=400, seed=8):
+    """A distance matrix and the CLI's feature inputs, Euclidean and kernel
+    with normalize true and false, on n points."""
+    raw = np.random.default_rng(seed).normal(size=(n, 5))
+    raw[7] = raw[3]  # a duplicate: zero distances off the diagonal
+    unit = FeatureSet(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    fs = FeatureSet(raw)
+    return [euclidean_distances(fs), FeatureDistances(fs),
+            FeatureDistances(fs, KernelConfig(zeta=2.0, normalize=True)),
+            FeatureDistances(unit, KernelConfig(zeta=1.5))]
+
+
+@pytest.mark.parametrize("source", range(4))
+def test_block_equals_the_block_of_the_full_matrix(source):
+    # rows x all of a matrix larger than one row block, and cross blocks in
+    # any order with repeated and shared points, diagonal entries included
+    dist = block_sources()[source]
+    n = dist.n_points
+    full = dist.submatrix(np.arange(n)).d
+    everything = np.arange(n)
+    rng = np.random.default_rng(1)
+    for rows in (everything[:300], everything[300:], rng.choice(n, 40, replace=False)):
+        assert dist.block(rows, everything).tobytes() == full[rows].tobytes()
+    for rows, cols in ((rng.choice(n, 30), rng.choice(n, 50)), ([7, 3, 3, 9], [3, 9, 7])):
+        assert dist.block(rows, cols).tobytes() == full[np.ix_(rows, cols)].tobytes()
+    assert not np.any(np.diag(dist.block(everything, everything)))
+
+
+def test_sparsify_cur_takes_its_norms_in_row_blocks():
+    # each norm is taken over its whole row, so the selection is the one of
+    # the full matrix; and no n x n array is ever held
+    n = 1500
+    fs, _, _ = gen_holes_dataset(HolesSpec(n_points=n, n_holes=6, seed=2))
+    dist = FeatureDistances(fs, KernelConfig(zeta=2.0, normalize=True))
+    tracemalloc.start()
+    try:
+        sel = sparsify_select(dist, "cur", 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    full = dist.submatrix(np.arange(n))
+    assert np.array_equal(sel.sparse, sparsify_select(full, "cur", 200).sparse)
+    norms = np.linalg.norm(full.d, axis=1)
+    assert np.array_equal(sel.sparse, np.sort(np.lexsort((np.arange(n), -norms))[:200]))
 
 
 def test_sparsify_explicit_list_and_errors():
