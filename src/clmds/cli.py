@@ -9,6 +9,7 @@ import os
 import sys
 import tempfile
 import typing
+from functools import cached_property
 
 import numpy as np
 
@@ -98,7 +99,8 @@ class FeatureDistances:
     Euclidean, or induced by the kernel of `kernel` on descriptors.
 
     Every row is checked on construction, also those outside any block,
-    since out-of-sample estimation uses them all.
+    since out-of-sample estimation uses them all. The unit rows that blocks
+    read are made on the first `block` call, and kept.
     """
 
     def __init__(self, features: FeatureSet, kernel: KernelConfig | None = None):
@@ -116,12 +118,16 @@ class FeatureDistances:
             return euclidean_distances(fs)
         return kernel_to_distance(kernel_matrix(fs, self.kernel))
 
+    @cached_property
+    def _unit_rows(self) -> np.ndarray:
+        return unit_descriptors(self.features, self.kernel)
+
     def block(self, rows, cols) -> np.ndarray:
         """The distances from the points rows to the points cols, built for
         those pairs only: bit for bit ``submatrix(all).d[np.ix_(rows, cols)]``."""
         if self.kernel is None:
             return pairwise_distances(self.features.vectors[rows], self.features.vectors[cols])
-        return kernel_distance_block(self.features, rows, cols, self.kernel)
+        return kernel_distance_block(self._unit_rows, rows, cols, self.kernel.zeta)
 
 
 def _fmt(x: float) -> str:

@@ -21,7 +21,7 @@ class HolesSpec:
     def __post_init__(self):
         if self.n_points < 1 or self.n_holes < 1:
             raise ValidationError("n_points and n_holes must be positive")
-        if self.hole_radius <= 0 or self.hole_radius > 0.5:
+        if not (0 < self.hole_radius <= 0.5):  # NaN fails too
             raise ValidationError("hole radius must lie in (0, 0.5]")
         if self.n_holes * np.pi * self.hole_radius ** 2 >= 0.5:
             raise ValidationError("total hole area must stay below half the unit square")

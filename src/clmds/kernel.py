@@ -95,16 +95,15 @@ def kernel_to_distance(k: np.ndarray) -> DistanceMatrix:
     return _validated(d)
 
 
-def kernel_distance_block(fs: FeatureSet, rows, cols,
-                          cfg: KernelConfig = KernelConfig()) -> np.ndarray:
-    """The kernel-induced distances from the points rows of fs to the points
-    cols, built for those pairs only: bit for bit
+def kernel_distance_block(q: np.ndarray, rows, cols, zeta: float) -> np.ndarray:
+    """The kernel-induced distances from the unit rows q[rows] to q[cols],
+    built for those pairs only. With q = ``unit_descriptors(fs, cfg)`` and
+    zeta = cfg.zeta this is bit for bit
     ``kernel_to_distance(kernel_matrix(fs, cfg)).d[np.ix_(rows, cols)]``, as
-    unit rows, dot products and the entries of one point with itself (K 1,
-    D 0) are all the same."""
+    dot products and the entries of one point with itself (K 1, D 0) are
+    the same."""
     rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
-    q = unit_descriptors(fs, cfg)
-    k = _similarities(q[rows], q[cols], cfg.zeta)
+    k = _similarities(q[rows], q[cols], zeta)
     k[rows[:, None] == cols] = 1.0
     return _induced_distance(k, out=k)
 

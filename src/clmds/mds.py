@@ -1,27 +1,19 @@
 """Metric MDS in two dimensions via stress majorization.
 
-The Guttman-transform update is used, generalized to arbitrary
-non-negative pair weights; uniform weights take a fast path that avoids
-the pseudo-inverse, which general weights compute once per `mds_embed`
-call. The per-cluster MDS is unweighted; only the anchor MDS passes a
-weight matrix (relative stress). Both paths take their stress from the
-same precomputed sums, and run the starts of a call in one stacked loop,
-into buffers allocated once per call; each start gets exactly the result
-it would get alone. The stack stays: with 4 starts, one start at a time
-gives the same bits but is slower (2 cores, 1 BLAS thread, best of 3):
-0.29 s against 0.15 s on the nine anchor MDS calls (4-40 points) of a
-sparse-kernel-6000 dataset, and 1.51 s against 1.35 s on the 399-point
-s-curve one.
+The Guttman update, generalized to non-negative pair weights: uniform
+weights (the per-cluster MDS) divide, general ones (the anchor MDS's
+relative stress) go through a pseudo-inverse computed once per call. Both
+take their stress from the same precomputed sums. Each start runs alone in
+a plain loop, into (m, m) buffers: a 4-start plain MDS at m=200 peaks at
+6.8 m x m matrices, against 16.3 for the (4, m, m) stack this replaced.
 
-From _THREAD_MIN_POINTS points on, a call with several starts deals them
-to one stack per usable core, each on its own thread, sharing the fixed
-matrices; the output does not depend on the number of cores. The pipeline's
-anchor MDS runs one start by default, so the split serves plain MDS and an
-anchor MDS with mds_n_init >= 2. With 4 starts the 399-point s-curve call
-takes 0.62 s on 2 cores against 1.04 s on one, and 0.21 s with its one
-default start. With 4 of its starts on its first m points, two threads
-against one took 38 against 30 ms at m=80, broke even at m=128-160 and
-took 284 against 445 ms at m=250.
+From _THREAD_MIN_POINTS points on, the starts of a call are dealt
+round-robin to one thread group per usable core, each running its starts
+one after another; the output does not depend on the number of cores.
+Every default pipeline call runs one start. Four relative-stress starts on
+m holes points took, on two threads against one, 88 against 84 ms at
+m=160, 240 against 293 ms at m=250 (the stack took 189 on two) and 412
+against 658 ms at m=400 (2 cores, 1 BLAS thread, medians of 4).
 """
 
 from __future__ import annotations
@@ -121,27 +113,8 @@ def relative_stress_weights(d: np.ndarray) -> np.ndarray:
     return w
 
 
-def _stresses(d_in, wd, v, s):
-    """Stress of each stacked start, from fixed sums.
-
-    Over pairs i < j, stress = sum w d_in^2 - 2 sum w d_in d + sum w d^2.
-    The first sum is fixed, the second is half the full-matrix dot of
-    wd = w * d_in with d, and the third is tr(X' V X) with v = diag(W 1) - W,
-    so no triangle of the matrices is gathered per iteration.
-    """
-    sig_in = 0.5 * float(np.vdot(wd, d_in))
-    vx = np.empty((s, d_in.shape[0], 2))
-
-    def stresses(x, d):
-        n = d.shape[0]
-        np.matmul(v, x, out=vx[:n])
-        return [sig_in - float(np.vdot(wd, d[k])) + float(np.vdot(x[k], vx[k]))
-                for k in range(n)]
-    return stresses
-
-
 def _guttman_b(d_in, neg_wm, d, b, near):
-    """B = -W * d_in / d of each stacked start, into b, in three passes.
+    """B = -W * d_in / d of one (m, m) embedding, into b, in three passes.
 
     Where d <= _EPS_DIST the ratio counts as 0, so the entry is -W * 0 =
     -0.0 (W >= 0); the diagonal is then set so that each row sums to 0.
@@ -149,109 +122,89 @@ def _guttman_b(d_in, neg_wm, d, b, near):
     -0.0 is written only when other points coincide. near is bool scratch
     of d's shape.
     """
-    n, m = d.shape[:2]
+    m = d.shape[0]
     np.less_equal(d, _EPS_DIST, out=near)
     with np.errstate(all="ignore"):  # 0/0 and overflow at the entries set below
         np.divide(d_in, d, out=b)
         np.multiply(neg_wm, b, out=b)
-    if np.count_nonzero(near) > n * m:
+    if np.count_nonzero(near) > m:
         np.copyto(b, -0.0, where=near)
-    diag = b.reshape(n, m * m)[:, ::m + 1]
+    diag = b.reshape(m * m)[::m + 1]
     diag[...] = 0.0
-    np.negative(np.add.reduce(b, axis=2), out=diag)
+    np.negative(np.add.reduce(b, axis=1), out=diag)
 
 
 def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w):
-    """SMACOF from every (m, 2) start at once.
-
-    Returns (s, m, 2) coordinates, and for each start its stress, the number
-    of updates it computed and why it stopped: "eps", "increase" or
-    "max_iter". Each start follows exactly the iterates of a run from it
-    alone: it stops on a stress increase (keeping the previous iterate, the
-    rejected update counted), on a relative decrease below eps, or at
-    max_iter. Stress comes from `_stresses` for any weights; they differ
-    only in the update: uniform weights (uniform_w, the common off-diagonal
-    weight) divide, and general weights (uniform_w None) go through the
-    pseudo-inverse of V = diag(W 1) - W, the operator of the weighted
-    Guttman update. V, its pseudo-inverse, W * d_in and -W are computed
-    once and shared. From _THREAD_MIN_POINTS points on, the starts are dealt
-    round-robin to one group per usable core (start i to group i mod g),
-    each group a `_smacof_stack` on its own thread.
+    """`_smacof_run` from every (m, 2) start: (s, m, 2) coordinates, and per
+    start its stress, updates and stop. The fixed matrices are made once and
+    shared. From _THREAD_MIN_POINTS points on, start i goes to thread group
+    i mod g, one group per usable core, each running its starts in turn.
     """
     s, m = len(starts), d_in.shape[0]
     v = np.diag(wm.sum(axis=1)) - wm
     v_pinv = np.linalg.pinv(v) if uniform_w is None else None
-    shared = (d_in, wm * d_in, -wm, v, v_pinv, uniform_w, max_iter, eps)
+    run = partial(_smacof_run, d_in, wm * d_in, -wm, v, v_pinv, uniform_w, max_iter, eps)
     g = _thread_groups(s) if m >= _THREAD_MIN_POINTS else 1
-    runs = _run_parts([partial(_smacof_stack, starts[i::g], *shared) for i in range(g)])
-    if g == 1:
-        return runs[0]
-    out = np.empty((s, m, 2)), [0.0] * s, [0] * s, [""] * s
-    for i, run in enumerate(runs):  # group i ran starts i, i + g, ...
-        for whole, part in zip(out, run):
-            whole[i::g] = part
-    return out
+    # map is lazy: each group runs its starts inside list(), on its thread
+    groups = _run_parts([partial(list, map(run, starts[i::g])) for i in range(g)])
+    runs = [None] * s
+    for i, group in enumerate(groups):  # group i ran starts i, i + g, ...
+        runs[i::g] = group
+    xs, sigs, iters, stops = zip(*runs)
+    return np.array(xs), list(sigs), list(iters), list(stops)
 
 
-def _smacof_stack(starts, d_in, wd, neg_wm, v, v_pinv, uniform_w, max_iter, eps):
-    """`_smacof_starts` on one thread: the starts run as one (s, m, 2) stack,
-    into buffers allocated once per call. A stopped start's result is frozen
-    and it leaves the stack."""
-    s, m = len(starts), d_in.shape[0]
-    stresses = _stresses(d_in, wd, v, s)
-    if v_pinv is not None:
-        def update(bx, out):
-            np.matmul(v_pinv, bx, out=out)
-    else:
-        def update(bx, out):
-            np.divide(bx, m * uniform_w, out=out)
-    x, x_new, bx = (np.empty((s, m, 2)) for _ in range(3))
-    d, b = np.empty((s, m, m)), np.empty((s, m, m))
-    near = np.empty((s, m, m), dtype=bool)
-    for k, x0 in enumerate(starts):
-        np.subtract(x0, x0.mean(axis=0), out=x[k])
+def _smacof_run(d_in, wd, neg_wm, v, v_pinv, uniform_w, max_iter, eps, x0):
+    """SMACOF from the (m, 2) start x0, into buffers allocated once per run.
+
+    Returns (x, stress, updates, stop). It stops on a stress increase
+    ("increase": the previous iterate is kept, the rejected update counted),
+    on a relative decrease below eps ("eps") or at max_iter ("max_iter").
+    Uniform weights (uniform_w, the common off-diagonal weight) update by a
+    division, general weights (uniform_w None) through v_pinv, the
+    pseudo-inverse of V = diag(W 1) - W. wd is W * d_in and neg_wm is -W.
+    Over pairs i < j, stress = sum w d_in^2 - 2 sum w d_in d + sum w d^2:
+    the first sum is fixed, the second is half the full-matrix dot of wd
+    with d and the third is tr(X' V X), so no triangle is gathered.
+    """
+    m = d_in.shape[0]
+    sig_in = 0.5 * float(np.vdot(wd, d_in))
+    x, x_new, bx, vx = (np.empty((m, 2)) for _ in range(4))
+    d, b = np.empty((m, m)), np.empty((m, m))
+    near = np.empty((m, m), dtype=bool)
+
+    def stress_of(x):  # of x, whose distances d holds
+        np.matmul(v, x, out=vx)
+        return sig_in - float(np.vdot(wd, d)) + float(np.vdot(x, vx))
+
+    np.subtract(x0, x0.mean(axis=0), out=x)
     pairwise_distances(x, x, out=d, work=b)
-    sig = stresses(x, d)
-    out_x, out_sig = np.empty((s, m, 2)), [0.0] * s
-    out_iter, out_stop = [max_iter] * s, ["max_iter"] * s
-    live = list(range(s))  # the start each stack row holds
-    n = s
+    sig = stress_of(x)
+    stop = "max_iter"
     for it in range(1, max_iter + 1):
-        xv, xn, dv, bv = x[:n], x_new[:n], d[:n], b[:n]
-        _guttman_b(d_in, neg_wm, dv, bv, near[:n])
-        np.matmul(bv, xv, out=bx[:n])
-        update(bx[:n], xn)
-        # each start's x.mean(axis=0), bit for bit
-        xn -= np.add.reduce(xn, axis=1, keepdims=True) / m
-        pairwise_distances(xn, xn, out=dv, work=bv)  # B is spent
-        new_sig = stresses(xn, dv)
-        keep = []
-        for k in range(n):
-            if new_sig[k] > sig[k]:  # majorization guarantees descent; guard fp noise
-                out_x[live[k]], out_sig[live[k]] = xv[k], sig[k]
-                out_iter[live[k]], out_stop[live[k]] = it, "increase"
-            elif sig[k] - new_sig[k] < eps * max(sig[k], _EPS_DIST):
-                out_x[live[k]], out_sig[live[k]] = xn[k], new_sig[k]
-                out_iter[live[k]], out_stop[live[k]] = it, "eps"
-            else:
-                keep.append(k)
+        _guttman_b(d_in, neg_wm, d, b, near)
+        np.matmul(b, x, out=bx)
+        if v_pinv is None:
+            np.divide(bx, m * uniform_w, out=x_new)
+        else:
+            np.matmul(v_pinv, bx, out=x_new)
+        x_new -= x_new.mean(axis=0)
+        pairwise_distances(x_new, x_new, out=d, work=b)  # B is spent
+        new_sig = stress_of(x_new)
+        if new_sig > sig:  # majorization guarantees descent; guard fp noise
+            stop = "increase"
+            break
+        converged = sig - new_sig < eps * max(sig, _EPS_DIST)
         x, x_new, sig = x_new, x, new_sig
-        if len(keep) < n:
-            if not keep:
-                break
-            n = len(keep)
-            x[:n], d[:n] = x[keep], d[keep]
-            sig = [sig[k] for k in keep]
-            live = [live[k] for k in keep]
-    else:  # max_iter reached: the starts still in the stack end at their iterate
-        for k in range(n):
-            out_x[live[k]], out_sig[live[k]] = x[k], sig[k]
+        if converged:
+            stop = "eps"
+            break
     # the fixed sums can cancel to -1e-15 at an exact fit
-    return out_x, [max(v, 0.0) for v in out_sig], out_iter, out_stop
+    return x, max(sig, 0.0), it, stop
 
 
 def _smacof(d_in, wm, x0, max_iter, eps, uniform_w):
-    """SMACOF from one start: the stacked loop with a stack of one."""
+    """SMACOF from one start: its coordinates and stress."""
     xs, sigs, _, _ = _smacof_starts(d_in, wm, [x0], max_iter, eps, uniform_w)
     return xs[0], sigs[0]
 

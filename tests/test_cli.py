@@ -373,6 +373,14 @@ def test_datagen_s_curve_and_holes(tmp_path, capsys):
     assert len(feats) == 60 and len(feats[0].split(",")) == 5
 
 
+def test_datagen_rejects_a_nan_hole_radius(tmp_path, capsys):
+    code, _, err = run(["datagen", "holes", "--n", "60", "--holes", "5", "--radius", "nan",
+                        "--output-dir", tmp_path / "h"], capsys)
+    assert code == 1
+    assert err.startswith("error: hole radius")
+    assert not (tmp_path / "h").exists()
+
+
 def test_datagen_then_embed_end_to_end(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(["datagen", "holes", "--n", "120", "--holes", "4",

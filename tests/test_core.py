@@ -43,6 +43,8 @@ def test_rejects_non_square_negative_nonfinite_diag():
         validate_distance_matrix([[0, np.inf], [np.inf, 0]])
     with pytest.raises(ValidationError):
         validate_distance_matrix([[1e-3, 1], [1, 0]])
+    with pytest.raises(ValidationError, match="no points"):
+        validate_distance_matrix(np.zeros((0, 0)))
 
 
 def test_euclidean_3_4_5():
@@ -73,9 +75,9 @@ def test_euclidean_passes_validation_exactly():
 
 def test_pairwise_distances_equal_cdist_bit_for_bit():
     # scipy is the oracle: the same values, bit for bit, on 1-30 dimensions,
-    # rectangular and square inputs with duplicate rows, and (s, m, 2) stacks,
-    # with tables below and above the size at which the differences are
-    # taken by a matmul
+    # rectangular and square inputs with duplicate rows, and (m, 2) inputs
+    # written to out= through work=, with tables below and above the size at
+    # which the differences are taken by a matmul
     rng = np.random.default_rng(3)
     tables = set()
     for dim in range(1, 31):
@@ -92,15 +94,16 @@ def test_pairwise_distances_equal_cdist_bit_for_bit():
             assert d[np.triu_indices(p, k=1)].tobytes() == pdist(a).tobytes()
             assert np.array_equal(d, d.T) and not np.any(np.diag(d))
     assert tables == {False, True}
-    for s, m in ((1, 3), (4, 20), (3, 57), (2, 160)):
-        x = rng.normal(size=(s, m, 2))
-        x[:, 1] = x[:, 0]
-        out, work = np.full((s, m, m), np.nan), np.full((s, m, m), np.nan)
+    for m in (3, 20, 57, 160):
+        x = rng.normal(size=(m, 2))
+        x[1] = x[0]
+        out, work = np.full((m, m), np.nan), np.full((m, m), np.nan)
         assert pairwise_distances(x, x, out=out, work=work) is out
-        for k in range(s):
-            assert out[k].tobytes() == cdist(x[k], x[k]).tobytes()
+        assert out.tobytes() == cdist(x, x).tobytes()
     with pytest.raises(ValidationError):
         pairwise_distances(np.zeros((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(ValidationError):
+        pairwise_distances(np.zeros(3), np.zeros(3))
 
 
 def test_triangle_inequality_on_sampled_triples():

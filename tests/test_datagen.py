@@ -67,6 +67,9 @@ def test_holes_spec_validation():
         HolesSpec(n_points=10, n_holes=3, hole_radius=0.6)
     with pytest.raises(ValidationError):
         HolesSpec(n_points=10, n_holes=50, hole_radius=0.2)  # area too large
+    for radius in (np.nan, 0.0, -0.1):
+        with pytest.raises(ValidationError, match="hole radius"):
+            HolesSpec(n_points=10, n_holes=3, hole_radius=radius)
 
 
 def _result_with(coords, assignment, medoids):

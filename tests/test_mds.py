@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def _reference_b(d_in, wm, d_emb):
 
 
 def _reference_smacof(d_in, wm, x0, max_iter, eps, uniform_w):
-    """One start run alone: the single-start loop the stacked loop replaced.
+    """One start run alone, written as plainly as possible.
 
     Returns the coordinates, the stress, the number of updates computed and
     how the run stopped.
@@ -262,22 +263,20 @@ def _reference_starts(D, cfg):
     return [s for s in starts if s is not None]
 
 
-def test_stacked_starts_equal_single_start_runs(monkeypatch):
-    # Bitwise, every start of the stacked loop ends where it ends alone, and
+def test_starts_equal_single_start_runs(monkeypatch):
+    # Bitwise, every start of a call ends where it ends alone, and
     # mds_embed keeps the first start of least stress. The (max_iter, eps)
     # pairs make starts of one call stop in different ways.
-    # Every stacked B is also byte-equal to the single-start one, signs of
-    # zero included, and the coincident-point start exercises the pass that
+    # Every B is also byte-equal to the reference one, signs of zero
+    # included, and the coincident-point start exercises the pass that
     # writes -0.0 where other points coincide.
     real_b = mds._guttman_b
     coincident_calls = []
 
     def checked_b(d_in, neg_wm, d, b, near):
         real_b(d_in, neg_wm, d, b, near)
-        n, m = d.shape[:2]
-        for k in range(n):
-            assert b[k].tobytes() == _reference_b(d_in, -neg_wm, d[k]).tobytes()
-        coincident_calls.append(np.count_nonzero(near) > n * m)
+        assert b.tobytes() == _reference_b(d_in, -neg_wm, d).tobytes()
+        coincident_calls.append(np.count_nonzero(near) > d.shape[0])
 
     monkeypatch.setattr(mds, "_guttman_b", checked_b)
     rng = np.random.default_rng(21)
@@ -313,6 +312,23 @@ def test_stacked_starts_equal_single_start_runs(monkeypatch):
     assert any({"max_iter", "eps"} <= stops for stops in stops_per_call)
     assert any("increase" in stops and len(stops) > 1 for stops in stops_per_call)
     assert any(coincident_calls) and not all(coincident_calls)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "relative"])
+def test_four_starts_hold_few_matrices(monkeypatch, weighted):
+    # the starts run one after another, each into its own two (m, m) buffers
+    # (16.3 and 14.4 matrices when the four ran as one (4, m, m) stack)
+    monkeypatch.setattr(core, "_WORKERS", 1)
+    m = 200
+    D = euclidean_distances(FeatureSet(np.random.default_rng(2).normal(size=(m, 3))))
+    w = relative_stress_weights(D.d) if weighted else None
+    tracemalloc.start()
+    try:
+        mds_embed(D, w, MdsConfig(n_init=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * m * m * 8
 
 
 def _split_problem(m, seed, weighted):

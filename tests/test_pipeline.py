@@ -13,7 +13,7 @@ from clmds import (ClmdsConfig, ClmdsResult, Clustering, DistanceMatrix, Feature
                    euclidean_distances, gen_holes_dataset, hierarchy_merge, kernel_matrix,
                    kernel_to_distance, kmedoids_best, medoid_weighted_distance,
                    sparsify_select, voronoi_containment)
-from clmds import pipeline
+from clmds import cli, kernel, pipeline
 from clmds.cli import FeatureDistances
 
 
@@ -85,6 +85,24 @@ def test_block_equals_the_block_of_the_full_matrix(source):
     for rows, cols in ((rng.choice(n, 30), rng.choice(n, 50)), ([7, 3, 3, 9], [3, 9, 7])):
         assert dist.block(rows, cols).tobytes() == full[np.ix_(rows, cols)].tobytes()
     assert not np.any(np.diag(dist.block(everything, everything)))
+
+
+def test_kernel_blocks_make_the_unit_rows_once(monkeypatch):
+    # the constructor checks the rows and the first block makes them; later
+    # blocks reuse them (6 calls before: the constructor's and one per block)
+    fs = FeatureSet(np.random.default_rng(8).normal(size=(60, 5)))
+    cfg = KernelConfig(zeta=2.0, normalize=True)
+    full = kernel_to_distance(kernel_matrix(fs, cfg)).d
+    calls = []
+    for module in (cli, kernel):
+        real = module.unit_descriptors
+        monkeypatch.setattr(module, "unit_descriptors",
+                            lambda *args, real=real: calls.append(1) or real(*args))
+    dist = FeatureDistances(fs, cfg)
+    for start in range(0, 50, 10):
+        rows = np.arange(start, start + 10)
+        assert dist.block(rows, rows).tobytes() == full[np.ix_(rows, rows)].tobytes()
+    assert len(calls) <= 2
 
 
 def test_sparsify_cur_takes_its_norms_in_row_blocks():
