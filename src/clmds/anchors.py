@@ -77,8 +77,11 @@ def candidate_vertices(D: DistanceMatrix, cluster, medoid: int) -> np.ndarray:
     return np.sort(cluster[dists >= np.percentile(dists, p)])
 
 
-def best_quadruple(D: DistanceMatrix, candidates) -> np.ndarray:
+def best_quadruple(D, candidates) -> np.ndarray:
     """Maximal-volume 4-subset of candidates (<=4 candidates pass through).
+
+    D is any distance source with `block(rows, cols)`; the search reads
+    only the block among the candidates.
 
     Before the search, each candidate at zero distance from a lower-indexed
     one is dropped, so that a pool of at most 3 distinct locations, where
@@ -97,17 +100,19 @@ def best_quadruple(D: DistanceMatrix, candidates) -> np.ndarray:
     volume.
     """
     candidates = np.sort(np.asarray(candidates, dtype=int))
-    if candidates.size > 4:
-        copies = np.tril(D.d[np.ix_(candidates, candidates)] == 0, k=-1).any(axis=1)
-        candidates = candidates[~copies]
-    if candidates.size > MAX_POOL:
-        picks = farthest_point_sample(D.d[np.ix_(candidates, candidates)], MAX_POOL)
-        candidates = candidates[np.sort(picks)]
+    if candidates.size <= 4:
+        return candidates
+    d = D.block(candidates, candidates)
+    # no copy of a lower-indexed candidate
+    keep = np.flatnonzero(~np.tril(d == 0, k=-1).any(axis=1))
+    if keep.size > MAX_POOL:
+        keep = keep[np.sort(farthest_point_sample(d[np.ix_(keep, keep)], MAX_POOL))]
+    candidates, d = candidates[keep], d[np.ix_(keep, keep)]
     n = candidates.size
     if n <= 4:
         return candidates
     j, k, l, jk, jl, kl, start = _triple_table(n)
-    sq = D.d[np.ix_(candidates, candidates)] ** 2
+    sq = d ** 2
     flat = sq.ravel()
     # all volumes <= 0 clamp to zero and the first quadruple wins
     best_det, best = 0.0, [0, 1, 2, 3]

@@ -18,6 +18,14 @@ bits. Assignment stays per restart (`_assign`): an argmin over the
 stacked (R, k, n) rows was measured not faster. Every restart ends with
 exactly the clustering it would reach alone.
 
+Beyond one (k, n) row buffer per call, the state of a restart is a few
+bytes per point: its labels in the smallest unsigned type that holds k,
+rewritten in place, the previous labels and one sort order. Arrays made
+anew each iteration above glibc's mmap threshold (128 KiB at first) are
+fresh mappings that fault every page. With int64 label stacks and sort
+keys, the finest k-medoids of s-curve dataset 3 (k=100, 2000 points)
+took 5.7-6.2 K minor faults in a fresh process; with these, 3.0-3.4 K.
+
 From k n = _THREAD_MIN_ELEMENTS on, the stack splits into one contiguous
 group of rows per usable core, each group in lockstep on its own thread
 with an equal share of _GATHER_ELEMENTS, so the output does not depend on
@@ -105,6 +113,15 @@ def _assign(rows: np.ndarray, medoids: np.ndarray) -> np.ndarray:
     return a
 
 
+def _assign_rows(d: np.ndarray, medoids: np.ndarray, gathered: np.ndarray, labels: np.ndarray):
+    """labels[i] = `_assign` under the medoids of row i, for every row of
+    medoids, each row of d gathered into the (k, n) buffer gathered. The
+    medoids are in range, so mode "clip" takes the same rows, without
+    take's temporary copy."""
+    for i, m in enumerate(medoids):
+        labels[i] = _assign(np.take(d, m, axis=0, out=gathered, mode="clip"), m)
+
+
 def _members_by_cluster(assignment: np.ndarray, k: int):
     """Point indices grouped by cluster, and each group's bounds, for every
     row of assignment, an (..., n) array.
@@ -114,13 +131,13 @@ def _members_by_cluster(assignment: np.ndarray, k: int):
     """
     # labels in the smallest unsigned type that holds k: a stable sort of
     # 8- or 16-bit keys is a radix sort, and a stable order is unique
-    order = np.argsort(assignment.astype(np.min_scalar_type(k)), axis=-1, kind="stable")
+    order = np.argsort(assignment.astype(np.min_scalar_type(k), copy=False), axis=-1,
+                       kind="stable")
     rows = assignment.reshape(-1, assignment.shape[-1])
-    counts = np.bincount((rows + k * np.arange(rows.shape[0])[:, None]).ravel(),
-                         minlength=k * rows.shape[0])
-    bounds = np.zeros(assignment.shape[:-1] + (k + 1,), dtype=int)
-    np.cumsum(counts.reshape(assignment.shape[:-1] + (k,)), axis=-1, out=bounds[..., 1:])
-    return order, bounds
+    bounds = np.zeros((rows.shape[0], k + 1), dtype=int)
+    for row, b in zip(rows, bounds):  # one row at a time: no (R, n) keys
+        np.cumsum(np.bincount(row, minlength=k), out=b[1:])
+    return order, bounds.reshape(assignment.shape[:-1] + (k + 1,))
 
 
 def kmedoids_once(D: DistanceMatrix, starts) -> list[Clustering]:
@@ -173,16 +190,18 @@ def _lockstep(d: np.ndarray, medoids: np.ndarray, budget: int) -> list[Clusterin
     # one buffer for every row gather of `_assign`: a new k x n array per
     # restart and iteration is a fresh mmap, and so a page fault per 4 KiB,
     # wherever the allocator maps arrays of that size (s-curve k=100 took
-    # 0.2-0.3 M faults and ~0.3 s more that way). The medoids are in range,
-    # so mode "clip" takes the same rows, without take's temporary copy.
+    # 0.2-0.3 M faults and ~0.3 s more that way)
     gathered = np.empty((k, d.shape[0]))
+    # and one stack of labels, a byte or two per point, rewritten in place:
+    # 50 restarts of 2000 points stay below glibc's 128 KiB mmap threshold
+    labels = np.empty((medoids.shape[0], d.shape[0]), dtype=np.min_scalar_type(k))
+
     out: list[Clustering | None] = [None] * medoids.shape[0]
     live = np.arange(medoids.shape[0])  # the row of starts each stack row holds
-    assignment = np.stack([_assign(np.take(d, m, axis=0, out=gathered, mode="clip"), m)
-                           for m in medoids])
+    _assign_rows(d, medoids, gathered, labels)
     changed = np.ones(medoids.shape, dtype=bool)
     for _ in range(_MAX_SWAPS):
-        order, bounds = _members_by_cluster(assignment, k)
+        order, bounds = _members_by_cluster(labels, k)
         new = medoids.copy()
         rows, clusters = np.nonzero(changed)
         first = bounds[rows, clusters]
@@ -194,21 +213,22 @@ def _lockstep(d: np.ndarray, medoids: np.ndarray, budget: int) -> list[Clusterin
             for at in np.split(same, range(per, same.shape[0], per)):
                 members = order[rows[at, None], first[at, None] + np.arange(length)]
                 new[rows[at], clusters[at]] = medoid(d, members)
+        del order  # before the next one is made
         done = np.all(new == medoids, axis=1)
         for i in np.flatnonzero(done):
-            out[live[i]] = Clustering(assignment[i].copy(), medoids[i].copy())
+            out[live[i]] = Clustering(labels[i], medoids[i].copy())
         if done.all():
             break
-        medoids, live, previous = new[~done], live[~done], assignment[~done]
-        assignment = np.stack([_assign(np.take(d, m, axis=0, out=gathered, mode="clip"), m)
-                               for m in medoids])
-        rows, points = np.nonzero(assignment != previous)
+        medoids, live, previous = new[~done], live[~done], labels[~done]
+        labels = labels[:medoids.shape[0]]  # the rows still running, rewritten in place
+        _assign_rows(d, medoids, gathered, labels)
+        rows, points = np.nonzero(labels != previous)
         changed = np.zeros(medoids.shape, dtype=bool)
         changed[rows, previous[rows, points]] = True
-        changed[rows, assignment[rows, points]] = True
+        changed[rows, labels[rows, points]] = True
     else:  # _MAX_SWAPS reached: the rows still in the stack end where they are
         for i, row in enumerate(live):
-            out[row] = Clustering(assignment[i].copy(), medoids[i].copy())
+            out[row] = Clustering(labels[i], medoids[i].copy())
     return out
 
 

@@ -11,9 +11,16 @@ From _THREAD_MIN_POINTS points on, the starts of a call are dealt
 round-robin to one thread group per usable core, each running its starts
 one after another; the output does not depend on the number of cores.
 Every default pipeline call runs one start. Four relative-stress starts on
-m holes points took, on two threads against one, 88 against 84 ms at
-m=160, 240 against 293 ms at m=250 (the stack took 189 on two) and 412
-against 658 ms at m=400 (2 cores, 1 BLAS thread, medians of 4).
+m holes points (6 holes, seed 0), each median over 5 fresh processes of
+the middle of 3 timed calls, took on two threads against one (2 cores, 1
+BLAS thread):
+
+    m          128   160   192   224   256   288   320
+    one (ms)   105   207   203   445   628   521   843
+    two (ms)   125   201   197   363   431   358   516
+    two won    1/5   4/5   3/5   5/5   5/5   5/5   5/5
+
+Two threads first win in every process at m=224, where the gate is.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ from .core import (DistanceMatrix, ValidationError, _run_parts, _thread_groups,
 _EPS_DIST = 1e-15
 _WEIGHT_FLOOR_REL = 1e-6  # relative-stress weights span at most 1e12
 # the fewest points at which a call's starts split across threads: below it
-# thread start-up and GIL hand-offs cost more than the overlap saves
-_THREAD_MIN_POINTS = 128
+# thread start-up and GIL hand-offs cost as much as the overlap saves
+_THREAD_MIN_POINTS = 224
 
 
 @dataclass(frozen=True)

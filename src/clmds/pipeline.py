@@ -94,7 +94,11 @@ def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
     n = D.n_points
     everything = np.arange(n)
     if not isinstance(sparsify, str):
-        idx = np.asarray(list(sparsify), dtype=int)
+        items = list(sparsify)
+        # dtype=int would truncate 2.7 to 2 and read True as 1
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in items):
+            raise ValidationError("explicit sparse list entries must be integer point indices")
+        idx = np.asarray(items, dtype=int)
         if idx.size != np.unique(idx).size:
             raise ValidationError("explicit sparse list has duplicates")
         if idx.size == 0 or np.any(idx < 0) or np.any(idx >= n):
@@ -121,13 +125,17 @@ def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
     return SparseSelection(sp, np.setdiff1d(everything, sp))
 
 
-def hierarchy_merge(previous: Clustering, D: DistanceMatrix, target: int,
+def hierarchy_merge(previous: Clustering, D, target: int,
                     km_cfg: KmedoidsConfig | None = None, seed: int = 0) -> Clustering:
     """Merge a clustering down to `target` clusters by k-medoids on its medoids.
 
-    Each merged cluster keeps, as its medoid, the previous medoid with the
-    least summed distance to the other previous medoids it absorbs (the
-    lowest index on ties; see `kmedoids.medoid`).
+    D is any distance source with `n_points` and `block(rows, cols)`; the
+    merge reads only the block among the previous medoids. Each merged
+    cluster keeps, as its medoid, the previous medoid with the least summed
+    distance to the other previous medoids it absorbs, taken from that
+    block with the members in increasing point index, so that ties go to
+    the lowest index (see `kmedoids.medoid`) also where the previous
+    medoids are not sorted.
     """
     if target >= previous.n_clusters:
         raise ValidationError("merge target must be below the current cluster count")
@@ -135,30 +143,54 @@ def hierarchy_merge(previous: Clustering, D: DistanceMatrix, target: int,
         raise ValidationError(f"clustering of {previous.n_points} points does not match "
                               f"a distance matrix of {D.n_points}")
     medoids = previous.medoids
+    among = DistanceMatrix(D.block(medoids, medoids))
     if target == 1:
         grouping = np.zeros(medoids.shape[0], dtype=int)
     else:
         km_cfg = km_cfg or KmedoidsConfig(k=target)
         # n_iso fits the finest level; a merge target may be below it
         km_cfg = replace(km_cfg, k=target, n_iso=min(km_cfg.n_iso, target), seed=seed)
-        grouping = kmedoids_best(D.submatrix(medoids), km_cfg).assignment
-    merged_medoids = np.array([medoid(D.d, np.sort(medoids[grouping == g]))
-                               for g in range(target)], dtype=int)
-    return Clustering(grouping[previous.assignment], merged_medoids)
+        grouping = kmedoids_best(among, km_cfg).assignment
+    by_index = np.argsort(medoids)  # rows of `among` in increasing point index
+    picks = np.array([medoid(among.d, by_index[grouping[by_index] == g])
+                      for g in range(target)], dtype=int)
+    return Clustering(grouping[previous.assignment], medoids[picks])
 
 
-def clmds_embed(D: DistanceMatrix, cfg: ClmdsConfig,
-                features: FeatureSet | None = None) -> ClmdsResult:
-    """Run the full pipeline on a distance matrix.
+@dataclass(frozen=True)
+class _Subset:
+    """The points idx of a distance source, numbered 0, 1, ... in that
+    order, read through the source's `block`."""
 
-    The pipeline embeds the sparse subset (every point when sparsify is
-    "none") through `D.submatrix`, so D may be any object with `n_points`
-    and `submatrix(idx) -> DistanceMatrix` that builds only the distances
-    asked for; `sparsify="cur"` also needs `block(rows, cols) -> ndarray`,
-    and reads every row through it, one row block at a time. Points left out get
-    estimated coordinates when descriptor vectors are supplied; otherwise
-    the result covers the sparse subset only (estimation needs vectors).
-    With `cfg.kernel_eta` set, a distance above 1 raises a ValidationError.
+    source: object
+    idx: np.ndarray
+
+    @property
+    def n_points(self) -> int:
+        return self.idx.size
+
+    def block(self, rows, cols) -> np.ndarray:
+        return self.source.block(self.idx[rows], self.idx[cols])
+
+
+def clmds_embed(D, cfg: ClmdsConfig, features: FeatureSet | None = None) -> ClmdsResult:
+    """Run the full pipeline on a distance source.
+
+    D is any object with `n_points`, `submatrix(idx) -> DistanceMatrix` and
+    `block(rows, cols) -> ndarray` that builds only the distances asked
+    for, as `DistanceMatrix` and the CLI's feature distances do. The
+    pipeline builds the dense matrix of the points it embeds (the sparse
+    subset, every point when sparsify is "none") once, through
+    `submatrix`. That matrix serves the finest level alone: k-medoids, the
+    local MDS and the anchor search. It is dropped before the first merge,
+    and every coarser level reads the few distances it needs through
+    `block`, which must equal the dense matrix's entries bit for bit, a
+    repeated index included (0 between a point and itself).
+    `sparsify="cur"` reads every row through `block`, one row block at a
+    time. Points left out get estimated coordinates when descriptor vectors
+    are supplied; otherwise the result covers the sparse subset only
+    (estimation needs vectors). With `cfg.kernel_eta` set, a distance above
+    1 raises a ValidationError.
     """
     n = D.n_points
     if cfg.hierarchy.levels[0] > n:
@@ -167,23 +199,23 @@ def clmds_embed(D: DistanceMatrix, cfg: ClmdsConfig,
     sel = sparsify_select(D, cfg.sparsify, cfg.n_sparse, seed=cfg.seed,
                           n_min=cfg.hierarchy.levels[0])
     t1 = time.perf_counter()
-    sub = D.submatrix(sel.sparse)
-    t2 = time.perf_counter()
-    result = _core_run(sub, cfg)
-    result.timings.update(sparsify=t1 - t0, distances=t2 - t1)
+    result = _core_run(D, sel.sparse, cfg)
+    result.timings["sparsify"] = t1 - t0
     if sel.complement.size:
         result.sparse_indices = sel.sparse
         result.estimation_available = features is not None
         if features is not None:
-            t3 = time.perf_counter()
+            t2 = time.perf_counter()
             result = estimate_out_of_sample(features, result, sel)
-            result.timings["estimate"] = time.perf_counter() - t3
+            result.timings["estimate"] = time.perf_counter() - t2
     result.timings["total"] = time.perf_counter() - t0
     return result
 
 
-def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
-    n = D.n_points
+def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig) -> ClmdsResult:
+    """cl-MDS of the points `sparse` of a distance source (see
+    `clmds_embed`); indices in the result count within `sparse`."""
+    n = sparse.size
     levels = cfg.hierarchy.levels
     # one sub-seed per call, in call order: k-medoids, each local MDS, then
     # per level the merge and each group's anchor MDS (spawn(1) per call)
@@ -192,13 +224,16 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
              for child in iter(lambda: root.spawn(1)[0], None))
     timings = {}
     kernel = None if cfg.kernel_eta is None else KernelConfig(eta=cfg.kernel_eta)
-    if kernel is not None and 1.0 - np.max(D.d) ** 2 < -1e-12:  # d = sqrt(1 - k)
+    t0 = time.perf_counter()
+    dense = source.submatrix(sparse)
+    timings["distances"] = time.perf_counter() - t0
+    if kernel is not None and 1.0 - np.max(dense.d) ** 2 < -1e-12:  # d = sqrt(1 - k)
         raise ValidationError("kernel entries 1 - d^2 must lie in [0, 1]: "
                               "medoid weighting needs kernel-induced distances")
 
     t0 = time.perf_counter()
-    c0 = kmedoids_best(D, replace(cfg.kmedoids, seed=next(seeds)))
-    irel = relative_incoherence(D, c0)
+    c0 = kmedoids_best(dense, replace(cfg.kmedoids, seed=next(seeds)))
+    irel = relative_incoherence(dense, c0)
     timings["kmedoids"] = time.perf_counter() - t0
 
     # every point, in the frame of its cluster at the current level
@@ -207,7 +242,7 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     local_coords, local_stresses = [], []
     for k in range(c0.n_clusters):
         members = c0.members(k)
-        xy, sig = mds_embed(D.submatrix(members),
+        xy, sig = mds_embed(dense.submatrix(members),
                             cfg=replace(cfg.mds, n_init=1, seed=next(seeds)))
         coords[members] = xy
         local_coords.append(xy)
@@ -215,8 +250,12 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
     timings["local_mds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    anchors = select_anchors(D, c0)
+    anchors = select_anchors(dense, c0)
     timings["anchors"] = time.perf_counter() - t0
+    # the coarser levels read only blocks among anchors and medoids: the
+    # n x n matrix goes before the anchor MDS adds its m x m arrays
+    del dense
+    D = _Subset(source, sparse)
 
     per_level = [LevelArtifacts(clustering=c0, anchors=anchors,
                                 local_stresses=local_stresses)]
@@ -237,11 +276,14 @@ def _core_run(D: DistanceMatrix, cfg: ClmdsConfig) -> ClmdsResult:
             union = np.concatenate([anchors[i] for i in member_ids])
             t1 = time.perf_counter()
             # weighting is elementwise: the union plus the medoids gives its exact rows
+            # (a medoid can be an anchor too: `block` gives such a repeat D 0)
             block = union if kernel is None else np.concatenate([union, c0.medoids])
-            sub = D.submatrix(block)
-            if kernel is not None:
+            d = D.block(block, block)
+            if kernel is None:
+                sub = DistanceMatrix(d)
+            else:
                 local = Clustering(c0.assignment[block], np.arange(union.size, block.size))
-                sub = medoid_weighted_distance(1.0 - sub.d ** 2, local,
+                sub = medoid_weighted_distance(1.0 - d ** 2, local,
                                                kernel).submatrix(np.arange(union.size))
             axy, astress = mds_embed(sub, relative_stress_weights(sub.d),
                                      replace(cfg.mds, seed=next(seeds)))

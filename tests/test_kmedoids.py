@@ -1,5 +1,6 @@
 import re
 import threading
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import clmds.kmedoids as kmedoids_mod
 from clmds import core
 from clmds import (Clustering, FeatureSet, KmedoidsConfig, ValidationError,
-                   euclidean_distances, kmedoids_best, kmedoids_once,
+                   euclidean_distances, gen_s_curve, kmedoids_best, kmedoids_once,
                    relative_incoherence, validate_distance_matrix)
 from clmds.kmedoids import farthest_point_sample
 
@@ -335,6 +336,29 @@ def test_lockstep_gathers_stay_within_the_element_budget(monkeypatch):
         for c, one in zip(got, alone):
             assert np.array_equal(c.assignment, one.assignment)
             assert np.array_equal(c.medoids, one.medoids)
+
+
+def test_lockstep_scratch_is_a_few_bytes_per_restart_and_point(monkeypatch):
+    # Beyond the (k, n) row buffer, the (k, n) copy argmin makes of it and
+    # the int64 labels of the R clusterings returned, the lockstep holds
+    # per restart and point a label byte or two, one sort order and the
+    # previous labels: 10-12 bytes here, against 40 at the parent (int64
+    # label stacks and sort keys, two orders alive at once). The gathers
+    # are kept small so that only the per-restart scratch shows.
+    n, k, restarts = 400, 40, 200
+    D = euclidean_distances(gen_s_curve(n, seed=0))
+    rng = np.random.default_rng(0)
+    starts = np.array([rng.choice(n, size=k, replace=False) for _ in range(restarts)])
+    monkeypatch.setattr(kmedoids_mod, "_GATHER_ELEMENTS", 1 << 12)
+    monkeypatch.setattr(core, "_WORKERS", 1)
+    kmedoids_once(D, starts[:2])  # lazy imports and caches, outside the traced call
+    tracemalloc.start()
+    try:
+        kmedoids_once(D, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * k * n * 8 - restarts * n * 8 <= 16 * restarts * n
 
 
 def test_starts_must_be_a_stack_of_distinct_in_range_medoids():

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,10 @@ from scipy.spatial.distance import cdist
 from clmds import (ClmdsConfig, ClmdsResult, Clustering, DistanceMatrix, FeatureSet,
                    HierarchySpec, HolesSpec, KernelConfig, KmedoidsConfig, MdsConfig,
                    SparseSelection, ValidationError, clmds_embed, estimate_out_of_sample,
-                   euclidean_distances, gen_holes_dataset, hierarchy_merge, kernel_matrix,
-                   kernel_to_distance, kmedoids_best, medoid_weighted_distance,
-                   sparsify_select, voronoi_containment)
-from clmds import cli, kernel, pipeline
+                   euclidean_distances, gen_holes_dataset, gen_s_curve, hierarchy_merge,
+                   kernel_matrix, kernel_to_distance, kmedoids_best,
+                   medoid_weighted_distance, sparsify_select, voronoi_containment)
+from clmds import cli, core, kernel, pipeline
 from clmds.cli import FeatureDistances
 
 
@@ -138,6 +139,17 @@ def test_sparsify_explicit_list_and_errors():
         sparsify_select(D, "random", 2, n_min=3)
 
 
+def test_sparsify_rejects_non_integer_and_boolean_entries():
+    # dtype=int would read these as [0, 2, 5] and [0, 1]
+    _, D = three_blob_problem()
+    for bad in ([0.9, 2.7, 5], [True, False], [np.True_, 3], [2.0, 5], np.array([1.5, 4.0])):
+        with pytest.raises(ValidationError, match="integer point indices"):
+            sparsify_select(D, bad, None)
+    for good in ([np.int32(5), 3], np.array([8, 1]), range(4)):
+        sel = sparsify_select(D, good, None)
+        assert np.array_equal(sel.sparse, np.sort(np.asarray(list(good))))
+
+
 def test_hierarchy_merge_pairs_of_blobs():
     centers = [np.r_[0, 0], np.r_[1.5, 0], np.r_[20, 0], np.r_[21.5, 0]]
     fs = blobs(centers, per=6, spread=0.1, dims=2, seed=1)
@@ -171,6 +183,28 @@ def test_hierarchy_merge_caps_n_iso_at_the_target():
     assert np.array_equal(c3.medoids, capped.medoids)
     res = clmds_embed(D, ClmdsConfig(hierarchy=HierarchySpec((6, 3, 1)), n_iso=5, iter_med=20))
     assert [lv.clustering.n_clusters for lv in res.per_level] == [6, 3, 1]
+
+
+def test_hierarchy_merge_ties_go_to_the_lowest_index_of_unsorted_medoids():
+    # Four clusters whose medoids (listed 7, 1, 5, 3) are all 1 apart: every
+    # merged cluster's medoids tie on summed distance, and the lowest point
+    # index must win, not the first listed. Deeper levels list merged
+    # medoids by group, so they come unsorted there.
+    medoids = np.array([7, 1, 5, 3])
+    assignment = np.array([1, 1, 3, 3, 2, 2, 0, 0])  # point i joins the medoid nearest it
+    d = np.full((8, 8), 2.0)
+    d[np.ix_(medoids, medoids)] = 1.0
+    for c, m in enumerate(medoids):
+        d[m, assignment == c] = d[assignment == c, m] = 0.5
+    np.fill_diagonal(d, 0.0)
+    D = DistanceMatrix(d)
+    previous = Clustering(assignment, medoids)
+    for target in (1, 2, 3):
+        for seed in range(5):
+            level = hierarchy_merge(previous, D, target, seed=seed)
+            grouping = level.assignment[medoids]
+            assert [int(m) for m in level.medoids] == [int(medoids[grouping == g].min())
+                                                       for g in range(target)]
 
 
 def base_config(levels=(3, 1), **kw):
@@ -257,6 +291,95 @@ def test_duplicated_points_embed_finite(levels):
     # the three locations span a plane, so the embedding keeps their distances
     first = res.coords[::20]
     assert np.allclose(cdist(first, first), D.d[::20, ::20], rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("sparsify", ["none", "random"])
+def test_the_dense_matrix_is_gone_before_the_anchor_mds(monkeypatch, sparsify):
+    # the n x n matrix serves the finest level only; every anchor MDS runs
+    # after its last reference went
+    fs, D = six_blob_problem()
+    dense, freed = [], []
+
+    class Source(FeatureDistances):
+        def submatrix(self, idx):
+            sub = super().submatrix(idx)
+            dense.append(weakref.ref(sub.d))
+            return sub
+
+    real_mds = pipeline.mds_embed
+
+    def embed(sub, w=None, cfg=None):
+        if w is not None:
+            freed.append([ref() is None for ref in dense])
+        return real_mds(sub, w, cfg)
+
+    monkeypatch.setattr(pipeline, "mds_embed", embed)
+    cfg = base_config(levels=(6, 3, 1), sparsify=sparsify,
+                      n_sparse=None if sparsify == "none" else 40)
+    res = clmds_embed(Source(fs), cfg)
+    assert len(dense) == 1
+    assert freed == [[True]] * 4
+    # the blocks that the coarser levels read give the matrix's embedding
+    assert np.array_equal(res.coords, clmds_embed(D, cfg).coords)
+
+
+def test_a_feature_embedding_holds_about_one_matrix(monkeypatch):
+    # The n x n matrix is freed before the anchor MDS (m = 400 here) adds
+    # its m x m arrays: 1.15 n x n matrices of float64 at the peak, against
+    # 1.69 with both held at once. One worker: each k-medoids thread group
+    # holds its own (k, n) buffers.
+    n = 1500
+    dist = FeatureDistances(gen_s_curve(n, seed=1))
+    cfg = ClmdsConfig(hierarchy=HierarchySpec((100, 1)), iter_med=10)
+    monkeypatch.setattr(core, "_WORKERS", 1)
+    clmds_embed(dist, cfg)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        clmds_embed(dist, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8
+
+
+def test_a_kernel_anchor_block_with_a_repeated_point_is_the_dense_gather(monkeypatch):
+    # A cluster of 3 descriptors is its own anchor set, so its medoid is
+    # both an anchor and a medoid in the weighted block: the block repeats
+    # a point, and each repeat must read D 0 as the dense matrix's gather
+    # does (a kernel build from the descriptors sets only its own diagonal).
+    rng = np.random.default_rng(7)
+    axes = np.eye(5)
+    raw = np.vstack([rng.normal(axes[i], 0.05, (3 if i == 4 else 15, 5)) for i in range(5)])
+    dist = FeatureDistances(FeatureSet(raw), KernelConfig(zeta=2.0, normalize=True))
+    dense = dist.submatrix(np.arange(dist.n_points)).d
+    blocks, anchor_ds = [], []
+    real_block, real_mds = dist.block, pipeline.mds_embed
+
+    def block(rows, cols):
+        out = real_block(rows, cols)
+        blocks.append((np.asarray(rows), np.asarray(cols), out))
+        return out
+
+    def embed(sub, w=None, cfg=None):
+        if w is not None:
+            anchor_ds.append(sub.d)
+        return real_mds(sub, w, cfg)
+
+    monkeypatch.setattr(dist, "block", block)
+    monkeypatch.setattr(pipeline, "mds_embed", embed)
+    eta = 2
+    res = clmds_embed(dist, base_config(levels=(5, 1), kernel_eta=eta))
+    assert sorted(np.bincount(res.clustering.assignment)) == [3, 15, 15, 15, 15]
+    repeated = [(r, c, out) for r, c, out in blocks if np.unique(r).size < r.size]
+    assert repeated
+    for rows, cols, out in repeated:
+        assert out.tobytes() == dense[np.ix_(rows, cols)].tobytes()
+        # which a kernel build of the rows misses here (D 1.5e-8)
+        assert out.tobytes() != dist.submatrix(rows).d.tobytes()
+    full = medoid_weighted_distance(1.0 - dense ** 2, res.clustering, KernelConfig(eta=eta)).d
+    union = np.concatenate([s.anchor_indices for s in res.per_level[1].stitches])
+    assert len(anchor_ds) == 1
+    assert anchor_ds[0].tobytes() == full[np.ix_(union, union)].tobytes()
 
 
 def test_kernel_weighted_anchor_distances_path():
