@@ -17,9 +17,12 @@ each side it also records the checkout: its commit, whether src/ or
 perfbench/ differ from that commit, and if so a sha256 of the difference,
 so that an uncommitted tree is told apart from its commit. Per side and
 workload, the digests of every dataset of seeds 0 and 1 are gathered in one
-place. Each side also runs a fixed-work loop once (`calibrate`), so that
-records taken on other hosts or in other sessions compare as ratios. The
-file is written to the root of this checkout.
+place. Before each round of runs of a workload, each side also runs a
+fixed-work loop (`calibrate`), in the order of that round's runs; every
+reading is kept, and the fastest is the side's speed, so that records taken
+on other hosts or in other sessions compare as ratios (two readings taken
+back to back can differ by 40%). The file is written to the root of this
+checkout.
 """
 
 from __future__ import annotations
@@ -101,6 +104,11 @@ def calibrate(size: int = 400, seconds: float = 2.0) -> dict:
     return parse_calibration(done.stdout)
 
 
+def calibration_summary(readings: list[dict]) -> dict:
+    """Every calibration reading of one side, and the fastest of them."""
+    return {"readings": readings, "best_s": min(r["best_s"] for r in readings)}
+
+
 def checkout_state(checkout: Path) -> dict:
     """The commit of a checkout and how its src/ and perfbench/ differ from
     it: tracked changes (`git diff HEAD`) and untracked files alike."""
@@ -154,9 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     checkouts = {side: checkout_state(path) for side, path in sides.items()}
-    calibration = {side: calibrate() for side in sides}
-    print("calibration " + ", ".join(f"{side} {c['best_s']:.4f} s"
-                                     for side, c in calibration.items()), flush=True)
+    readings: dict[str, list[dict]] = {side: [] for side in sides}
     runs = []
     for workload in [w["name"] for w in spec["workloads"]]:
         # the last round is the traced one, and one more gives the seed-1 digests
@@ -165,12 +171,19 @@ def main(argv: list[str] | None = None) -> int:
             seed, run_s = (1, 1.0) if pair > args.pairs else (0, seconds)
             order = list(sides) if pair % 2 == 0 else list(reversed(sides))
             for side in order:
+                readings[side].append(calibrate())
+            print("calibration " + ", ".join(f"{side} {readings[side][-1]['best_s']:.4f} s"
+                                             for side in order), flush=True)
+            for side in order:
                 got = run_once(sides[side], workload, seed, run_s, trace)
                 runs.append({"workload": workload, "pair": pair, "seed": seed,
                              "trace": trace, "side": side, **got})
                 embed_s = got["result"]["metrics"].get("embed_s", {}).get("value")
                 print(f"{workload} pair {pair} seed {seed} trace {trace} {side}: "
                       f"embed_s {embed_s}", flush=True)
+    calibration = {side: calibration_summary(got) for side, got in readings.items()}
+    print("calibration, best " + ", ".join(f"{side} {c['best_s']:.4f} s"
+                                           for side, c in calibration.items()), flush=True)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
         "label": args.label, "seconds": seconds, "checkouts": checkouts,

@@ -88,9 +88,8 @@ def build_run_config(cfg: dict) -> ClmdsConfig:
             raise ValidationError(f"sparsify must be none, random, cur or a comma-separated "
                                   f"list of point indices, got {sparsify!r}") from None
     n_sparse = _parse(cfg, "n_sparse", int) if cfg["n_sparse"] else None
-    weighted = _parse(cfg, "weighted") and cfg["input_kind"] == "descriptors"
     return ClmdsConfig(hierarchy=hierarchy, sparsify=sparsify, n_sparse=n_sparse,
-                       kernel_eta=_parse(cfg, "eta", int) if weighted else None,
+                       kernel_eta=_parse(cfg, "eta", int) if _parse(cfg, "weighted") else None,
                        **_typed(cfg, ClmdsConfig))
 
 

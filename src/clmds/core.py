@@ -38,7 +38,8 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Exactly symmetric square dissimilarity matrix."""
+    """Exactly symmetric square dissimilarity matrix: finite, non-negative
+    entries and a zero diagonal, checked one row block at a time."""
 
     d: np.ndarray
 
@@ -48,12 +49,18 @@ class DistanceMatrix:
             raise ValidationError("distance matrix must be square")
         if d.shape[0] < 1:
             raise ValidationError("distance matrix has no points")
+        blocks = _row_blocks(*d.shape)
+        if not all(np.isfinite(d[s]).all() for s in blocks):
+            raise ValidationError("distance matrix contains non-finite entries")
         # k-medoids reads rows for columns, which is exact only on an exactly
         # symmetric matrix
-        if not all(np.array_equal(d[s, s.start:], d[s.start:, s].T)
-                   for s in _row_blocks(*d.shape)):
+        if not all(np.array_equal(d[s, s.start:], d[s.start:, s].T) for s in blocks):
             raise ValidationError("distance matrix is not exactly symmetric; "
                                   "build it with validate_distance_matrix")
+        if any((d[s] < 0).any() for s in blocks):
+            raise ValidationError("distance matrix has negative entries")
+        if np.diagonal(d).any():
+            raise ValidationError("distance matrix diagonal is not zero")
         object.__setattr__(self, "d", d)
 
     @property
@@ -94,15 +101,12 @@ def _validated(d: np.ndarray) -> DistanceMatrix:
     if asym > SYMMETRY_TOL:
         raise ValidationError(f"distance matrix asymmetry {asym:g} exceeds {SYMMETRY_TOL:g}")
     if asym > 0.0:
-        for s in _row_blocks(*d.shape):  # x + y = y + x: both halves get one mean
-            mean = 0.5 * (d[s, s.start:] + d[s.start:, s].T)
-            d[s, s.start:] = mean
-            d[s.start:, s] = mean.T
-    if any(np.any(d[s] < 0) for s in _row_blocks(*d.shape)):
-        raise ValidationError("distance matrix has negative entries")
-    if np.max(np.abs(np.diag(d)), initial=0.0) > DIAGONAL_TOL:
-        raise ValidationError("distance matrix diagonal is not zero")
-    np.fill_diagonal(d, 0.0)
+        _symmetrize(d)
+    # a diagonal within DIAGONAL_TOL above zero is rounding; DistanceMatrix
+    # refuses any negative entry first, and then any other diagonal
+    diag = np.diagonal(d)
+    if np.all((diag >= 0) & (diag <= DIAGONAL_TOL)):
+        np.fill_diagonal(d, 0.0)
     d.flags.writeable = False
     return DistanceMatrix(d)
 
@@ -118,6 +122,15 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     _BLOCK_ENTRIES entries (one row at least), together all of its rows."""
     step = max(1, _BLOCK_ENTRIES // max(1, n_cols))
     return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _symmetrize(a: np.ndarray):
+    """Set a square array a to (a + a.T) / 2 in place, one row block of the
+    upper triangle at a time: x + y = y + x, so both halves get one mean."""
+    for s in _row_blocks(*a.shape):
+        mean = 0.5 * (a[s, s.start:] + a[s.start:, s].T)
+        a[s, s.start:] = mean
+        a[s.start:, s] = mean.T
 
 
 def _asymmetry(a: np.ndarray) -> float:
@@ -203,37 +216,33 @@ def _usable_cores() -> int:
 
 
 # the cores this process may run on, taken once: the most threads that
-# _run_parts is given work for
+# _run_groups is given work for
 _WORKERS = _usable_cores()
 
 
-def _thread_groups(n: int) -> int:
-    """How many groups to split n independent pieces into: one per usable
-    core, at most n, at least 1."""
-    return max(1, min(_WORKERS, n))
+def _run_groups(run, items, workers: int) -> list:
+    """The results of run(group) over min(workers, len(items)) contiguous
+    groups of items (one at least), one result per item, in item order.
 
-
-def _run_parts(parts: list) -> list:
-    """Call every part of parts and return their results in order: parts[0]
-    on the calling thread, each other part on a thread of its own.
-
-    numpy releases the GIL in its large ufunc, gather and BLAS calls, so the
-    parts overlap there. Every thread is joined, also when a part raises;
-    then the exception of the lowest-numbered part that raised is raised
-    here.
+    Group 0 runs on the calling thread, each other group on a thread of its
+    own: numpy releases the GIL in its large ufunc, gather and BLAS calls, so
+    the groups overlap there. Every thread is joined, also when a group
+    raises; then the error of the lowest-numbered group that raised is
+    raised here.
     """
-    results = [None] * len(parts)
-    errors: list[BaseException | None] = [None] * len(parts)
+    g = max(1, min(workers, len(items)))
+    cuts = [len(items) * i // g for i in range(g + 1)]
+    results, errors = [None] * g, [None] * g
 
     def call(i):
         try:
-            results[i] = parts[i]()
+            results[i] = run(items[cuts[i]:cuts[i + 1]])
         except BaseException as exc:  # handed to the calling thread below
             errors[i] = exc
 
     threads = []
     try:
-        for i in range(1, len(parts)):
+        for i in range(1, g):
             t = threading.Thread(target=call, args=(i,))
             t.start()
             threads.append(t)
@@ -244,7 +253,7 @@ def _run_parts(parts: list) -> list:
     for exc in errors:
         if exc is not None:
             raise exc
-    return results
+    return [r for group in results for r in group]
 
 
 @dataclass(frozen=True)

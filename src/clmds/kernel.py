@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Clustering, DistanceMatrix, FeatureSet, ValidationError, _asymmetry,
-                   _row_blocks, _validated)
+                   _row_blocks, _symmetrize, _validated)
 
 _UNIT_NORM_TOL = 1e-6
 
@@ -70,10 +70,12 @@ def _induced_distance(k: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _check_kernel(k: np.ndarray):
+    """k as a float array, and its asymmetry, at most 1e-9."""
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValidationError("kernel matrix must be square")
-    if _asymmetry(k) > 1e-9:
+    asym = _asymmetry(k)
+    if asym > 1e-9:
         raise ValidationError("kernel matrix must be symmetric")
     if np.max(np.abs(np.diag(k) - 1.0)) > 1e-12:
         raise ValidationError("kernel matrix must have unit diagonal")
@@ -81,7 +83,7 @@ def _check_kernel(k: np.ndarray):
     if (np.min([np.min(k[s]) for s in blocks]) < -1e-12
             or np.max([np.max(k[s]) for s in blocks]) > 1.0 + 1e-12):
         raise ValidationError("kernel entries must lie in [0, 1]")
-    return k
+    return k, asym
 
 
 def kernel_to_distance(k: np.ndarray) -> DistanceMatrix:
@@ -89,10 +91,20 @@ def kernel_to_distance(k: np.ndarray) -> DistanceMatrix:
 
     k is read only; the result is the one new n x n array.
     """
-    k = _check_kernel(k)
-    d = _induced_distance(k, np.empty(k.shape))
-    np.fill_diagonal(d, 0.0)
-    return _validated(d)
+    k, asym = _check_kernel(k)
+    return _distance_matrix_of(np.array(k, order="C"), asym)
+
+
+def _distance_matrix_of(sim: np.ndarray, asym: float) -> DistanceMatrix:
+    """The distances sqrt(1 - sim) of a similarity matrix sim of asymmetry
+    asym, made in sim, which the caller gives up. An asymmetry (at most
+    the kernel check's 1e-9) is averaged out first, as the root would
+    magnify it past the distance check's bound."""
+    if asym > 0.0:
+        _symmetrize(sim)
+    _induced_distance(sim, out=sim)
+    np.fill_diagonal(sim, 0.0)
+    return _validated(sim)
 
 
 def kernel_distance_block(q: np.ndarray, rows, cols, zeta: float) -> np.ndarray:
@@ -115,12 +127,11 @@ def medoid_weighted_distance(k: np.ndarray, c: Clustering,
     D_ij = sqrt(1 - K_ij * K(m_k, m_s)^eta) for i in cluster k, j in
     cluster s; same-cluster pairs keep the plain kernel distance.
     """
-    k = _check_kernel(k)
+    k, asym = _check_kernel(k)
     if c.n_points != k.shape[0]:
         raise ValidationError("clustering size does not match kernel matrix")
     med_sim = k[np.ix_(c.medoids, c.medoids)] ** cfg.eta
     np.fill_diagonal(med_sim, 1.0)  # same-cluster pairs read med_sim[a, a]
-    km = med_sim[c.assignment[:, None], c.assignment[None, :]]
-    d = np.sqrt(np.clip(1.0 - k * km, 0.0, None))
-    np.fill_diagonal(d, 0.0)
-    return _validated(d)
+    sim = med_sim[c.assignment[:, None], c.assignment[None, :]]
+    sim *= k
+    return _distance_matrix_of(sim, asym)

@@ -27,11 +27,12 @@ keys, the finest k-medoids of s-curve dataset 3 (k=100, 2000 points)
 took 5.7-6.2 K minor faults in a fresh process; with these, 3.0-3.4 K.
 
 From k n = _THREAD_MIN_ELEMENTS on, the stack splits into one contiguous
-group of rows per usable core, each group in lockstep on its own thread
-with an equal share of _GATHER_ELEMENTS, so the output does not depend on
-the number of cores. 100 restarts on 2000 s-curve points with k=100 then
-take 0.50 s on 2 cores against 0.92 s on one (1 BLAS thread); at 1000
-points and k=40 two threads were no faster (0.31 s against 0.28 s).
+group of rows per usable core (`core._run_groups`, as the starts of an
+MDS call), each in lockstep on its own thread with an equal share of
+_GATHER_ELEMENTS, so the output does not depend on the number of cores.
+100 restarts on 2000 s-curve points with k=100 then take 0.50 s on 2
+cores against 0.92 s on one (1 BLAS thread); at 1000 points and k=40 two
+threads were no faster (0.31 s against 0.28 s).
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import Clustering, DistanceMatrix, ValidationError, _run_parts, _thread_groups
+from . import core
+from .core import Clustering, DistanceMatrix, ValidationError, _run_groups
 
 # the most distances the lockstep medoid gathers of one call hold at once
 # (32 MiB with their int64 flat indices), unless a single cluster's L x L
@@ -147,9 +149,9 @@ def kmedoids_once(D: DistanceMatrix, starts) -> list[Clustering]:
     Returns one Clustering per row, each exactly what that row gives run
     alone with its medoids sorted, relabelled by `_canonical`; so a row's
     order does not matter, also where distances tie. The rows run in lockstep
-    (`_lockstep`). From k n = _THREAD_MIN_ELEMENTS on, the rows split into
-    one contiguous group per usable core, each group in lockstep on its own
-    thread with an equal share of the gather budget.
+    (`_lockstep`). From k n = _THREAD_MIN_ELEMENTS on, `_run_groups` cuts
+    them into one contiguous group per usable core, each group in lockstep
+    on its own thread with an equal share of the gather budget.
     """
     d = D.d
     medoids = np.array(starts, dtype=int)
@@ -163,10 +165,9 @@ def kmedoids_once(D: DistanceMatrix, starts) -> list[Clustering]:
     if np.any(medoids < 0) or np.any(medoids >= d.shape[0]):
         raise ValidationError("initial medoid index out of range")
     big = medoids.shape[1] * d.shape[0] >= _THREAD_MIN_ELEMENTS
-    g = _thread_groups(medoids.shape[0]) if big else 1
-    runs = _run_parts([partial(_lockstep, d, rows, _GATHER_ELEMENTS // g)
-                       for rows in np.array_split(medoids, g)])
-    return [_canonical(c) for run in runs for c in run]
+    groups = max(1, min(core._WORKERS, medoids.shape[0])) if big else 1
+    run = partial(_lockstep, d, budget=_GATHER_ELEMENTS // groups)
+    return [_canonical(c) for c in _run_groups(run, medoids, groups)]
 
 
 def _canonical(c: Clustering) -> Clustering:

@@ -7,13 +7,13 @@ take their stress from the same precomputed sums. Each start runs alone in
 a plain loop, into (m, m) buffers: a 4-start plain MDS at m=200 peaks at
 6.8 m x m matrices, against 16.3 for the (4, m, m) stack this replaced.
 
-From _THREAD_MIN_POINTS points on, the starts of a call are dealt
-round-robin to one thread group per usable core, each running its starts
-one after another; the output does not depend on the number of cores.
-Every default pipeline call runs one start. Four relative-stress starts on
-m holes points (6 holes, seed 0), each median over 5 fresh processes of
-the middle of 3 timed calls, took on two threads against one (2 cores, 1
-BLAS thread):
+From _THREAD_MIN_POINTS points on, the starts of a call split into one
+contiguous group per usable core (`core._run_groups`, as the k-medoids
+restarts do), each group running its starts one after another; the output
+does not depend on the number of cores. Every default pipeline call runs
+one start. Four relative-stress starts on m holes points (6 holes, seed
+0), each median over 5 fresh processes of the middle of 3 timed calls,
+took on two threads against one (2 cores, 1 BLAS thread):
 
     m          128   160   192   224   256   288   320
     one (ms)   105   207   203   445   628   521   843
@@ -30,8 +30,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (DistanceMatrix, ValidationError, _run_parts, _thread_groups,
-                   pairwise_distances)
+from . import core
+from .core import DistanceMatrix, ValidationError, _run_groups, pairwise_distances
 
 _EPS_DIST = 1e-15
 _WEIGHT_FLOOR_REL = 1e-6  # relative-stress weights span at most 1e12
@@ -144,19 +144,14 @@ def _guttman_b(d_in, neg_wm, d, b, near):
 def _smacof_starts(d_in, wm, starts, max_iter, eps, uniform_w):
     """`_smacof_run` from every (m, 2) start: (s, m, 2) coordinates, and per
     start its stress, updates and stop. The fixed matrices are made once and
-    shared. From _THREAD_MIN_POINTS points on, start i goes to thread group
-    i mod g, one group per usable core, each running its starts in turn.
+    shared. From _THREAD_MIN_POINTS points on, the starts split into one
+    contiguous group per usable core (`_run_groups`), each run in turn.
     """
-    s, m = len(starts), d_in.shape[0]
     v = np.diag(wm.sum(axis=1)) - wm
     v_pinv = np.linalg.pinv(v) if uniform_w is None else None
     run = partial(_smacof_run, d_in, wm * d_in, -wm, v, v_pinv, uniform_w, max_iter, eps)
-    g = _thread_groups(s) if m >= _THREAD_MIN_POINTS else 1
-    # map is lazy: each group runs its starts inside list(), on its thread
-    groups = _run_parts([partial(list, map(run, starts[i::g])) for i in range(g)])
-    runs = [None] * s
-    for i, group in enumerate(groups):  # group i ran starts i, i + g, ...
-        runs[i::g] = group
+    workers = core._WORKERS if d_in.shape[0] >= _THREAD_MIN_POINTS else 1
+    runs = _run_groups(lambda group: [run(x0) for x0 in group], starts, workers)
     xs, sigs, iters, stops = zip(*runs)
     return np.array(xs), list(sigs), list(iters), list(stops)
 

@@ -99,3 +99,43 @@ def test_calibration_loop_runs_and_parses_on_a_tiny_size():
     for text in ("", "not json", json.dumps({"size": 8, "passes": 0, "best_s": 0.0})):
         with pytest.raises(ValueError):
             record.parse_calibration(text)
+
+
+def test_each_workload_round_takes_one_calibration_reading_per_side(tmp_path, monkeypatch):
+    # two workloads, one pair: each has 3 rounds (the pair, the traced run and
+    # the seed-1 digests), so each side gets 6 readings, each one before the
+    # runs of its round and in their order
+    spec = {"run_seconds": 45, "workloads": [{"name": "w1"}, {"name": "w2"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    other = tmp_path / "other"
+    (other / "perfbench").mkdir(parents=True)
+    (other / "perfbench" / "run.py").write_text("")
+    events = []
+    times = iter([0.03, 0.02, 0.05, 0.01, 0.04, 0.06, 0.02, 0.03, 0.05, 0.07, 0.04, 0.02])
+
+    def fake_calibrate():
+        events.append("calibrate")
+        return {"size": 400, "passes": 3, "best_s": next(times)}
+
+    def fake_run_once(checkout, workload, seed, seconds, trace):
+        events.append(("this" if checkout == tmp_path else "against", workload, seed, trace))
+        return record.parse_output(CANNED)
+
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    monkeypatch.setattr(record, "calibrate", fake_calibrate)
+    monkeypatch.setattr(record, "run_once", fake_run_once)
+    monkeypatch.setattr(record, "checkout_state", lambda path: {"commit": str(path)})
+    assert record.main(["--label", "t", "--against", str(other), "--pairs", "1"]) == 0
+    got = json.loads((tmp_path / "BENCH_t.json").read_text())["calibration"]
+    # rounds alternate which side runs first; each round calibrates both sides
+    # before it runs them
+    assert events[:6] == ["calibrate", "calibrate", ("this", "w1", 0, 0), ("against", "w1", 0, 0),
+                          "calibrate", "calibrate"]
+    assert events[6:8] == [("against", "w1", 0, 1), ("this", "w1", 0, 1)]
+    assert events.count("calibrate") == 12
+    assert [r["best_s"] for r in got["this"]["readings"]] == [0.03, 0.01, 0.04, 0.02, 0.07, 0.04]
+    assert [r["best_s"] for r in got["against"]["readings"]] == [0.02, 0.05, 0.06, 0.03, 0.05,
+                                                                0.02]
+    assert got["this"]["best_s"] == 0.01 and got["against"]["best_s"] == 0.02
+    assert record.calibration_summary([{"best_s": 0.2}]) == {"readings": [{"best_s": 0.2}],
+                                                            "best_s": 0.2}

@@ -285,6 +285,65 @@ def test_embed_descriptor_kind_weighted(tmp_path, capsys):
     assert (out / "coords.csv").exists()
 
 
+def test_weighted_distances_input_is_the_weighted_library_call(tmp_path, capsys):
+    # kernel-induced distances on disk: weighted=true switches the medoid
+    # weighting on, as kernel_eta does in the library
+    rng = np.random.default_rng(7)
+    raw = np.vstack([rng.normal(c, 0.05, (10, 4)) for c in
+                     [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]])
+    D = kernel_to_distance(kernel_matrix(clmds.FeatureSet(raw), KernelConfig(normalize=True)))
+    inp = tmp_path / "distances.csv"
+    inp.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in D.d) + "\n")
+    sets = [f"input={inp}", "input_kind=distances", "hierarchy=3,1", "iter_med=20",
+            "mds_n_init=2", "weighted=true", "eta=2"]
+    out = tmp_path / "out"
+    argv = ["embed", "--output-dir", out]
+    for item in sets:
+        argv += ["--set", item]
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    cfg = build_run_config(parse_config(None, sets))
+    assert cfg.kernel_eta == 2
+    expected = result_to_coords_csv(clmds_embed(clmds.load_distance_matrix(inp), cfg))
+    assert (out / "coords.csv").read_text() == expected
+
+
+def test_weighted_features_farther_apart_than_one_are_refused(tmp_path, capsys):
+    inp, _ = write_features(tmp_path)  # blobs 8 apart
+    code, _, err = run(embed_args(inp, tmp_path / "out", ["--set", "weighted=true"]), capsys)
+    assert code == 1
+    assert "kernel entries" in err
+    assert not (tmp_path / "out" / "coords.csv").exists()
+
+
+def test_unknown_input_kind_is_named(tmp_path, capsys):
+    inp, _ = write_features(tmp_path)
+    code, _, err = run(embed_args(inp, tmp_path / "out", ["--set", "input_kind=matrix"]),
+                       capsys)
+    assert code == 1
+    assert err.startswith("error: unknown input kind 'matrix'")
+
+
+def test_a_failed_replace_removes_every_staged_file(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "a.txt").write_text("old a\n")
+    real_replace = os.replace
+    calls = []
+
+    def failing_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("disk gone")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(clmds.cli.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        clmds.cli._write_atomic(str(out), {"a.txt": "new a\n", "b.txt": "new b\n"})
+    assert len(calls) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["a.txt"]  # no staged file is left
+
+
 def test_embed_n_iso_above_a_merge_target(tmp_path, capsys):
     # n_iso=5 fits the finest level of 10 clusters, not the merge to 3
     inp, _ = write_features(tmp_path)
@@ -405,9 +464,12 @@ def test_embed_equals_the_full_matrix_library_call(tmp_path, capsys, kind, spars
     data = tmp_path / "data"
     assert run(["datagen", "holes", "--n", "110", "--holes", "4", "--seed", "3",
                 "--output-dir", data], capsys)[0] == 0
+    # weighted only where the distances are kernel-induced: holes features
+    # lie farther apart than 1, which the medoid weighting refuses
+    weighted = "true" if kind == "descriptors" else "false"
     sets = [f"input={data / 'features.csv'}", f"input_kind={kind}", "hierarchy=4,2,1",
             "iter_med=10", "mds_n_init=2", f"sparsify={sparsify}", "n_sparse=40",
-            "normalize=true", "weighted=true", "zeta=2.0", "eta=2"]
+            "normalize=true", f"weighted={weighted}", "zeta=2.0", "eta=2"]
     out = tmp_path / "out"
     argv = ["embed", "--output-dir", out]
     for item in sets:

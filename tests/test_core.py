@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
-from clmds import (DistanceMatrix, FeatureSet, HierarchySpec, KernelConfig, ValidationError,
-                   euclidean_distances, kernel_matrix, kernel_to_distance,
+from clmds import (Clustering, DistanceMatrix, FeatureSet, HierarchySpec, KernelConfig,
+                   ValidationError, euclidean_distances, kernel_matrix, kernel_to_distance,
                    load_distance_matrix, load_feature_set, validate_distance_matrix)
 from clmds.cli import FeatureDistances
-from clmds.core import _BLOCK_ENTRIES, _MATMUL_MIN_ENTRIES, _run_parts, pairwise_distances
+from clmds.core import _BLOCK_ENTRIES, _MATMUL_MIN_ENTRIES, _run_groups, pairwise_distances
 
 
 def test_accepts_identical_points():
@@ -176,6 +176,57 @@ def test_distance_matrix_rejects_non_square_and_asymmetric():
         DistanceMatrix(d)
 
 
+@pytest.mark.parametrize("raw, message", [
+    ([[0, -1], [-1, 0]], "negative entries"),
+    ([[1, 2], [2, 1]], "diagonal is not zero"),
+    ([[0, np.inf], [np.inf, 0]], "non-finite entries"),
+    ([[0, np.nan], [np.nan, 0]], "non-finite entries"),
+])
+def test_distance_matrix_rejects_negative_non_finite_and_non_zero_diagonal(raw, message):
+    with pytest.raises(ValidationError, match=message):
+        DistanceMatrix(np.array(raw))
+    with pytest.raises(ValidationError):
+        validate_distance_matrix(raw)
+    # -0.0 is zero
+    assert DistanceMatrix(np.array([[-0.0, 1.0], [1.0, 0.0]])).n_points == 2
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([[2, -1], [-1, 0]], "negative entries"),  # negative and diagonal: negative first
+    ([[-1e-13, 1], [1, 0]], "negative entries"),  # a negative diagonal within rounding
+    ([[1e-13, -1], [-1, 0]], "negative entries"),
+    ([[1e-13, 1], [1, 2e-12]], "diagonal is not zero"),
+])
+def test_validation_reports_negative_entries_before_the_diagonal(raw, message):
+    with pytest.raises(ValidationError, match=message):
+        validate_distance_matrix(raw)
+
+
+def test_a_diagonal_within_rounding_of_zero_becomes_zero():
+    # ... where DistanceMatrix takes only an exact zero
+    raw = [[1e-13, 1], [1, 0]]
+    with pytest.raises(ValidationError, match="diagonal is not zero"):
+        DistanceMatrix(np.array(raw))
+    dm = validate_distance_matrix(raw)
+    assert dm.d[0, 0] == 0.0 and dm.d[0, 1] == 1.0
+
+
+@pytest.mark.parametrize("assignment, medoids, message", [
+    ([[0, 1]], [0], "malformed"),
+    ([0, 1], [[0]], "malformed"),
+    ([0, 0], [], "malformed"),
+    ([0, 2, 1], [0, 1], "assignment index out of range"),
+    ([0, -1, 1], [0, 2], "assignment index out of range"),
+    ([0, 1, 1], [0, 3], "medoid index out of range"),
+    ([0, 1, 1], [-1, 1], "medoid index out of range"),
+    ([0, 0, 0], [0, 1], "empty cluster"),
+    ([0, 1, 1], [1, 2], "medoid not assigned to its own cluster"),
+])
+def test_clustering_rejects_malformed_arrays(assignment, medoids, message):
+    with pytest.raises(ValidationError, match=message):
+        Clustering(np.array(assignment), np.array(medoids))
+
+
 def test_submatrix_is_the_block():
     rng = np.random.default_rng(2)
     raw = rng.normal(size=(30, 4))
@@ -189,25 +240,33 @@ def test_submatrix_is_the_block():
         assert np.array_equal(sub.d, dm.d[np.ix_(idx, idx)])
 
 
-def test_run_parts_keeps_the_order_and_raises_the_first_parts_error():
+def test_run_groups_keeps_the_order_and_raises_the_first_groups_error():
     caller = threading.current_thread()
-    where = _run_parts([lambda: threading.current_thread() is caller for _ in range(3)])
-    assert where == [True, False, False]  # parts[0] on the calling thread
-    # part 2 raises first in time, part 1 after it: part 1's error is raised,
-    # and only once every thread is joined
+
+    def on_caller(group):
+        return [threading.current_thread() is caller for _ in group]
+
+    where = _run_groups(on_caller, range(3), 3)
+    assert where == [True, False, False]  # group 0 on the calling thread
+    assert _run_groups(on_caller, range(5), 1) == [True] * 5  # one group: no thread
+    # contiguous groups of sizes differing by one at most, results in item order
+    assert _run_groups(lambda group: [(i, len(group)) for i in group], range(7), 3) == [
+        (0, 2), (1, 2), (2, 2), (3, 2), (4, 3), (5, 3), (6, 3)]
+    # group 2 raises first in time, group 1 after it: group 1's error is
+    # raised, and only once every thread is joined
     before = threading.active_count()
     raised = threading.Event()
 
     def second():
         raised.wait(10)
-        raise KeyError("part 1")
+        raise KeyError("group 1")
 
     def third():
         raised.set()
-        raise IndexError("part 2")
+        raise IndexError("group 2")
 
-    with pytest.raises(KeyError, match="part 1"):
-        _run_parts([lambda: 0, second, third])
+    with pytest.raises(KeyError, match="group 1"):
+        _run_groups(lambda group: [part() for part in group], [lambda: 0, second, third], 3)
     assert threading.active_count() == before
 
 
@@ -270,6 +329,24 @@ def test_validation_finds_a_fault_in_the_last_row_block(fault, message, col):
         d[last, last] = 1e-11
     with pytest.raises(ValidationError, match=message):
         validate_distance_matrix(d)
+
+
+@pytest.mark.parametrize("col", [0, N_BLOCKED - 2])
+@pytest.mark.parametrize("fault, message", [
+    ("inf", "contains non-finite entries"),
+    ("negative", "has negative entries"),
+    ("diagonal", "diagonal is not zero"),
+])
+def test_distance_matrix_finds_a_fault_in_the_last_row_block(fault, message, col):
+    d, last = blocked_distances(), N_BLOCKED - 1
+    if fault == "inf":
+        d[last, col] = d[col, last] = np.inf
+    elif fault == "negative":
+        d[last, col] = d[col, last] = -1.0
+    else:
+        d[last, last] = 5e-324
+    with pytest.raises(ValidationError, match=message):
+        DistanceMatrix(d)
 
 
 @pytest.mark.parametrize("col", [0, N_BLOCKED - 2])

@@ -177,3 +177,20 @@ def test_kernel_checks_find_a_fault_in_the_last_row_block(fault, message, col):
         k[last, col] = k[col, last] = np.nan
     with pytest.raises(ValidationError, match=message):
         kernel_to_distance(k)
+
+
+def test_a_sub_tolerance_kernel_asymmetry_is_averaged_before_the_root():
+    # 5e-10 apart, below the kernel check's 1e-9; the root would make it
+    # 2.1e-5 between d01 and d10
+    near = 1.0 - 1e-12
+    k = np.array([[1.0, near, 0.5], [near - 5e-10, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    raw = k.copy()
+    want = np.sqrt(1.0 - 0.5 * (k[0, 1] + k[1, 0]))
+    d = kernel_to_distance(k)
+    assert np.array_equal(k, raw)  # k is read only
+    assert d.d[0, 1] == d.d[1, 0] == want
+    assert d.d[0, 2] == d.d[2, 0] == np.sqrt(0.5)
+    w = medoid_weighted_distance(k, Clustering(np.array([0, 0, 1]), np.array([0, 2])))
+    assert np.array_equal(k, raw)
+    assert w.d[0, 1] == w.d[1, 0] == want  # same cluster: the plain distance
+

@@ -349,7 +349,7 @@ def _split_problem(m, seed, weighted):
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "relative"])
 def test_the_worker_count_changes_no_bit(monkeypatch, weighted):
-    # The starts split into 1, 2 and 3 thread groups, dealt round-robin; the
+    # The starts split into 1, 2 and 3 contiguous thread groups; the
     # gate is forced down. Every start must end bitwise where it ends in one
     # group, with the same stress, update count and stop reason.
     monkeypatch.setattr(mds, "_THREAD_MIN_POINTS", 0)

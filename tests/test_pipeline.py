@@ -137,6 +137,8 @@ def test_sparsify_explicit_list_and_errors():
         sparsify_select(D, "random", 0)
     with pytest.raises(ValidationError):
         sparsify_select(D, "random", 2, n_min=3)
+    with pytest.raises(ValidationError, match="unknown sparsify mode 'bogus'"):
+        sparsify_select(D, "bogus", 5)
 
 
 def test_sparsify_rejects_non_integer_and_boolean_entries():

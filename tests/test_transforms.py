@@ -205,6 +205,22 @@ def test_choose_best_keeps_affine_when_homography_bends_the_cluster():
     assert np.allclose(mapped, apply_transform(affine, cluster), atol=1e-12)
 
 
+def test_choose_best_falls_back_to_affine_when_a_point_maps_to_infinity():
+    # the homography of this convex quad sends w = 0.25 x + 0.5 y + 0.5 to
+    # zero on a line through (0, -1): a cluster point there cannot be divided
+    glo = np.array([[0.0, 0.0], [2.0, 0.0], [1.2, 0.8], [0.0, 1.0]])
+    homog = fit_homography(SQUARE, glo)
+    assert classify_transform(SQUARE, glo).kind == "homography"
+    cluster = np.vstack([SQUARE, [[0.5, 0.5], [0.0, -1.0]]])
+    with pytest.raises(PerspectiveDivideError):
+        apply_transform(homog, cluster)
+    t, mapped = choose_best_transform(cluster, SQUARE, glo)
+    affine = fit_affine(SQUARE, glo)
+    assert t.kind == "affine"
+    assert np.array_equal(t.matrix, affine.matrix)
+    assert np.array_equal(mapped, apply_transform(affine, cluster))
+
+
 def test_choose_best_reflected_square_falls_back_to_affine():
     glo = SQUARE.copy()
     glo[:, 0] *= -1
