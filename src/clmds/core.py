@@ -81,23 +81,17 @@ class DistanceMatrix:
 
 
 def validate_distance_matrix(raw) -> DistanceMatrix:
-    """Validate a raw square matrix as a dissimilarity matrix.
-
-    Small asymmetries (below 1e-9) are repaired by averaging; anything
-    larger is an error, as are negative, non-finite or non-zero-diagonal
-    entries. The result is a read-only copy of raw, the only one made.
-    """
-    return _validated(np.array(raw, dtype=float, order="C"))
-
-
-def _validated(d: np.ndarray) -> DistanceMatrix:
-    """`validate_distance_matrix` of d, repaired in place: d must be owned by
-    the caller, who gives it up."""
+    """Validate a raw square matrix as a dissimilarity matrix: non-finite
+    entries and an asymmetry above 1e-9 are refused, a smaller one averaged
+    out and a diagonal within 1e-12 above zero zeroed; `DistanceMatrix` then
+    refuses negative entries and any other diagonal. The result is a
+    read-only copy of raw, the only one made."""
+    d = np.array(raw, dtype=float, order="C")
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValidationError("distance matrix must be square")
-    if not all(np.all(np.isfinite(d[s])) for s in _row_blocks(*d.shape)):
-        raise ValidationError("distance matrix contains non-finite entries")
     asym = _asymmetry(d)
+    if not np.isfinite(asym) and not all(np.isfinite(d[s]).all() for s in _row_blocks(*d.shape)):
+        raise ValidationError("distance matrix contains non-finite entries")
     if asym > SYMMETRY_TOL:
         raise ValidationError(f"distance matrix asymmetry {asym:g} exceeds {SYMMETRY_TOL:g}")
     if asym > 0.0:
@@ -134,10 +128,12 @@ def _symmetrize(a: np.ndarray):
 
 
 def _asymmetry(a: np.ndarray) -> float:
-    """max |a - a.T| of a square array a (NaN if any entry is NaN), read
-    one row block of the upper triangle at a time: |x - y| = |y - x|."""
-    return np.max([np.max(np.abs(a[s, s.start:] - a[s.start:, s].T))
-                   for s in _row_blocks(*a.shape)], initial=0.0)
+    """max |a - a.T| of a square array a, non-finite if an entry is (or on
+    overflow), one row block of the upper triangle at a time: |x - y| =
+    |y - x|. The diagonal's inf - inf gives NaN silently."""
+    with np.errstate(invalid="ignore"):
+        return np.max([np.max(np.abs(a[s, s.start:] - a[s.start:, s].T))
+                       for s in _row_blocks(*a.shape)], initial=0.0)
 
 
 # From this many entries a table of differences is cheaper as a matmul than as
@@ -300,6 +296,9 @@ class HierarchySpec:
     levels: tuple[int, ...]
 
     def __post_init__(self):
+        for x in self.levels:  # int() would truncate 2.7 to 2 and read True as 1
+            if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+                raise ValidationError(f"hierarchy level {x!r} is not an integer")
         lv = tuple(int(x) for x in self.levels)
         if len(lv) < 2:
             raise ValidationError("hierarchy needs at least two levels, e.g. [k, 1]")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Clustering, DistanceMatrix, FeatureSet, ValidationError, _asymmetry,
-                   _row_blocks, _symmetrize, _validated)
+                   _row_blocks, _symmetrize)
 
 _UNIT_NORM_TOL = 1e-6
 
@@ -70,18 +70,20 @@ def _induced_distance(k: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _check_kernel(k: np.ndarray):
-    """k as a float array, and its asymmetry, at most 1e-9."""
+    """k as a float array, and its asymmetry, at most 1e-9; a NaN entry
+    passes here, to be refused as a non-finite distance."""
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValidationError("kernel matrix must be square")
+    if k.shape[0] < 1:
+        raise ValidationError("kernel matrix has no points")
     asym = _asymmetry(k)
     if asym > 1e-9:
         raise ValidationError("kernel matrix must be symmetric")
     if np.max(np.abs(np.diag(k) - 1.0)) > 1e-12:
         raise ValidationError("kernel matrix must have unit diagonal")
-    blocks = _row_blocks(*k.shape)
-    if (np.min([np.min(k[s]) for s in blocks]) < -1e-12
-            or np.max([np.max(k[s]) for s in blocks]) > 1.0 + 1e-12):
+    lo, hi = np.array([(np.min(k[s]), np.max(k[s])) for s in _row_blocks(*k.shape)]).T
+    if np.min(lo) < -1e-12 or np.max(hi) > 1.0 + 1e-12:
         raise ValidationError("kernel entries must lie in [0, 1]")
     return k, asym
 
@@ -89,22 +91,25 @@ def _check_kernel(k: np.ndarray):
 def kernel_to_distance(k: np.ndarray) -> DistanceMatrix:
     """Induced distance D_ij = sqrt(1 - K_ij); 1 - D^2 gives K back up to rounding.
 
-    k is read only; the result is the one new n x n array.
+    k is read only, and `_check_kernel` refuses it if it is no kernel; the
+    result, the one new n x n array, is then refused only by `DistanceMatrix`.
     """
     k, asym = _check_kernel(k)
     return _distance_matrix_of(np.array(k, order="C"), asym)
 
 
 def _distance_matrix_of(sim: np.ndarray, asym: float) -> DistanceMatrix:
-    """The distances sqrt(1 - sim) of a similarity matrix sim of asymmetry
-    asym, made in sim, which the caller gives up. An asymmetry (at most
-    the kernel check's 1e-9) is averaged out first, as the root would
-    magnify it past the distance check's bound."""
+    """The distances sqrt(1 - sim) of a checked similarity matrix sim of
+    asymmetry asym, made in sim, which the caller gives up, and handed to
+    `DistanceMatrix` as they are. An asymmetry (at most the kernel check's
+    1e-9) is averaged out first, as the root would magnify it past the
+    distance check's bound."""
     if asym > 0.0:
         _symmetrize(sim)
     _induced_distance(sim, out=sim)
     np.fill_diagonal(sim, 0.0)
-    return _validated(sim)
+    sim.flags.writeable = False
+    return DistanceMatrix(sim)
 
 
 def kernel_distance_block(q: np.ndarray, rows, cols, zeta: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 
@@ -130,6 +131,12 @@ def test_hierarchy_spec():
         HierarchySpec((3, 3, 1))
     with pytest.raises(ValidationError):
         HierarchySpec((3, 2))
+    assert HierarchySpec((np.int64(3), 1)).levels == (3, 1)
+    # int() would make these (2, 1), (3, 1) and (3, 1)
+    for levels, bad in [((2.7, 1), 2.7), ((3, True), True), ((np.float64(3.0), 1), np.float64(3.0)),
+                        (("3", 1), "3")]:
+        with pytest.raises(ValidationError, match=re.escape(f"hierarchy level {bad!r} is not")):
+            HierarchySpec(levels)
 
 
 def test_loaders_accept_comments_and_both_delimiters(tmp_path):
@@ -181,11 +188,12 @@ def test_distance_matrix_rejects_non_square_and_asymmetric():
     ([[1, 2], [2, 1]], "diagonal is not zero"),
     ([[0, np.inf], [np.inf, 0]], "non-finite entries"),
     ([[0, np.nan], [np.nan, 0]], "non-finite entries"),
+    ([[0, np.inf], [1, 0]], "non-finite entries"),
 ])
 def test_distance_matrix_rejects_negative_non_finite_and_non_zero_diagonal(raw, message):
     with pytest.raises(ValidationError, match=message):
         DistanceMatrix(np.array(raw))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=message):
         validate_distance_matrix(raw)
     # -0.0 is zero
     assert DistanceMatrix(np.array([[-0.0, 1.0], [1.0, 0.0]])).n_points == 2
@@ -347,6 +355,44 @@ def test_distance_matrix_finds_a_fault_in_the_last_row_block(fault, message, col
         d[last, last] = 5e-324
     with pytest.raises(ValidationError, match=message):
         DistanceMatrix(d)
+
+
+def _put_fault(a, kind, row):
+    """Put a fault of one kind into row and row - 1 (row 1 for row 0) of a
+    distance matrix or kernel a, within one row block."""
+    col = row - 1 if row else 1
+    if kind == "nan":
+        a[row, col] = np.nan
+    elif kind == "asymmetry":
+        a[row, col] += 2e-9
+    elif kind == "negative":  # out of [0, 1] in a kernel
+        a[row, col] = a[col, row] = -1.0
+    else:
+        a[row, row] += 1e-11
+
+
+@pytest.mark.parametrize("first, last, messages", [
+    # validate_distance_matrix, DistanceMatrix, kernel_to_distance
+    ("asymmetry", "nan", ["non-finite entries"] * 3),
+    ("negative", "nan", ["non-finite entries"] * 3),  # a kernel's NaN hides its range fault
+    ("negative", "asymmetry", ["asymmetry 2e-09 exceeds 1e-09", "not exactly symmetric",
+                               "kernel matrix must be symmetric"]),
+    ("diagonal", "asymmetry", ["asymmetry 2e-09 exceeds 1e-09", "not exactly symmetric",
+                               "kernel matrix must be symmetric"]),
+    # a kernel's diagonal is checked before its range
+    ("diagonal", "negative", ["negative entries"] * 2 + ["kernel matrix must have unit diagonal"]),
+])
+def test_faults_are_reported_by_kind_not_by_row_block(first, last, messages):
+    # the later kind sits in the first row block, the earlier in the last
+    fs = FeatureSet(np.random.default_rng(6).uniform(0.1, 1.0, size=(N_BLOCKED, 3)))
+    d, k = blocked_distances(), kernel_matrix(fs, KernelConfig(normalize=True))
+    for a in (d, k):
+        _put_fault(a, first, 0)
+        _put_fault(a, last, N_BLOCKED - 1)
+    for build, a, message in zip((validate_distance_matrix, DistanceMatrix, kernel_to_distance),
+                                 (d, d, k), messages):
+        with pytest.raises(ValidationError, match=message):
+            build(a)
 
 
 @pytest.mark.parametrize("col", [0, N_BLOCKED - 2])

@@ -62,6 +62,10 @@ def test_distance_rejects_bad_kernels():
         kernel_to_distance(np.array([[0.9, 0.1], [0.1, 0.9]]))  # diag != 1
     with pytest.raises(ValidationError):
         kernel_to_distance(np.array([[1.0, 0.2], [0.5, 1.0]]))  # asymmetric
+    with pytest.raises(ValidationError, match="kernel matrix has no points"):
+        kernel_to_distance(np.zeros((0, 0)))
+    with pytest.raises(ValidationError, match="kernel matrix has no points"):
+        medoid_weighted_distance(np.zeros((0, 0)), Clustering(np.array([0]), np.array([0])))
 
 
 def test_medoid_weighting_same_cluster_unchanged():
