@@ -27,6 +27,9 @@ def test_accepts_two_point_metric():
 def test_rejects_asymmetry():
     with pytest.raises(ValidationError):
         validate_distance_matrix([[0, 1], [2, 0]])
+    # finite entries whose difference overflows, without a warning
+    with pytest.raises(ValidationError, match="asymmetry inf exceeds"):
+        validate_distance_matrix([[0, 1e308], [-1e308, 0]])
 
 
 def test_repairs_tiny_asymmetry():
