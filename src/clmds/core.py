@@ -128,9 +128,9 @@ def _symmetrize(a: np.ndarray):
 
 
 def _asymmetry(a: np.ndarray) -> float:
-    """max |a - a.T| of a square array a, non-finite if an entry is (or on
-    overflow), one row block of the upper triangle at a time: |x - y| =
-    |y - x|. inf - inf gives NaN, and an overflow inf, silently."""
+    """max |a - a.T| of a square array a, one row block of the upper triangle
+    at a time (|x - y| = |y - x|). It is non-finite if an entry is, or on
+    overflow; both come without a numpy warning."""
     with np.errstate(invalid="ignore", over="ignore"):
         return np.max([np.max(np.abs(a[s, s.start:] - a[s.start:, s].T))
                        for s in _row_blocks(*a.shape)], initial=0.0)

@@ -91,8 +91,8 @@ def _check_kernel(k: np.ndarray):
 def kernel_to_distance(k: np.ndarray) -> DistanceMatrix:
     """Induced distance D_ij = sqrt(1 - K_ij); 1 - D^2 gives K back up to rounding.
 
-    k is read only, and `_check_kernel` refuses it if it is no kernel; the
-    result, the one new n x n array, is then refused only by `DistanceMatrix`.
+    k is read only. `_check_kernel` refuses a k that is no kernel, and
+    `DistanceMatrix` alone checks the result, the one new n x n array.
     """
     k, asym = _check_kernel(k)
     return _distance_matrix_of(np.array(k, order="C"), asym)
