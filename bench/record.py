@@ -17,12 +17,14 @@ each side it also records the checkout: its commit, whether src/ or
 perfbench/ differ from that commit, and if so a sha256 of the difference,
 so that an uncommitted tree is told apart from its commit. Per side and
 workload, the digests of every dataset of seeds 0 and 1 are gathered in one
-place. Before each round of runs of a workload, each side also runs a
-fixed-work loop (`calibrate`), in the order of that round's runs; every
-reading is kept, and the fastest is the side's speed, so that records taken
-on other hosts or in other sessions compare as ratios (two readings taken
-back to back can differ by 40%). The file is written to the root of this
-checkout.
+place, and compared: the record's `digests_agree` counts the datasets
+whose digests agree between the two sides and names those that differ or
+that a side did not repeat, and the same verdict is printed. Before each
+round of runs of a workload, each side also runs a fixed-work loop
+(`calibrate`), in the order of that round's runs; every reading is kept,
+and the fastest is the side's speed, so that records taken on other hosts
+or in other sessions compare as ratios (two readings taken back to back can
+differ by 40%). The file is written to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -137,6 +139,37 @@ def collect_digests(runs: list[dict]) -> dict:
     return out
 
 
+def digest_verdict(digests: dict) -> dict | None:
+    """How the digests of `collect_digests` compare between the sides
+    "this" and "against", per workload and dataset seed: how many agree,
+    and the datasets that differ and those that a side did not repeat (it
+    printed no digest for them, or more than one). None without "against"."""
+    if "against" not in digests:
+        return None
+    verdict = {"agree": 0, "differ": [], "unrepeated": []}
+    sides = digests["this"], digests["against"]
+    for workload in sorted(set(sides[0]) | set(sides[1])):
+        this, against = (side.get(workload, {}) for side in sides)
+        for seed in sorted(set(this) | set(against), key=int):
+            got = this.get(seed, []), against.get(seed, [])
+            name = f"{workload} seed {seed}"
+            if len(got[0]) != 1 or len(got[1]) != 1:
+                verdict["unrepeated"].append(name)
+            elif got[0] == got[1]:
+                verdict["agree"] += 1
+            else:
+                verdict["differ"].append(name)
+    return verdict
+
+
+def verdict_line(verdict: dict | None) -> str:
+    if verdict is None:
+        return "digests: no --against checkout to compare with"
+    return (f"digests: {verdict['agree']} datasets agree; "
+            f"differ: {', '.join(verdict['differ']) or 'none'}; "
+            f"unrepeated: {', '.join(verdict['unrepeated']) or 'none'}")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -184,13 +217,16 @@ def main(argv: list[str] | None = None) -> int:
     calibration = {side: calibration_summary(got) for side, got in readings.items()}
     print("calibration, best " + ", ".join(f"{side} {c['best_s']:.4f} s"
                                            for side, c in calibration.items()), flush=True)
+    digests = collect_digests(runs)
+    verdict = digest_verdict(digests)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
         "label": args.label, "seconds": seconds, "checkouts": checkouts,
-        "calibration": calibration,
-        "digests": collect_digests(runs), "runs": runs,
+        "calibration": calibration, "digests": digests, "digests_agree": verdict,
+        "runs": runs,
     }, indent=1) + "\n")
     print(f"wrote {out}")
+    print(verdict_line(verdict))
     return 0
 
 

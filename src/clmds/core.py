@@ -17,6 +17,19 @@ class ValidationError(ValueError):
     """Raised when an input violates a structural invariant."""
 
 
+def _is_integer(x) -> bool:
+    """Whether x is a Python or numpy integer; a bool is not one (int()
+    would truncate 2.7 to 2 and read True as 1)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_integers(**counts):
+    """Refuse, by name, each of the counts that is not an integer."""
+    for name, x in counts.items():
+        if not _is_integer(x):
+            raise ValidationError(f"{name} must be an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class FeatureSet:
     """N points in R^n, one descriptor vector per row."""
@@ -90,7 +103,7 @@ def validate_distance_matrix(raw) -> DistanceMatrix:
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValidationError("distance matrix must be square")
     asym = _asymmetry(d)
-    if not np.isfinite(asym) and not all(np.isfinite(d[s]).all() for s in _row_blocks(*d.shape)):
+    if _has_non_finite(d, asym):
         raise ValidationError("distance matrix contains non-finite entries")
     if asym > SYMMETRY_TOL:
         raise ValidationError(f"distance matrix asymmetry {asym:g} exceeds {SYMMETRY_TOL:g}")
@@ -125,6 +138,15 @@ def _symmetrize(a: np.ndarray):
         mean = 0.5 * (a[s, s.start:] + a[s.start:, s].T)
         a[s, s.start:] = mean
         a[s.start:, s] = mean.T
+
+
+def _has_non_finite(a: np.ndarray, asym: float) -> bool:
+    """Whether the square array a has a non-finite entry, given asym =
+    `_asymmetry(a)`. A non-finite entry makes asym non-finite, and so does a
+    difference of finite entries that overflows: only then is a swept, one
+    row block at a time, to tell the two apart."""
+    return not np.isfinite(asym) and not all(np.isfinite(a[s]).all()
+                                             for s in _row_blocks(*a.shape))
 
 
 def _asymmetry(a: np.ndarray) -> float:
@@ -296,8 +318,8 @@ class HierarchySpec:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        for x in self.levels:  # int() would truncate 2.7 to 2 and read True as 1
-            if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+        for x in self.levels:
+            if not _is_integer(x):
                 raise ValidationError(f"hierarchy level {x!r} is not an integer")
         lv = tuple(int(x) for x in self.levels)
         if len(lv) < 2:
@@ -352,7 +374,14 @@ class LevelArtifacts:
 
 @dataclass
 class ClmdsResult:
-    """Final embedding plus all per-level bookkeeping."""
+    """Final embedding plus all per-level bookkeeping.
+
+    ``timings`` holds the seconds of each stage of the run: "sparsify",
+    "distances", "kmedoids", "local_mds", "anchors", "merge", "anchor_mds"
+    and "stitching" (the last three summed over the hierarchy levels), and
+    "estimate" when points were estimated. The stages cover the run, each
+    ending where the next begins, so they add up to "total".
+    """
 
     coords: np.ndarray
     clustering: Clustering

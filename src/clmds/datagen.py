@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClmdsResult, FeatureSet, ValidationError, pairwise_distances
+from .core import ClmdsResult, FeatureSet, ValidationError, _check_integers, pairwise_distances
 
 _MAX_ATTEMPTS = 10000
 
@@ -19,6 +19,7 @@ class HolesSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(n_points=self.n_points, n_holes=self.n_holes, seed=self.seed)
         if self.n_points < 1 or self.n_holes < 1:
             raise ValidationError("n_points and n_holes must be positive")
         if not (0 < self.hole_radius <= 0.5):  # NaN fails too
@@ -29,6 +30,7 @@ class HolesSpec:
 
 def gen_s_curve(n: int, seed: int = 0) -> FeatureSet:
     """S-shaped 3-d manifold sample: (sin t, u, sign(t)(cos t - 1))."""
+    _check_integers(n=n, seed=seed)
     if n < 1:
         raise ValidationError("n must be positive")
     rng = np.random.default_rng(seed)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Clustering, DistanceMatrix, FeatureSet, ValidationError, _asymmetry,
-                   _row_blocks, _symmetrize)
+                   _has_non_finite, _is_integer, _row_blocks, _symmetrize)
 
 _UNIT_NORM_TOL = 1e-6
 
@@ -21,7 +21,7 @@ class KernelConfig:
     def __post_init__(self):
         if not (np.isfinite(self.zeta) and self.zeta > 0):
             raise ValidationError("zeta must be finite and positive")
-        if int(self.eta) != self.eta or self.eta < 1:
+        if not _is_integer(self.eta) or self.eta < 1:
             raise ValidationError("eta must be a positive integer")
 
 
@@ -70,14 +70,16 @@ def _induced_distance(k: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _check_kernel(k: np.ndarray):
-    """k as a float array, and its asymmetry, at most 1e-9; a NaN entry
-    passes here, to be refused as a non-finite distance."""
+    """k as a float array, and its asymmetry, at most 1e-9. A non-finite
+    entry is refused first, as it would pass every later check."""
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValidationError("kernel matrix must be square")
     if k.shape[0] < 1:
         raise ValidationError("kernel matrix has no points")
     asym = _asymmetry(k)
+    if _has_non_finite(k, asym):
+        raise ValidationError("kernel matrix contains non-finite entries")
     if asym > 1e-9:
         raise ValidationError("kernel matrix must be symmetric")
     if np.max(np.abs(np.diag(k) - 1.0)) > 1e-12:

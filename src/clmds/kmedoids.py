@@ -43,7 +43,7 @@ from functools import partial
 import numpy as np
 
 from . import core
-from .core import Clustering, DistanceMatrix, ValidationError, _run_groups
+from .core import Clustering, DistanceMatrix, ValidationError, _check_integers, _run_groups
 
 # the most distances the lockstep medoid gathers of one call hold at once
 # (32 MiB with their int64 flat indices), unless a single cluster's L x L
@@ -63,6 +63,7 @@ class KmedoidsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(k=self.k, n_iso=self.n_iso, iter_med=self.iter_med, seed=self.seed)
         if self.k < 1:
             raise ValidationError("k must be positive")
         if self.n_iso < 0 or self.n_iso > self.k:

@@ -31,7 +31,8 @@ from functools import partial
 import numpy as np
 
 from . import core
-from .core import DistanceMatrix, ValidationError, _run_groups, pairwise_distances
+from .core import (DistanceMatrix, ValidationError, _check_integers, _run_groups,
+                   pairwise_distances)
 
 _EPS_DIST = 1e-15
 _WEIGHT_FLOOR_REL = 1e-6  # relative-stress weights span at most 1e12
@@ -48,6 +49,7 @@ class MdsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(n_init=self.n_init, max_iter=self.max_iter, seed=self.seed)
         if self.n_init < 1 or self.max_iter < 1:
             raise ValidationError("n_init and max_iter must be positive")
         if not (0 < self.eps < 1):

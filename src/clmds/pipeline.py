@@ -10,7 +10,8 @@ import numpy as np
 
 from .anchors import best_quadruple, select_anchors
 from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
-                   LevelArtifacts, Stitch, ValidationError, _row_blocks, pairwise_distances)
+                   LevelArtifacts, Stitch, ValidationError, _check_integers, _is_integer,
+                   _row_blocks, pairwise_distances)
 from .kernel import KernelConfig, medoid_weighted_distance
 from .kmedoids import KmedoidsConfig, kmedoids_best, medoid, relative_incoherence
 from .mds import MdsConfig, mds_embed, relative_stress_weights
@@ -66,6 +67,7 @@ class ClmdsConfig:
     kernel_eta: int | None = None
 
     def __post_init__(self):
+        _check_integers(seed=self.seed)
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         self.kmedoids, self.mds  # their constructors check the values
@@ -75,8 +77,9 @@ class ClmdsConfig:
         if mode not in ("none", "random", "cur", "list"):
             raise ValidationError(f"unknown sparsify mode {self.sparsify!r}")
         # its upper bound N is known only once the input is read
-        if mode in ("random", "cur") and (self.n_sparse is None or self.n_sparse < 1):
-            raise ValidationError(f"n_sparse must be at least 1 for {mode}, got {self.n_sparse}")
+        if mode in ("random", "cur") and not (_is_integer(self.n_sparse) and self.n_sparse >= 1):
+            raise ValidationError(f"n_sparse must be an integer of at least 1 for {mode}, "
+                                  f"got {self.n_sparse!r}")
 
     @property
     def kmedoids(self) -> KmedoidsConfig:  # the finest level's; each call sets the seed
@@ -95,8 +98,7 @@ def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
     everything = np.arange(n)
     if not isinstance(sparsify, str):
         items = list(sparsify)
-        # dtype=int would truncate 2.7 to 2 and read True as 1
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in items):
+        if not all(_is_integer(i) for i in items):  # dtype=int would truncate them
             raise ValidationError("explicit sparse list entries must be integer point indices")
         idx = np.asarray(items, dtype=int)
         if idx.size != np.unique(idx).size:
@@ -107,8 +109,8 @@ def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
     else:
         if sparsify == "none":
             return SparseSelection(everything, np.empty(0, dtype=int))
-        if n_sparse is None or n_sparse < 1 or n_sparse > n:
-            raise ValidationError("n_sparse must lie in [1, N]")
+        if n_sparse is None or not _is_integer(n_sparse) or n_sparse < 1 or n_sparse > n:
+            raise ValidationError("n_sparse must be an integer in [1, N]")
         if sparsify == "random":
             rng = np.random.default_rng(seed)
             sp = np.sort(rng.choice(n, size=n_sparse, replace=False))
@@ -191,30 +193,43 @@ def clmds_embed(D, cfg: ClmdsConfig, features: FeatureSet | None = None) -> Clmd
     are supplied; otherwise the result covers the sparse subset only
     (estimation needs vectors). With `cfg.kernel_eta` set, a distance above
     1 raises a ValidationError.
+
+    One clock times the run: each stage ends with `done(stage)`, which adds
+    the time since the previous stage ended to `timings[stage]`, so the
+    stages cover the run from the clock's start and add up to `total`, read
+    once after the last stage.
     """
     n = D.n_points
     if cfg.hierarchy.levels[0] > n:
         raise ValidationError("finest cluster count exceeds number of points")
-    t0 = time.perf_counter()
+    timings = {}
+    start = last = time.perf_counter()
+
+    def done(stage):  # the time since the previous stage ended goes to this one
+        nonlocal last
+        now = time.perf_counter()
+        timings[stage] = timings.get(stage, 0.0) + (now - last)
+        last = now
+
     sel = sparsify_select(D, cfg.sparsify, cfg.n_sparse, seed=cfg.seed,
                           n_min=cfg.hierarchy.levels[0])
-    t1 = time.perf_counter()
-    result = _core_run(D, sel.sparse, cfg)
-    result.timings["sparsify"] = t1 - t0
+    done("sparsify")
+    result = _core_run(D, sel.sparse, cfg, done)
     if sel.complement.size:
-        result.sparse_indices = sel.sparse
         result.estimation_available = features is not None
         if features is not None:
-            t2 = time.perf_counter()
             result = estimate_out_of_sample(features, result, sel)
-            result.timings["estimate"] = time.perf_counter() - t2
-    result.timings["total"] = time.perf_counter() - t0
+            done("estimate")
+    timings["total"] = time.perf_counter() - start
+    result.timings = timings
     return result
 
 
-def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig) -> ClmdsResult:
+def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig, done) -> ClmdsResult:
     """cl-MDS of the points `sparse` of a distance source (see
-    `clmds_embed`); indices in the result count within `sparse`."""
+    `clmds_embed`); indices in the result count within `sparse`, which it
+    records as its `sparse_indices`. done(stage) is called as each stage
+    ends; the result's `timings` are left to the caller."""
     n = sparse.size
     levels = cfg.hierarchy.levels
     # one sub-seed per call, in call order: k-medoids, each local MDS, then
@@ -222,23 +237,19 @@ def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig) -> ClmdsResult:
     root = np.random.SeedSequence(cfg.seed)
     seeds = (int(child.generate_state(1, dtype=np.uint64)[0] >> 1)
              for child in iter(lambda: root.spawn(1)[0], None))
-    timings = {}
     kernel = None if cfg.kernel_eta is None else KernelConfig(eta=cfg.kernel_eta)
-    t0 = time.perf_counter()
     dense = source.submatrix(sparse)
-    timings["distances"] = time.perf_counter() - t0
     if kernel is not None and 1.0 - np.max(dense.d) ** 2 < -1e-12:  # d = sqrt(1 - k)
         raise ValidationError("kernel entries 1 - d^2 must lie in [0, 1]: "
                               "medoid weighting needs kernel-induced distances")
+    done("distances")
 
-    t0 = time.perf_counter()
     c0 = kmedoids_best(dense, replace(cfg.kmedoids, seed=next(seeds)))
     irel = relative_incoherence(dense, c0)
-    timings["kmedoids"] = time.perf_counter() - t0
+    done("kmedoids")
 
     # every point, in the frame of its cluster at the current level
     coords = np.empty((n, 2))
-    t0 = time.perf_counter()
     local_coords, local_stresses = [], []
     for k in range(c0.n_clusters):
         members = c0.members(k)
@@ -247,11 +258,10 @@ def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig) -> ClmdsResult:
         coords[members] = xy
         local_coords.append(xy)
         local_stresses.append(sig)
-    timings["local_mds"] = time.perf_counter() - t0
+    done("local_mds")
 
-    t0 = time.perf_counter()
     anchors = select_anchors(dense, c0)
-    timings["anchors"] = time.perf_counter() - t0
+    done("anchors")
     # the coarser levels read only blocks among anchors and medoids: the
     # n x n matrix goes before the anchor MDS adds its m x m arrays
     del dense
@@ -262,19 +272,17 @@ def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig) -> ClmdsResult:
     comp = [np.eye(3) for _ in range(c0.n_clusters)]
     finest_group = np.arange(c0.n_clusters)  # each finest cluster's current cluster
 
-    t0 = time.perf_counter()
-    anchor_mds_s = merge_s = 0.0
     prev = c0
     for target in levels[1:]:
-        t1 = time.perf_counter()
+        done("stitching")
         level = hierarchy_merge(prev, D, target, cfg.kmedoids, next(seeds))
-        merge_s += time.perf_counter() - t1
+        done("merge")
         grouping = level.assignment[prev.medoids]
         unions, stitches, anchor_stresses = [], [], []
         for g in range(target):
             member_ids = np.flatnonzero(grouping == g)
             union = np.concatenate([anchors[i] for i in member_ids])
-            t1 = time.perf_counter()
+            done("stitching")
             # weighting is elementwise: the union plus the medoids gives its exact rows
             # (a medoid can be an anchor too: `block` gives such a repeat D 0)
             block = union if kernel is None else np.concatenate([union, c0.medoids])
@@ -287,7 +295,7 @@ def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig) -> ClmdsResult:
                                                kernel).submatrix(np.arange(union.size))
             axy, astress = mds_embed(sub, relative_stress_weights(sub.d),
                                      replace(cfg.mds, seed=next(seeds)))
-            anchor_mds_s += time.perf_counter() - t1
+            done("anchor_mds")
             anchor_stresses.append(astress)
             # each member's anchors are its contiguous rows of the union
             ends = np.cumsum([anchors[i].size for i in member_ids])
@@ -311,18 +319,14 @@ def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig) -> ClmdsResult:
             anchor_stress=float(np.sum(anchor_stresses)),
         ))
         prev = level
-    timings["anchor_mds"] = anchor_mds_s
-    timings["merge"] = merge_s
-    # the hierarchy loop less its anchor MDS and merges: pool anchors, stitches
-    timings["stitching"] = time.perf_counter() - t0 - anchor_mds_s - merge_s
+    done("stitching")
 
     if not np.all(np.isfinite(coords)):
         raise ValidationError("non-finite coordinates in embedding")
     return ClmdsResult(
         coords=coords, clustering=c0, per_level=per_level,
-        sparse_indices=np.arange(n), estimated_mask=np.zeros(n, dtype=bool),
-        local_coords=local_coords, cluster_transforms=comp,
-        incoherence=irel, timings=timings,
+        sparse_indices=sparse, estimated_mask=np.zeros(n, dtype=bool),
+        local_coords=local_coords, cluster_transforms=comp, incoherence=irel,
     )
 
 

@@ -270,11 +270,11 @@ def choose_best_transform(cluster_local: np.ndarray,
         plan = classify_transform(loc, glo)
         if plan.order.shape[0] >= 3:
             try:
-                if plan.kind != "homography":
-                    affine = fit_affine(loc[plan.order], glo[plan.order])
-                    return affine, apply_transform(affine, cluster_local)
-                affine = fit_affine(loc, glo)
+                fit = np.sort(plan.order)  # an affine's order, or all 4 anchors of a homography
+                affine = fit_affine(loc[fit], glo[fit])
                 mapped_a = apply_transform(affine, cluster_local)
+                if plan.kind != "homography":
+                    return affine, mapped_a
                 try:
                     homog = fit_homography(loc[plan.order], glo[plan.order])
                     mapped_h = apply_transform(homog, cluster_local)

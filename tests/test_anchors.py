@@ -51,6 +51,14 @@ def test_malformed_submatrix_rejected():
         simplex_volume_sq(bad)
 
 
+@pytest.mark.parametrize("cluster, medoid, message", [
+    ([], 0, "empty cluster"), ([1, 2, 3], 0, "medoid must belong to the cluster")])
+def test_candidates_need_a_cluster_holding_its_medoid(cluster, medoid, message):
+    D = euclidean_distances(FeatureSet(np.random.default_rng(1).normal(size=(5, 3))))
+    with pytest.raises(ValidationError, match=message):
+        candidate_vertices(D, np.array(cluster, dtype=int), medoid)
+
+
 def test_small_cluster_candidates_pass_through():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(10, 3))

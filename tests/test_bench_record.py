@@ -68,6 +68,32 @@ def test_digests_gather_both_seeds_per_side_and_workload():
     }
 
 
+def _runs(**sides):
+    """Runs of one workload: side -> one digest list per run, for datasets
+    0 and 1."""
+    return [{"side": side, "workload": "w", "digests": {"0": digests[0], "1": digests[1]}}
+            for side, per_run in sides.items() for digests in per_run]
+
+
+@pytest.mark.parametrize("runs, verdict", [
+    (_runs(this=[(["a"], ["b"])] * 2, against=[(["a"], ["b"])] * 2),
+     {"agree": 2, "differ": [], "unrepeated": []}),
+    (_runs(this=[(["a"], ["b"])], against=[(["a"], ["c"])]),
+     {"agree": 1, "differ": ["w seed 1"], "unrepeated": []}),
+    (_runs(this=[(["a"], ["b"]), (["x"], ["b"])], against=[(["a"], ["b"])]),
+     {"agree": 1, "differ": [], "unrepeated": ["w seed 0"]}),
+    (_runs(this=[(["a"], [])], against=[(["a"], [])]),
+     {"agree": 1, "differ": [], "unrepeated": ["w seed 1"]}),
+    (_runs(this=[(["a"], ["b"])]), None),
+], ids=["all-agree", "one-differs", "two-digests", "no-digest", "no-against"])
+def test_digest_verdict_compares_the_sides_per_dataset(runs, verdict):
+    got = record.digest_verdict(record.collect_digests(runs))
+    assert got == verdict
+    line = record.verdict_line(got)
+    assert "\n" not in line
+    assert ("no --against" in line) == (verdict is None)
+
+
 def test_checkout_state_tells_an_uncommitted_tree_from_its_commit(tmp_path):
     def git(*args):
         subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
@@ -126,7 +152,11 @@ def test_each_workload_round_takes_one_calibration_reading_per_side(tmp_path, mo
     monkeypatch.setattr(record, "run_once", fake_run_once)
     monkeypatch.setattr(record, "checkout_state", lambda path: {"commit": str(path)})
     assert record.main(["--label", "t", "--against", str(other), "--pairs", "1"]) == 0
-    got = json.loads((tmp_path / "BENCH_t.json").read_text())["calibration"]
+    saved = json.loads((tmp_path / "BENCH_t.json").read_text())
+    # every run printed the one digest of dataset 0 and none of dataset 1
+    assert saved["digests_agree"] == {"agree": 2, "differ": [],
+                                      "unrepeated": ["w1 seed 1", "w2 seed 1"]}
+    got = saved["calibration"]
     # rounds alternate which side runs first; each round calibrates both sides
     # before it runs them
     assert events[:6] == ["calibrate", "calibrate", ("this", "w1", 0, 0), ("against", "w1", 0, 0),

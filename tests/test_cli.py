@@ -201,6 +201,7 @@ def test_malformed_result_is_reported(tmp_path, capsys):
         (no_medoids, coords, "medoids"),  # missing key
         ({**meta, "extra": 1}, coords, "extra"),  # unknown key
         ({**meta, "per_level": 5}, coords, "list"),  # wrong type
+        ({**meta, "clustering": 5}, coords, "Clustering: expected an object"),
         (meta, coords.rsplit("\n", 2)[0] + "\n", "35 rows"),  # a row short
     ]
     for bad_meta, bad_coords, message in cases:

@@ -377,7 +377,7 @@ def _put_fault(a, kind, row):
 @pytest.mark.parametrize("first, last, messages", [
     # validate_distance_matrix, DistanceMatrix, kernel_to_distance
     ("asymmetry", "nan", ["non-finite entries"] * 3),
-    ("negative", "nan", ["non-finite entries"] * 3),  # a kernel's NaN hides its range fault
+    ("negative", "nan", ["non-finite entries"] * 3),  # a kernel's NaN comes before its range
     ("negative", "asymmetry", ["asymmetry 2e-09 exceeds 1e-09", "not exactly symmetric",
                                "kernel matrix must be symmetric"]),
     ("diagonal", "asymmetry", ["asymmetry 2e-09 exceeds 1e-09", "not exactly symmetric",

@@ -60,6 +60,11 @@ def test_holes_deterministic():
     assert np.array_equal(a[2], b[2])
 
 
+def test_s_curve_needs_a_point():
+    with pytest.raises(ValidationError, match="n must be positive"):
+        gen_s_curve(0)
+
+
 def test_holes_spec_validation():
     with pytest.raises(ValidationError):
         HolesSpec(n_points=0, n_holes=3)

@@ -55,17 +55,38 @@ def test_distance_endpoints_and_formula():
     assert kernel_to_distance(np.eye(2)).d[0, 1] == 1.0
 
 
-def test_distance_rejects_bad_kernels():
-    with pytest.raises(ValidationError):
-        kernel_to_distance(np.array([[1.0, 2.0], [2.0, 1.0]]))  # out of range
-    with pytest.raises(ValidationError):
-        kernel_to_distance(np.array([[0.9, 0.1], [0.1, 0.9]]))  # diag != 1
-    with pytest.raises(ValidationError):
-        kernel_to_distance(np.array([[1.0, 0.2], [0.5, 1.0]]))  # asymmetric
-    with pytest.raises(ValidationError, match="kernel matrix has no points"):
-        kernel_to_distance(np.zeros((0, 0)))
-    with pytest.raises(ValidationError, match="kernel matrix has no points"):
-        medoid_weighted_distance(np.zeros((0, 0)), Clustering(np.array([0]), np.array([0])))
+def _with_nan(k02=0.0, k20=0.0):
+    """A 3x3 identity kernel but for K01 = K10 = NaN, K02 and K20."""
+    k = np.eye(3)
+    k[0, 1] = k[1, 0] = np.nan
+    k[0, 2], k[2, 0] = k02, k20
+    return k
+
+
+@pytest.mark.parametrize("k, message", [
+    ([[1.0, 2.0], [2.0, 1.0]], r"entries must lie in \[0, 1\]"),
+    ([[0.9, 0.1], [0.1, 0.9]], "must have unit diagonal"),
+    ([[1.0, 0.2], [0.5, 1.0]], "must be symmetric"),
+    (np.zeros((0, 0)), "has no points"),
+    (np.ones((2, 3)), "must be square"),
+    # a NaN passed every check and hid the kernel's own fault: refused as a
+    # non-finite distance, whatever else was wrong
+    (_with_nan(), "kernel matrix contains non-finite entries"),
+    (_with_nan(7.0, 7.0), "kernel matrix contains non-finite entries"),
+    (_with_nan(0.5, 0.5 + 1e-6), "kernel matrix contains non-finite entries"),
+], ids=["above-one", "diagonal", "asymmetric", "empty", "not-square", "nan", "nan-above-one",
+        "nan-asymmetric"])
+def test_distance_rejects_bad_kernels(k, message):
+    # the kernel is checked before the clustering is read
+    one = Clustering(np.array([0]), np.array([0]))
+    for convert in (kernel_to_distance, lambda k: medoid_weighted_distance(k, one)):
+        with pytest.raises(ValidationError, match=message):
+            convert(np.array(k, dtype=float))
+
+
+def test_medoid_weighting_needs_a_clustering_of_the_kernels_points():
+    with pytest.raises(ValidationError, match="clustering size does not match kernel matrix"):
+        medoid_weighted_distance(np.eye(3), Clustering(np.array([0, 0]), np.array([0])))
 
 
 def test_medoid_weighting_same_cluster_unchanged():
@@ -163,7 +184,7 @@ N_BLOCKED = int(np.sqrt(2.5 * _BLOCK_ENTRIES))
     ("asymmetry", "kernel matrix must be symmetric"),
     ("diagonal", "kernel matrix must have unit diagonal"),
     ("above one", r"kernel entries must lie in \[0, 1\]"),
-    ("nan", "distance matrix contains non-finite entries"),
+    ("nan", "kernel matrix contains non-finite entries"),
 ])
 def test_kernel_checks_find_a_fault_in_the_last_row_block(fault, message, col):
     fs = FeatureSet(np.random.default_rng(4).normal(size=(N_BLOCKED, 5)))
@@ -177,7 +198,7 @@ def test_kernel_checks_find_a_fault_in_the_last_row_block(fault, message, col):
         k[last, last] = 1.0 + 1e-11
     elif fault == "above one":
         k[last, col] = k[col, last] = 1.0 + 1e-11
-    else:  # the kernel checks let NaN through; the distance check refuses it
+    else:
         k[last, col] = k[col, last] = np.nan
     with pytest.raises(ValidationError, match=message):
         kernel_to_distance(k)

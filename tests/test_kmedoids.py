@@ -167,6 +167,16 @@ def test_monotone_descent_and_local_optimality():
             assert D.d[members, m].sum() >= cur - 1e-12
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda D: KmedoidsConfig(k=0), "k must be positive"),
+    (lambda D: relative_incoherence(D, Clustering(np.zeros(3, dtype=int), np.array([0]))),
+     "clustering size does not match distance matrix"),
+])
+def test_a_bad_k_or_clustering_is_refused(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call(line_matrix([0.0, 1.0]))
+
+
 def test_k_too_large_errors():
     D = line_matrix([0.0, 1.0])
     with pytest.raises(ValidationError):

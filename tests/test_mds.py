@@ -178,6 +178,17 @@ def test_zero_weight_rejection_and_disconnection():
     assert np.all(np.isfinite(coords))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda D: mds_embed(D, np.ones((5, 5))), "weight matrix shape mismatch"),
+    (lambda D: mds_embed(D, np.ones((6, 6)) - 2 * np.eye(6, k=1)), "must be non-negative"),
+    (lambda D: stress(D, np.zeros((5, 2))), "coords row count does not match"),
+])
+def test_malformed_weights_and_coords_are_refused(call, message):
+    _, D = planar_problem(6, seed=7)
+    with pytest.raises(ValidationError, match=message):
+        call(D)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_weight_rejected(bad):
     # without the check an inf weight can keep SMACOF from returning, so the

@@ -1,6 +1,7 @@
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -694,6 +695,24 @@ def test_timings_recorded():
             assert sum(res.timings[key] for key in keys) <= res.timings["total"]
 
 
+@pytest.mark.parametrize("problem, levels, sparse", [
+    (three_blob_problem, (3, 1), {}),
+    (six_blob_problem, (6, 3, 1), {}),
+    (three_blob_problem, (3, 1), dict(sparsify="random", n_sparse=18, seed=2)),
+], ids=["3-1", "6-3-1", "random-sparse"])
+def test_the_stages_cover_the_run(monkeypatch, problem, levels, sparse):
+    # a clock that advances one tick per read: a read outside the stage
+    # clock, or work between two stages, would leave ticks unreported; only
+    # the final read of total comes after the last stage
+    ticks = iter(range(10_000))
+    monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    fs, D = problem()
+    res = clmds_embed(D, base_config(levels=levels, **sparse), features=fs)
+    assert res.estimated_mask.any() == bool(sparse)
+    stages = sum(t for key, t in res.timings.items() if key != "total")
+    assert res.timings["total"] - stages == 1.0
+
+
 @pytest.mark.parametrize("levels", [(6, 1), (6, 3, 1)])
 def test_calls_take_sub_seeds_in_spawn_order(monkeypatch, levels):
     # k-medoids, each local MDS, then per level the merge and each group's
@@ -794,6 +813,46 @@ def test_a_bad_kernel_eta_is_rejected_at_construction(eta):
         ClmdsConfig(hierarchy=HierarchySpec((3, 1)), kernel_eta=eta)
 
 
+_LEVELS = HierarchySpec((3, 1))
+_COUNTS = {
+    "seed": lambda: ClmdsConfig(_LEVELS, seed=1.5),
+    "iter_med": lambda: ClmdsConfig(_LEVELS, iter_med=2.5),
+    "mds_n_init": lambda: ClmdsConfig(_LEVELS, mds_n_init=1.5),
+    "mds_max_iter": lambda: ClmdsConfig(_LEVELS, mds_max_iter=2.5),
+    "n_sparse": lambda: ClmdsConfig(_LEVELS, sparsify="random", n_sparse=20.5),
+    "n_iso": lambda: ClmdsConfig(_LEVELS, n_iso=True),
+    "kernel_eta": lambda: ClmdsConfig(_LEVELS, kernel_eta=True),
+    "eta": lambda: KernelConfig(eta=2.0),
+    "k": lambda: KmedoidsConfig(k=2.5),
+    "kmedoids-seed": lambda: KmedoidsConfig(k=3, seed=np.float64(1.0)),
+    "n_init": lambda: MdsConfig(n_init=2.5),
+    "mds-seed": lambda: MdsConfig(seed=True),
+    "n_points": lambda: HolesSpec(n_points=2.5, n_holes=2),
+    "n_holes": lambda: HolesSpec(n_points=20, n_holes=np.True_),
+    "s-curve-n": lambda: gen_s_curve(2.5),
+    "level": lambda: HierarchySpec((2.7, 1)),
+    "sparse-list": lambda: sparsify_select(three_blob_problem()[1], [0.0, 2], None),
+    "sparse-count": lambda: sparsify_select(three_blob_problem()[1], "random", 20.5),
+}
+
+
+@pytest.mark.parametrize("make", _COUNTS.values(), ids=_COUNTS.keys())
+def test_counts_must_be_integers_and_not_bools(make):
+    # each escaped as a numpy TypeError mid-run, or was read as int(x)
+    with pytest.raises(ValidationError, match="integer"):
+        make()
+
+
+def test_numpy_integers_are_counts():
+    i = np.int32
+    cfg = ClmdsConfig(HierarchySpec((i(3), 1)), n_iso=i(1), iter_med=i(5), mds_n_init=i(1),
+                      mds_max_iter=i(50), sparsify="random", n_sparse=np.uint8(20),
+                      seed=np.int64(2), kernel_eta=i(2))
+    assert cfg.kmedoids.k == 3 and cfg.mds.max_iter == 50
+    assert HolesSpec(n_points=i(20), n_holes=i(2), seed=i(1)).n_points == 20
+    assert gen_s_curve(i(5), seed=i(0)).n_points == 5
+
+
 def test_sparse_selection_rejects_negative_repeated_and_shared_indices():
     for sparse, complement in ((np.arange(20), np.arange(-5, 0)), ([0, 0, 1], [2]),
                                (np.arange(20), np.arange(10, 40))):
@@ -811,6 +870,18 @@ def test_estimation_needs_the_selection_to_split_every_row(complement):
         fs, sparse, SparseSelection(np.arange(20), np.arange(20, 40))).n_points == 40
     with pytest.raises(ValidationError, match="split the 40 feature rows"):
         estimate_out_of_sample(fs, sparse, SparseSelection(np.arange(20), complement))
+
+
+def test_a_selection_of_another_size_than_the_result_is_refused():
+    fs, _ = three_blob_problem(seed=12)
+    sparse = clmds_embed(euclidean_distances(FeatureSet(fs.vectors[:20])), base_config())
+    with pytest.raises(ValidationError, match="does not match the sparse result"):
+        estimate_out_of_sample(fs, sparse, SparseSelection(np.arange(19), np.arange(19, 36)))
+
+
+def test_an_unknown_sparsify_mode_is_refused_at_construction():
+    with pytest.raises(ValidationError, match="unknown sparsify mode 'bogus'"):
+        base_config(sparsify="bogus")
 
 
 @pytest.mark.parametrize("levels", [(6, 1), (6, 3, 1)])

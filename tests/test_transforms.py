@@ -82,6 +82,31 @@ def test_affine_generate_and_recover():
         assert np.allclose(fitted.matrix, m, atol=1e-9)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Transform2D("shear", np.eye(3)), "unknown transform kind 'shear'"),
+    (lambda: convex_hull_2d(SQUARE[:2]), "convex hull needs at least 3 points"),
+    (lambda: classify_transform(SQUARE, SQUARE[:3]), "anchor lists must have matching shapes"),
+    (lambda: choose_best_transform(SQUARE, SQUARE, SQUARE[:3]),
+     "anchor lists must have matching shapes"),
+    (lambda: fit_affine(SQUARE[:2], SQUARE[:2]), "affine fit needs at least 3 correspondences"),
+])
+def test_malformed_transform_inputs_are_refused(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+def test_homography_of_a_collinear_quadrilateral_raises():
+    line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateGeometryError, match="collinear quadrilateral vertices"):
+        fit_homography(line, SQUARE)
+
+
+def test_similarity_of_coincident_sources_is_a_translation():
+    # no rotation or scale is defined: the first source goes to the first target
+    t = fit_similarity(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([[4.0, 6.0], [0.0, 0.0]]))
+    assert np.array_equal(t.matrix, translation([3.0, 4.0]).matrix)
+
+
 def test_affine_collinear_rejected():
     src = np.array([[0, 0], [1, 1], [2, 2]], dtype=float)
     with pytest.raises(DegenerateGeometryError):
