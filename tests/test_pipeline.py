@@ -838,7 +838,7 @@ _COUNTS = {
 
 @pytest.mark.parametrize("make", _COUNTS.values(), ids=_COUNTS.keys())
 def test_counts_must_be_integers_and_not_bools(make):
-    # each escaped as a numpy TypeError mid-run, or was read as int(x)
+    # unchecked, most escape as a numpy TypeError mid-run or are read as int(x)
     with pytest.raises(ValidationError, match="integer"):
         make()
 
