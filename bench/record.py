@@ -15,7 +15,8 @@ line verbatim, the printed coords.csv digests per dataset seed, and the
 printed environment (git sha, nproc, BLAS and the package versions). For
 each side it also records the checkout: its commit, whether src/ or
 perfbench/ differ from that commit, and if so a sha256 of the difference,
-so that an uncommitted tree is told apart from its commit. Per side and
+so that an uncommitted tree is told apart from its commit, and the line
+count of its src/clmds/*.py, which it also prints. Per side and
 workload, the digests of every dataset of seeds 0 and 1 are gathered in one
 place, and compared: the record's `digests_agree` counts the datasets
 whose digests agree between the two sides and names those that differ or
@@ -41,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGEST_PREFIX = "coords.csv sha256 dataset seed "
 ENVIRONMENT_PREFIX = "environment "
 RUN_PATHS = ("src", "perfbench")  # what perfbench/run.py runs of a checkout
+PACKAGE_GLOB = "src/clmds/*.py"  # the program whose line count a record keeps
 # one BLAS thread, as perfbench/run.py sets for its children
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 # The fixed-work loop: passes of a size x size matmul plus the eigh of the
@@ -112,8 +114,10 @@ def calibration_summary(readings: list[dict]) -> dict:
 
 
 def checkout_state(checkout: Path) -> dict:
-    """The commit of a checkout and how its src/ and perfbench/ differ from
-    it: tracked changes (`git diff HEAD`) and untracked files alike."""
+    """The commit of a checkout, how its src/ and perfbench/ differ from it
+    (tracked changes, `git diff HEAD`, and untracked files alike) and the
+    lines of its src/clmds/*.py as the tree holds them, counted as `wc -l`
+    does."""
     def git(*args: str) -> bytes:
         return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
                               check=True).stdout
@@ -123,8 +127,9 @@ def checkout_state(checkout: Path) -> dict:
     for name in sorted(filter(None, untracked.split(b"\0"))):
         diff.update(name + b"\0" + (checkout / name.decode()).read_bytes())
     dirty = bool(git("status", "--porcelain", "--", *RUN_PATHS).strip())
+    lines = sum(path.read_bytes().count(b"\n") for path in checkout.glob(PACKAGE_GLOB))
     return {"commit": git("rev-parse", "HEAD").decode().strip(), "dirty": dirty,
-            "diff_sha256": diff.hexdigest() if dirty else None}
+            "diff_sha256": diff.hexdigest() if dirty else None, "package_lines": lines}
 
 
 def collect_digests(runs: list[dict]) -> dict:
@@ -195,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     checkouts = {side: checkout_state(path) for side, path in sides.items()}
+    print(f"lines of {PACKAGE_GLOB}: " + ", ".join(f"{side} {state['package_lines']}"
+                                                  for side, state in checkouts.items()),
+          flush=True)
     readings: dict[str, list[dict]] = {side: [] for side in sides}
     runs = []
     for workload in [w["name"] for w in spec["workloads"]]:

@@ -23,11 +23,13 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _check_integers(**counts):
-    """Refuse, by name, each of the counts that is not an integer."""
+def _check_counts(least: int, **counts):
+    """Refuse, by name, each of counts that is not an integer of at least
+    least: 1 for a count, 0 for a seed."""
     for name, x in counts.items():
-        if not _is_integer(x):
-            raise ValidationError(f"{name} must be an integer, got {x!r}")
+        if not _is_integer(x) or x < least:
+            kind = "positive" if least == 1 else "non-negative"
+            raise ValidationError(f"{name} must be a {kind} integer, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -318,16 +320,14 @@ class HierarchySpec:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        for x in self.levels:
-            if not _is_integer(x):
-                raise ValidationError(f"hierarchy level {x!r} is not an integer")
+        _check_counts(1, **{f"hierarchy level {i}": x for i, x in enumerate(self.levels)})
         lv = tuple(int(x) for x in self.levels)
         if len(lv) < 2:
             raise ValidationError("hierarchy needs at least two levels, e.g. [k, 1]")
         if lv[-1] != 1:
             raise ValidationError("hierarchy must end in 1")
-        if any(a <= b for a, b in zip(lv, lv[1:])) or any(x < 1 for x in lv):
-            raise ValidationError("hierarchy levels must be strictly decreasing positive integers")
+        if any(a <= b for a, b in zip(lv, lv[1:])):
+            raise ValidationError("hierarchy levels must be strictly decreasing")
         object.__setattr__(self, "levels", lv)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClmdsResult, FeatureSet, ValidationError, _check_integers, pairwise_distances
+from .core import ClmdsResult, FeatureSet, ValidationError, _check_counts, pairwise_distances
 
 _MAX_ATTEMPTS = 10000
 
@@ -19,9 +19,8 @@ class HolesSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(n_points=self.n_points, n_holes=self.n_holes, seed=self.seed)
-        if self.n_points < 1 or self.n_holes < 1:
-            raise ValidationError("n_points and n_holes must be positive")
+        _check_counts(1, n_points=self.n_points, n_holes=self.n_holes)
+        _check_counts(0, seed=self.seed)
         if not (0 < self.hole_radius <= 0.5):  # NaN fails too
             raise ValidationError("hole radius must lie in (0, 0.5]")
         if self.n_holes * np.pi * self.hole_radius ** 2 >= 0.5:
@@ -30,9 +29,8 @@ class HolesSpec:
 
 def gen_s_curve(n: int, seed: int = 0) -> FeatureSet:
     """S-shaped 3-d manifold sample: (sin t, u, sign(t)(cos t - 1))."""
-    _check_integers(n=n, seed=seed)
-    if n < 1:
-        raise ValidationError("n must be positive")
+    _check_counts(1, n=n)
+    _check_counts(0, seed=seed)
     rng = np.random.default_rng(seed)
     t = rng.uniform(-1.5 * np.pi, 1.5 * np.pi, size=n)
     u = rng.uniform(0.0, 2.0, size=n)

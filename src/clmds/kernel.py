@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Clustering, DistanceMatrix, FeatureSet, ValidationError, _asymmetry,
-                   _has_non_finite, _is_integer, _row_blocks, _symmetrize)
+                   _check_counts, _has_non_finite, _row_blocks, _symmetrize)
 
 _UNIT_NORM_TOL = 1e-6
 
@@ -21,8 +21,7 @@ class KernelConfig:
     def __post_init__(self):
         if not (np.isfinite(self.zeta) and self.zeta > 0):
             raise ValidationError("zeta must be finite and positive")
-        if not _is_integer(self.eta) or self.eta < 1:
-            raise ValidationError("eta must be a positive integer")
+        _check_counts(1, eta=self.eta)
 
 
 def unit_descriptors(fs: FeatureSet, cfg: KernelConfig) -> np.ndarray:

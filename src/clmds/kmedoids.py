@@ -43,7 +43,7 @@ from functools import partial
 import numpy as np
 
 from . import core
-from .core import Clustering, DistanceMatrix, ValidationError, _check_integers, _run_groups
+from .core import Clustering, DistanceMatrix, ValidationError, _check_counts, _run_groups
 
 # the most distances the lockstep medoid gathers of one call hold at once
 # (32 MiB with their int64 flat indices), unless a single cluster's L x L
@@ -63,13 +63,10 @@ class KmedoidsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(k=self.k, n_iso=self.n_iso, iter_med=self.iter_med, seed=self.seed)
-        if self.k < 1:
-            raise ValidationError("k must be positive")
-        if self.n_iso < 0 or self.n_iso > self.k:
+        _check_counts(1, k=self.k, iter_med=self.iter_med)
+        _check_counts(0, n_iso=self.n_iso, seed=self.seed)
+        if self.n_iso > self.k:
             raise ValidationError("n_iso must satisfy 0 <= n_iso <= k")
-        if self.iter_med < 1:
-            raise ValidationError("iter_med must be positive")
 
 
 def farthest_point_sample(d: np.ndarray, n: int) -> list[int]:
@@ -168,14 +165,15 @@ def kmedoids_once(D: DistanceMatrix, starts) -> list[Clustering]:
     big = medoids.shape[1] * d.shape[0] >= _THREAD_MIN_ELEMENTS
     groups = max(1, min(core._WORKERS, medoids.shape[0])) if big else 1
     run = partial(_lockstep, d, budget=_GATHER_ELEMENTS // groups)
-    return [_canonical(c) for c in _run_groups(run, medoids, groups)]
+    return _run_groups(run, medoids, groups)
 
 
-def _canonical(c: Clustering) -> Clustering:
-    """c with its medoids in increasing index order and its labels
-    renumbered to match, so that one partition has one labelling."""
-    order = np.argsort(c.medoids)
-    return Clustering(np.argsort(order)[c.assignment], c.medoids[order])
+def _canonical(labels: np.ndarray, medoids: np.ndarray) -> Clustering:
+    """The clustering of labels under medoids, with its medoids in
+    increasing index order and its labels renumbered to match, so that one
+    partition has one labelling. Both arrays are copied."""
+    order = np.argsort(medoids)
+    return Clustering(np.argsort(order)[labels], medoids[order])
 
 
 def _lockstep(d: np.ndarray, medoids: np.ndarray, budget: int) -> list[Clustering]:
@@ -218,7 +216,7 @@ def _lockstep(d: np.ndarray, medoids: np.ndarray, budget: int) -> list[Clusterin
         del order  # before the next one is made
         done = np.all(new == medoids, axis=1)
         for i in np.flatnonzero(done):
-            out[live[i]] = Clustering(labels[i], medoids[i].copy())
+            out[live[i]] = _canonical(labels[i], medoids[i])
         if done.all():
             break
         medoids, live, previous = new[~done], live[~done], labels[~done]
@@ -230,7 +228,7 @@ def _lockstep(d: np.ndarray, medoids: np.ndarray, budget: int) -> list[Clusterin
         changed[rows, labels[rows, points]] = True
     else:  # _MAX_SWAPS reached: the rows still in the stack end where they are
         for i, row in enumerate(live):
-            out[row] = Clustering(labels[i], medoids[i].copy())
+            out[row] = _canonical(labels[i], medoids[i])
     return out
 
 

@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from . import core
-from .core import (DistanceMatrix, ValidationError, _check_integers, _run_groups,
+from .core import (DistanceMatrix, ValidationError, _check_counts, _run_groups,
                    pairwise_distances)
 
 _EPS_DIST = 1e-15
@@ -49,9 +49,8 @@ class MdsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(n_init=self.n_init, max_iter=self.max_iter, seed=self.seed)
-        if self.n_init < 1 or self.max_iter < 1:
-            raise ValidationError("n_init and max_iter must be positive")
+        _check_counts(1, n_init=self.n_init, max_iter=self.max_iter)
+        _check_counts(0, seed=self.seed)
         if not (0 < self.eps < 1):
             raise ValidationError("eps must lie in (0, 1)")
 

@@ -10,12 +10,12 @@ import numpy as np
 
 from .anchors import best_quadruple, select_anchors
 from .core import (Clustering, ClmdsResult, DistanceMatrix, FeatureSet, HierarchySpec,
-                   LevelArtifacts, Stitch, ValidationError, _check_integers, _is_integer,
+                   LevelArtifacts, Stitch, ValidationError, _check_counts, _is_integer,
                    _row_blocks, pairwise_distances)
 from .kernel import KernelConfig, medoid_weighted_distance
 from .kmedoids import KmedoidsConfig, kmedoids_best, medoid, relative_incoherence
 from .mds import MdsConfig, mds_embed, relative_stress_weights
-from .transforms import choose_best_transform, project
+from .transforms import choose_best_transform, least_squares_affine, project
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,15 @@ class ClmdsConfig:
     kernel_eta: int | None = None
 
     def __post_init__(self):
-        _check_integers(seed=self.seed)
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        _check_counts(0, seed=self.seed)
         self.kmedoids, self.mds  # their constructors check the values
         if self.kernel_eta is not None:
             KernelConfig(eta=self.kernel_eta)
         mode = self.sparsify if isinstance(self.sparsify, str) else "list"
         if mode not in ("none", "random", "cur", "list"):
             raise ValidationError(f"unknown sparsify mode {self.sparsify!r}")
-        # its upper bound N is known only once the input is read
-        if mode in ("random", "cur") and not (_is_integer(self.n_sparse) and self.n_sparse >= 1):
-            raise ValidationError(f"n_sparse must be an integer of at least 1 for {mode}, "
-                                  f"got {self.n_sparse!r}")
+        if mode in ("random", "cur"):  # its upper bound N is known only once the input is read
+            _check_counts(1, n_sparse=self.n_sparse)
 
     @property
     def kmedoids(self) -> KmedoidsConfig:  # the finest level's; each call sets the seed
@@ -92,34 +88,33 @@ class ClmdsConfig:
 
 def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
                     seed: int = 0, n_min: int = 1) -> SparseSelection:
-    """Select the sparse index set: uniform random, CUR-style row norms,
-    or an explicit user list."""
+    """Select the sparse index set, of at least n_min points: uniform
+    random, CUR-style row norms, or an explicit user list.
+    `SparseSelection` refuses a list with a repeated or negative index."""
+    _check_counts(0, seed=seed)
+    _check_counts(1, n_min=n_min)
     n = D.n_points
     everything = np.arange(n)
     if not isinstance(sparsify, str):
         items = list(sparsify)
         if not all(_is_integer(i) for i in items):  # dtype=int would truncate them
             raise ValidationError("explicit sparse list entries must be integer point indices")
-        idx = np.asarray(items, dtype=int)
-        if idx.size != np.unique(idx).size:
-            raise ValidationError("explicit sparse list has duplicates")
-        if idx.size == 0 or np.any(idx < 0) or np.any(idx >= n):
+        sp = np.asarray(items, dtype=int)
+        if np.any(sp >= n):
             raise ValidationError("explicit sparse list index out of range")
-        sp = np.sort(idx)
     else:
         if sparsify == "none":
             return SparseSelection(everything, np.empty(0, dtype=int))
-        if n_sparse is None or not _is_integer(n_sparse) or n_sparse < 1 or n_sparse > n:
-            raise ValidationError("n_sparse must be an integer in [1, N]")
+        _check_counts(1, n_sparse=n_sparse)
+        if n_sparse > n:
+            raise ValidationError(f"n_sparse must be at most N = {n}, got {n_sparse}")
         if sparsify == "random":
-            rng = np.random.default_rng(seed)
-            sp = np.sort(rng.choice(n, size=n_sparse, replace=False))
+            sp = np.random.default_rng(seed).choice(n, size=n_sparse, replace=False)
         elif sparsify == "cur":
             # each norm over its whole row, one block of rows at a time
             norms = np.concatenate([np.linalg.norm(D.block(everything[s], everything), axis=1)
                                     for s in _row_blocks(n, n)])
-            order = np.lexsort((everything, -norms))  # descending norm, ties low index
-            sp = np.sort(order[:n_sparse])
+            sp = np.lexsort((everything, -norms))[:n_sparse]  # descending norm, ties low index
         else:
             raise ValidationError(f"unknown sparsify mode {sparsify!r}")
     if sp.size < n_min:
@@ -368,15 +363,9 @@ def estimate_out_of_sample(fs: FeatureSet, sparse_result: ClmdsResult,
             t_k = sparse_result.cluster_transforms[k]
             members = c.members(k)
             y_loc = sparse_result.local_coords[k]
-            if members.size >= 3:
-                a = np.column_stack([x[sp[members]], np.ones(members.size)])
-                sol, _, _, _ = np.linalg.lstsq(a, y_loc, rcond=None)
-                a_tilde = np.zeros((3, x.shape[1] + 1))
-                a_tilde[:2] = sol.T
-                a_tilde[2, -1] = 1.0
-                coords[new_pts], far = project(t_k @ a_tilde, x[new_pts])
-            else:  # too few sparse members to fit the affine
-                far = np.ones(new_pts.size, dtype=bool)
+            a_tilde, _ = least_squares_affine(x[sp[members]], y_loc)
+            coords[new_pts], far = project(t_k @ a_tilde, x[new_pts])
+            far |= members.size < 3  # too few sparse members to fit the affine
             if np.any(far):
                 coords[new_pts[far]] = project(t_k, y_loc.mean(axis=0))[0]
                 fallback.append(int(k))

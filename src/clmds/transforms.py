@@ -1,13 +1,15 @@
 """Local-to-global stitching: pathology checks, affine and homography fits.
 
-All maps are 3x3 operators on homogeneous coordinates. Homographies are
-built through canonical quadrilaterals and a linear fractional transform;
-an affine least-squares fit is always available as fallback, and anchor
-sets too small or degenerate for an affine get a similarity or a
-translation (`choose_best_transform`). Homography and affine are
-judged on data neither was fitted to: the one that changes the cluster's
-own pairwise distances least wins. A 4-point homography interpolates its
-anchors, so an anchor residue would always favour it.
+Each cluster is stitched through 1 to 4 anchors; `classify_transform`
+refuses any other count. All maps are 3x3 operators on homogeneous
+coordinates. Homographies are built through canonical quadrilaterals and
+a linear fractional transform; an affine least-squares fit is always
+available as fallback, and anchor sets too small or degenerate for an
+affine get a similarity or a translation (`choose_best_transform`).
+Homography and affine are judged on data neither was fitted to: the one
+that changes the cluster's own pairwise distances least wins. A 4-point
+homography interpolates its anchors, so an anchor residue would always
+favour it.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
 def classify_transform(local_anchors: np.ndarray, global_anchors: np.ndarray) -> TransformPlan:
     """Decide affine vs. homography and the effective anchor order.
 
+    This is the entry of the stitching ladder: the two anchor lists must
+    hold the same 1 to 4 points of the plane, in corresponding order.
     Fewer than 4 anchors, a degenerate local quadrilateral (the hull is
     reduced to its convex-hull vertices), or a global quadrilateral that is
     not strictly convex CCW in the corresponding order all force an affine.
@@ -103,6 +107,9 @@ def classify_transform(local_anchors: np.ndarray, global_anchors: np.ndarray) ->
     glo = np.asarray(global_anchors, dtype=float)
     if loc.shape != glo.shape:
         raise ValidationError("anchor lists must have matching shapes")
+    if loc.ndim != 2 or loc.shape[1] != 2 or not 1 <= loc.shape[0] <= 4:
+        raise ValidationError(f"stitching takes 1 to 4 anchors of the plane, got an array "
+                              f"of shape {loc.shape}")
     n = loc.shape[0]
     if n < 4:
         return TransformPlan("affine", np.arange(n))
@@ -119,19 +126,28 @@ def classify_transform(local_anchors: np.ndarray, global_anchors: np.ndarray) ->
     return TransformPlan("affine", np.arange(4))
 
 
+def least_squares_affine(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, int]:
+    """The least-squares affine map from the q-vectors src to the points dst
+    of the plane, as a 3x(q+1) homogeneous matrix for `project`, and the
+    rank of the [src, 1] design; minimum-norm when that is below q+1.
+    `fit_affine` and the out-of-sample estimation fit through it."""
+    a = np.column_stack([src, np.ones(src.shape[0])])
+    sol, _, rank, _ = np.linalg.lstsq(a, dst, rcond=None)
+    m = np.zeros((3, a.shape[1]))
+    m[:2] = sol.T
+    m[2, -1] = 1.0
+    return m, int(rank)
+
+
 def fit_affine(src: np.ndarray, dst: np.ndarray) -> Transform2D:
     """Least-squares affine taking src points to dst points."""
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
     if src.shape[0] < 3:
         raise ValidationError("affine fit needs at least 3 correspondences")
-    a = np.column_stack([src, np.ones(src.shape[0])])
-    sol, _, rank, _ = np.linalg.lstsq(a, dst, rcond=None)
+    m, rank = least_squares_affine(src, dst)
     if rank < 3:
         raise DegenerateGeometryError("collinear source points in affine fit")
-    m = np.eye(3)
-    m[:2, :2] = sol[:2].T
-    m[:2, 2] = sol[2]
     return Transform2D("affine", m)
 
 
@@ -243,10 +259,11 @@ def _distortion(mapped: np.ndarray, d_local: np.ndarray) -> float:
 def choose_best_transform(cluster_local: np.ndarray,
                           anchors_local: np.ndarray,
                           anchors_global: np.ndarray) -> tuple[Transform2D, np.ndarray]:
-    """Map a cluster into the enclosing frame through its 1-4 anchors.
+    """Map a cluster into the enclosing frame through its 1 to 4 anchors.
 
-    Returns the transform and the mapped cluster. One fallback ladder serves
-    every anchor count:
+    Returns the transform and the mapped cluster. `classify_transform`
+    refuses any other anchor lists. One fallback ladder serves every anchor
+    count:
 
     1. 3-4 anchors whose local hull keeps at least 3 vertices get the
        classified transform. A homography competes with the 4-anchor
@@ -264,29 +281,26 @@ def choose_best_transform(cluster_local: np.ndarray,
     cluster_local = np.asarray(cluster_local, dtype=float)
     loc = np.asarray(anchors_local, dtype=float)
     glo = np.asarray(anchors_global, dtype=float)
-    if loc.shape != glo.shape:
-        raise ValidationError("anchor lists must have matching shapes")
-    if loc.shape[0] >= 3:
-        plan = classify_transform(loc, glo)
-        if plan.order.shape[0] >= 3:
-            try:
-                fit = np.sort(plan.order)  # an affine's order, or all 4 anchors of a homography
-                affine = fit_affine(loc[fit], glo[fit])
-                mapped_a = apply_transform(affine, cluster_local)
-                if plan.kind != "homography":
-                    return affine, mapped_a
-                try:
-                    homog = fit_homography(loc[plan.order], glo[plan.order])
-                    mapped_h = apply_transform(homog, cluster_local)
-                except (DegenerateGeometryError, PerspectiveDivideError):
-                    return affine, mapped_a
-                d_local = _pair_distances(cluster_local)
-                r_a = _distortion(mapped_a, d_local)
-                if _distortion(mapped_h, d_local) < r_a * (1.0 - DISTORTION_TIE_RTOL):
-                    return homog, mapped_h
+    plan = classify_transform(loc, glo)
+    if plan.order.shape[0] >= 3:
+        try:
+            fit = np.sort(plan.order)  # an affine's order, or all 4 anchors of a homography
+            affine = fit_affine(loc[fit], glo[fit])
+            mapped_a = apply_transform(affine, cluster_local)
+            if plan.kind != "homography":
                 return affine, mapped_a
-            except DegenerateGeometryError:
-                pass
+            try:
+                homog = fit_homography(loc[plan.order], glo[plan.order])
+                mapped_h = apply_transform(homog, cluster_local)
+            except (DegenerateGeometryError, PerspectiveDivideError):
+                return affine, mapped_a
+            d_local = _pair_distances(cluster_local)
+            r_a = _distortion(mapped_a, d_local)
+            if _distortion(mapped_h, d_local) < r_a * (1.0 - DISTORTION_TIE_RTOL):
+                return homog, mapped_h
+            return affine, mapped_a
+        except DegenerateGeometryError:
+            pass
     d = pairwise_distances(loc, loc)
     i, j = np.unravel_index(int(np.argmax(d)), d.shape)
     if d[i, j] > 0:

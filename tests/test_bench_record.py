@@ -99,8 +99,10 @@ def test_checkout_state_tells_an_uncommitted_tree_from_its_commit(tmp_path):
         subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
                         *args], check=True, capture_output=True)
 
-    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "clmds").mkdir(parents=True)
     (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    (tmp_path / "src" / "clmds" / "m.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "clmds" / "notes.txt").write_text("not code\n")
     (tmp_path / "notes.md").write_text("notes\n")
     git("init", "-q")
     git("add", ".")
@@ -108,6 +110,7 @@ def test_checkout_state_tells_an_uncommitted_tree_from_its_commit(tmp_path):
     clean = record.checkout_state(tmp_path)
     assert clean["dirty"] is False and clean["diff_sha256"] is None
     assert len(clean["commit"]) == 40
+    assert clean["package_lines"] == 2  # src/clmds/*.py only, as wc -l counts
     (tmp_path / "notes.md").write_text("other notes\n")  # not what the benchmark runs
     assert record.checkout_state(tmp_path) == clean
     (tmp_path / "src" / "a.py").write_text("x = 2\n")
@@ -116,6 +119,10 @@ def test_checkout_state_tells_an_uncommitted_tree_from_its_commit(tmp_path):
     (tmp_path / "src" / "b.py").write_text("y = 1\n")
     added = record.checkout_state(tmp_path)
     assert added["dirty"] and added["diff_sha256"] != edited["diff_sha256"]
+    (tmp_path / "src" / "clmds" / "n.py").write_text("z = 3")  # no final newline
+    assert record.checkout_state(tmp_path)["package_lines"] == 2
+    (tmp_path / "src" / "clmds" / "m.py").write_text("x = 1\n")
+    assert record.checkout_state(tmp_path)["package_lines"] == 1
 
 
 def test_calibration_loop_runs_and_parses_on_a_tiny_size():
@@ -127,7 +134,8 @@ def test_calibration_loop_runs_and_parses_on_a_tiny_size():
             record.parse_calibration(text)
 
 
-def test_each_workload_round_takes_one_calibration_reading_per_side(tmp_path, monkeypatch):
+def test_each_workload_round_takes_one_calibration_reading_per_side(tmp_path, monkeypatch,
+                                                                   capsys):
     # two workloads, one pair: each has 3 rounds (the pair, the traced run and
     # the seed-1 digests), so each side gets 6 readings, each one before the
     # runs of its round and in their order
@@ -150,8 +158,10 @@ def test_each_workload_round_takes_one_calibration_reading_per_side(tmp_path, mo
     monkeypatch.setattr(record, "ROOT", tmp_path)
     monkeypatch.setattr(record, "calibrate", fake_calibrate)
     monkeypatch.setattr(record, "run_once", fake_run_once)
-    monkeypatch.setattr(record, "checkout_state", lambda path: {"commit": str(path)})
+    monkeypatch.setattr(record, "checkout_state", lambda path: {
+        "commit": str(path), "package_lines": 7 if path == tmp_path else 9})
     assert record.main(["--label", "t", "--against", str(other), "--pairs", "1"]) == 0
+    assert "lines of src/clmds/*.py: this 7, against 9\n" in capsys.readouterr().out
     saved = json.loads((tmp_path / "BENCH_t.json").read_text())
     # every run printed the one digest of dataset 0 and none of dataset 1
     assert saved["digests_agree"] == {"agree": 2, "differ": [],

@@ -136,9 +136,11 @@ def test_hierarchy_spec():
         HierarchySpec((3, 2))
     assert HierarchySpec((np.int64(3), 1)).levels == (3, 1)
     # int() would make these (2, 1), (3, 1) and (3, 1)
-    for levels, bad in [((2.7, 1), 2.7), ((3, True), True), ((np.float64(3.0), 1), np.float64(3.0)),
-                        (("3", 1), "3")]:
-        with pytest.raises(ValidationError, match=re.escape(f"hierarchy level {bad!r} is not")):
+    for levels, at, bad in [((2.7, 1), 0, 2.7), ((3, True), 1, True),
+                            ((np.float64(3.0), 1), 0, np.float64(3.0)), (("3", 1), 0, "3"),
+                            ((3, 0), 1, 0)]:
+        with pytest.raises(ValidationError, match=re.escape(
+                f"hierarchy level {at} must be a positive integer, got {bad!r}")):
             HierarchySpec(levels)
 
 

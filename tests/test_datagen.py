@@ -61,7 +61,7 @@ def test_holes_deterministic():
 
 
 def test_s_curve_needs_a_point():
-    with pytest.raises(ValidationError, match="n must be positive"):
+    with pytest.raises(ValidationError, match="n must be a positive integer, got 0"):
         gen_s_curve(0)
 
 

@@ -168,7 +168,7 @@ def test_monotone_descent_and_local_optimality():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda D: KmedoidsConfig(k=0), "k must be positive"),
+    (lambda D: KmedoidsConfig(k=0), "k must be a positive integer, got 0"),
     (lambda D: relative_incoherence(D, Clustering(np.zeros(3, dtype=int), np.array([0]))),
      "clustering size does not match distance matrix"),
 ])
@@ -274,12 +274,33 @@ def test_incremental_updates_match_full_updates(monkeypatch, duplicated):
         for c, init in zip(got, starts):
             ref_assignment, ref_medoids, it = reference_kmedoids_once(D.d, np.sort(init),
                                                                       max_swaps)
-            ref = kmedoids_mod._canonical(Clustering(ref_assignment, ref_medoids))
+            ref = kmedoids_mod._canonical(ref_assignment, ref_medoids)
             assert np.array_equal(c.assignment, ref.assignment)
             assert np.array_equal(c.medoids, ref.medoids)
             iterations.add(it)
         stop_spread += len(iterations) > 1
     assert stop_spread >= 10  # rows of one stack leave it at different iterations
+
+
+@pytest.mark.parametrize("max_swaps", [1000, 1])
+def test_each_restart_builds_one_clustering(monkeypatch, max_swaps):
+    # a restart's labels and medoids become its canonical Clustering once,
+    # whether the row converged or was cut at _MAX_SWAPS
+    rng = np.random.default_rng(5)
+    D = euclidean_distances(FeatureSet(rng.normal(size=(60, 2))))
+    starts = np.array([rng.choice(60, size=5, replace=False) for _ in range(7)])
+    built = []
+    check = Clustering.__post_init__
+
+    def counted(c):
+        built.append(c)
+        check(c)
+
+    monkeypatch.setattr(Clustering, "__post_init__", counted)
+    monkeypatch.setattr(kmedoids_mod, "_MAX_SWAPS", max_swaps)
+    got = kmedoids_once(D, starts)
+    assert len(got) == len(starts)
+    assert len(built) == len(starts)
 
 
 def test_the_order_of_a_start_row_does_not_matter():

@@ -138,6 +138,11 @@ def test_sparsify_explicit_list_and_errors():
         sparsify_select(D, "random", 0)
     with pytest.raises(ValidationError):
         sparsify_select(D, "random", 2, n_min=3)
+    for items, n_min, message in (([], 1, "sparse set size 0 below"),
+                                  ([], 0, "n_min must be a positive integer"),
+                                  ([-1, 2], 1, "sparse selection index is negative")):
+        with pytest.raises(ValidationError, match=message):
+            sparsify_select(D, items, None, n_min=n_min)
     with pytest.raises(ValidationError, match="unknown sparsify mode 'bogus'"):
         sparsify_select(D, "bogus", 5)
 
@@ -841,6 +846,25 @@ def test_counts_must_be_integers_and_not_bools(make):
     # unchecked, most escape as a numpy TypeError mid-run or are read as int(x)
     with pytest.raises(ValidationError, match="integer"):
         make()
+
+
+_SEEDED = {
+    "ClmdsConfig": lambda seed: ClmdsConfig(_LEVELS, seed=seed),
+    "KmedoidsConfig": lambda seed: KmedoidsConfig(k=3, seed=seed),
+    "MdsConfig": lambda seed: MdsConfig(seed=seed),
+    "HolesSpec": lambda seed: HolesSpec(n_points=20, n_holes=2, seed=seed),
+    "gen_s_curve": lambda seed: gen_s_curve(5, seed=seed),
+    "sparsify_select": lambda seed: sparsify_select(three_blob_problem()[1], "random", 20,
+                                                    seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+@pytest.mark.parametrize("make", _SEEDED.values(), ids=_SEEDED.keys())
+def test_every_seed_is_a_non_negative_integer(make, seed):
+    # unchecked, -1 escapes as numpy's ValueError and 1.5 as a TypeError
+    with pytest.raises(ValidationError, match=f"seed must be a non-negative integer, got {seed}"):
+        make(seed)
 
 
 def test_numpy_integers_are_counts():

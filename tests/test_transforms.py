@@ -8,8 +8,11 @@ from clmds import (DegenerateGeometryError, PerspectiveDivideError, Transform2D,
                    ValidationError, apply_transform, choose_best_transform,
                    classify_transform, convex_hull_2d, fit_affine, fit_homography,
                    fit_similarity, translation)
+from clmds.transforms import least_squares_affine
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+PENTAGON = np.column_stack([np.cos(np.arange(5) * 2 * np.pi / 5),
+                            np.sin(np.arange(5) * 2 * np.pi / 5)])
 
 
 def test_hull_square_with_interior_points():
@@ -80,6 +83,14 @@ def test_affine_generate_and_recover():
         dst = apply_transform(truth, src)
         fitted = fit_affine(src, dst)
         assert np.allclose(fitted.matrix, m, atol=1e-9)
+    # the same fit from 4-d sources, as the out-of-sample estimation uses it
+    m = np.zeros((3, 5))
+    m[:2] = rng.normal(size=(2, 5))
+    m[2, -1] = 1.0
+    src = rng.normal(size=(9, 4))
+    fitted, rank = least_squares_affine(src, src @ m[:2, :4].T + m[:2, 4])
+    assert rank == 5
+    assert np.allclose(fitted, m, atol=1e-9)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -88,6 +99,12 @@ def test_affine_generate_and_recover():
     (lambda: classify_transform(SQUARE, SQUARE[:3]), "anchor lists must have matching shapes"),
     (lambda: choose_best_transform(SQUARE, SQUARE, SQUARE[:3]),
      "anchor lists must have matching shapes"),
+    (lambda: classify_transform(SQUARE[:0], SQUARE[:0]), r"1 to 4 anchors .* shape \(0, 2\)"),
+    (lambda: classify_transform(PENTAGON, PENTAGON), r"1 to 4 anchors .* shape \(5, 2\)"),
+    (lambda: choose_best_transform(SQUARE, SQUARE[:0], SQUARE[:0]),
+     r"1 to 4 anchors .* shape \(0, 2\)"),
+    (lambda: choose_best_transform(PENTAGON, PENTAGON, PENTAGON),
+     r"1 to 4 anchors .* shape \(5, 2\)"),
     (lambda: fit_affine(SQUARE[:2], SQUARE[:2]), "affine fit needs at least 3 correspondences"),
 ])
 def test_malformed_transform_inputs_are_refused(call, message):
