@@ -25,7 +25,13 @@ round of runs of a workload, each side also runs a fixed-work loop
 (`calibrate`), in the order of that round's runs; every reading is kept,
 and the fastest is the side's speed, so that records taken on other hosts
 or in other sessions compare as ratios (two readings taken back to back can
-differ by 40%). The file is written to the root of this checkout.
+differ by 40%). Per workload and end-to-end metric of BENCHMARK.json, the
+record's `metrics` keeps each side's median and quartiles over the untraced
+seed-0 runs, and the pairs in which this side did better, in the direction
+BENCHMARK.json gives; `claim_holds` tells whether a claimed gain would
+pass: better in at least nine pairs of ten, and in the median by more than
+the spread between the other side's quartiles. The same summary is
+printed. The file is written to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +182,68 @@ def verdict_line(verdict: dict | None) -> str:
             f"unrepeated: {', '.join(verdict['unrepeated']) or 'none'}")
 
 
+def quartiles(values: list[float]) -> dict:
+    """The first quartile, median and third quartile of values, each read
+    between the two nearest order statistics, as numpy's percentile does."""
+    s = sorted(values)
+
+    def at(q: float) -> float:
+        pos = q * (len(s) - 1)
+        lo = math.floor(pos)
+        hi = min(lo + 1, len(s) - 1)
+        return s[lo] + (s[hi] - s[lo]) * (pos - lo)
+    return {"q1": at(0.25), "median": at(0.5), "q3": at(0.75)}
+
+
+def metric_summary(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """workload -> metric -> each side's quartiles over its untraced seed-0
+    runs and, with both sides, the pairs and the pairs this side won.
+
+    A pair is won if this side's value is strictly better, in the metric's
+    direction ("better": "lower" or "higher"). The claim rule holds if at
+    least nine pairs of ten are won and the medians differ, the right way, by
+    more than the other side's q3 - q1."""
+    timed = [r for r in runs if r["seed"] == 0 and not r["trace"]]
+    out: dict = {}
+    for workload in dict.fromkeys(r["workload"] for r in timed):
+        for metric in end_to_end:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            values: dict = {}  # side -> pair -> value
+            for r in timed:
+                got = r["result"]["metrics"].get(name)
+                if r["workload"] == workload and got is not None:
+                    values.setdefault(r["side"], {})[r["pair"]] = got["value"]
+            if not values:
+                continue
+            entry = {"better": metric["better"],
+                     **{side: quartiles(list(v.values())) for side, v in values.items()}}
+            if {"this", "against"} <= values.keys():
+                pairs = sorted(values["this"].keys() & values["against"].keys())
+                won = sum(sign * (values["this"][p] - values["against"][p]) > 0 for p in pairs)
+                gain = sign * (entry["this"]["median"] - entry["against"]["median"])
+                spread = entry["against"]["q3"] - entry["against"]["q1"]
+                entry.update(pairs=len(pairs), won=won,
+                             claim_holds=bool(pairs) and 10 * won >= 9 * len(pairs)
+                             and gain > spread)
+            out.setdefault(workload, {})[name] = entry
+    return out
+
+
+def summary_lines(summary: dict) -> list[str]:
+    """One line per workload and metric of `metric_summary`."""
+    lines = []
+    for workload, metrics in summary.items():
+        for name, entry in metrics.items():
+            sides = ", ".join(f"{side} {q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]"
+                              for side, q in entry.items() if side in ("this", "against"))
+            line = f"{workload} {name} ({entry['better']} is better): {sides}"
+            if "won" in entry:
+                line += (f"; this better in {entry['won']}/{entry['pairs']} pairs, claim "
+                         f"{'holds' if entry['claim_holds'] else 'does not hold'}")
+            lines.append(line)
+    return lines
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -227,14 +296,16 @@ def main(argv: list[str] | None = None) -> int:
                                            for side, c in calibration.items()), flush=True)
     digests = collect_digests(runs)
     verdict = digest_verdict(digests)
+    summary = metric_summary(runs, spec["end_to_end"])
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
         "label": args.label, "seconds": seconds, "checkouts": checkouts,
         "calibration": calibration, "digests": digests, "digests_agree": verdict,
-        "runs": runs,
+        "metrics": summary, "runs": runs,
     }, indent=1) + "\n")
     print(f"wrote {out}")
     print(verdict_line(verdict))
+    print("\n".join(summary_lines(summary)))
     return 0
 
 

@@ -8,9 +8,12 @@ from .core import Clustering, DistanceMatrix, ValidationError
 from .kmedoids import farthest_point_sample
 
 MAX_EXHAUSTIVE = 70  # cluster size above which candidate vertices are pruned
-# Largest pool the quadruple search takes (O(n^4) time, O(n^3) memory);
-# candidate_vertices yields at most this many for up to 2000 members.
+# Largest pool the quadruple search takes (O(n^4) time); candidate_vertices
+# yields at most this many for up to 2000 members. Its memory is O(n^2) plus
+# one block of triples: 2.6 MiB traced at n = 100.
 MAX_POOL = 100
+# the most triples j < k < l the quadruple search builds at once
+_TRIPLE_BLOCK = 1 << 14
 
 # Cayley-Menger normalization for a 3-simplex: 1 / (2^3 * (3!)^2)
 _CM_FACTOR = 1.0 / 288.0
@@ -39,23 +42,21 @@ def simplex_volume_sq(D4: np.ndarray) -> float:
     return _CM_FACTOR * float(np.linalg.det(b))
 
 
-def _triple_table(n: int) -> tuple[np.ndarray, ...]:
-    """Every index triple j < k < l of range(n), in lexicographic order.
-
-    Returns the row gathers (j, k, l), the flat indices (jk, jl, kl) into
-    an n x n matrix, and start[i], the position of the first triple with
-    j >= i; the triples of range(i, n) are the suffix from start[i].
-    """
+def _triple_blocks(n: int, size: int):
+    """Every index triple j < k < l of range(n), in lexicographic order, as
+    consecutive blocks (j, k, l) of at most size triples each. Only the
+    table of pairs k < l is held whole."""
     k_pair, l_pair = np.triu_indices(n, 1)  # pairs k < l, lexicographic
     # the pairs with k > j are a suffix of the pair table
     pair_start = np.searchsorted(k_pair, np.arange(n), side="right")
     counts = k_pair.size - pair_start
-    j = np.repeat(np.arange(n), counts)
-    offsets = np.cumsum(counts) - counts
-    pos = np.arange(j.size) - offsets[j] + pair_start[j]
-    k, l = k_pair[pos], l_pair[pos]
-    start = np.append(offsets, j.size)
-    return j, k, l, j * n + k, j * n + l, k * n + l, start
+    offsets = np.cumsum(counts) - counts  # the first triple of each j
+    total = int(counts.sum())
+    for lo in range(0, total, size):
+        t = np.arange(lo, min(lo + size, total))
+        j = np.searchsorted(offsets, t, side="right") - 1
+        pos = t - offsets[j] + pair_start[j]
+        yield j, k_pair[pos], l_pair[pos]
 
 
 def candidate_vertices(D: DistanceMatrix, cluster, medoid: int) -> np.ndarray:
@@ -92,12 +93,13 @@ def best_quadruple(D, candidates) -> np.ndarray:
     The squared volume of a quadruple (a, j, k, l) is det G / 36, where
     G is the 3x3 Gram matrix of its edges from a, taken from squared
     distances alone: G_jk = (d_aj^2 + d_ak^2 - d_jk^2) / 2. This equals the
-    Cayley-Menger value of `simplex_volume_sq`. The search visits each
-    origin a in turn with all later triples j < k < l, so quadruples come
-    in lexicographic order of the sorted index tuple: ties go to the
-    lexicographically smallest one. Negative values (non-Euclidean
-    dissimilarities, rounding) clamp to zero and rank below any positive
-    volume.
+    Cayley-Menger value of `simplex_volume_sq`. The triples j < k < l are
+    built in lexicographic blocks of at most _TRIPLE_BLOCK, and each block
+    is visited by every origin a with its triples j > a; the best is kept
+    with its origin, so that ties go to the lexicographically smallest
+    sorted index tuple. Negative values (non-Euclidean dissimilarities,
+    rounding) clamp to zero and rank below any positive volume. A NaN
+    volume, which only a squared distance that overflows makes, never wins.
     """
     candidates = np.sort(np.asarray(candidates, dtype=int))
     if candidates.size <= 4:
@@ -108,28 +110,40 @@ def best_quadruple(D, candidates) -> np.ndarray:
     if keep.size > MAX_POOL:
         keep = keep[np.sort(farthest_point_sample(d[np.ix_(keep, keep)], MAX_POOL))]
     candidates, d = candidates[keep], d[np.ix_(keep, keep)]
-    n = candidates.size
-    if n <= 4:
+    if candidates.size <= 4:
         return candidates
-    j, k, l, jk, jl, kl, start = _triple_table(n)
+    return candidates[_max_volume_quadruple(d)]
+
+
+# a squared distance above 1.8e308 overflows, and the volumes it enters are NaN
+@np.errstate(over="ignore", invalid="ignore")
+def _max_volume_quadruple(d: np.ndarray) -> list[int]:
+    """The positions (a, j, k, l) in d of the quadruple `best_quadruple` picks."""
     sq = d ** 2
-    flat = sq.ravel()
     # all volumes <= 0 clamp to zero and the first quadruple wins
     best_det, best = 0.0, [0, 1, 2, 3]
-    for a in range(n - 3):
-        s = slice(start[a + 1], None)  # the triples after origin a
-        row = sq[a]
-        gjj, gkk, gll = row[j[s]], row[k[s]], row[l[s]]
-        gjk = 0.5 * (gjj + gkk - flat[jk[s]])
-        gjl = 0.5 * (gjj + gll - flat[jl[s]])
-        gkl = 0.5 * (gkk + gll - flat[kl[s]])
-        det = (gjj * (gkk * gll - gkl * gkl) - gjk * (gjk * gll - gkl * gjl)
-               + gjl * (gjk * gkl - gkk * gjl))
-        i = int(np.argmax(det))  # first maximizer: lexicographic within a
-        if det[i] > best_det:  # strict: an earlier origin keeps a tie
-            t = start[a + 1] + i
-            best_det, best = det[i], [a, j[t], k[t], l[t]]
-    return candidates[best]
+    for j, k, l in _triple_blocks(d.shape[0], _TRIPLE_BLOCK):
+        sjk, sjl, skl = sq[j, k], sq[j, l], sq[k, l]  # the same for every origin
+        # origin a takes the block's triples with j > a, a suffix
+        for a, first in enumerate(np.searchsorted(j, np.arange(j[-1]), side="right")):
+            s = slice(first, None)
+            row = sq[a]
+            gjj, gkk, gll = row[j[s]], row[k[s]], row[l[s]]
+            gjk = 0.5 * (gjj + gkk - sjk[s])
+            gjl = 0.5 * (gjj + gll - sjl[s])
+            gkl = 0.5 * (gkk + gll - skl[s])
+            det = (gjj * (gkk * gll - gkl * gkl) - gjk * (gjk * gll - gkl * gjl)
+                   + gjl * (gjk * gkl - gkk * gjl))
+            i = int(np.argmax(det))  # first maximizer: lexicographic within a
+            if np.isnan(det[i]):  # argmax takes a NaN for the largest
+                det[np.isnan(det)] = -np.inf
+                i = int(np.argmax(det))
+            # a tie between origins goes to the earlier one; blocks come in
+            # order, so within an origin an earlier block keeps a tie
+            if det[i] > best_det or (det[i] == best_det and a < best[0]):
+                t = first + i
+                best_det, best = det[i], [a, j[t], k[t], l[t]]
+    return best
 
 
 def select_anchors(D: DistanceMatrix, c: Clustering) -> list[np.ndarray]:

@@ -115,7 +115,8 @@ class FeatureDistances:
         fs = FeatureSet(self.features.vectors[idx])
         if self.kernel is None:
             return euclidean_distances(fs)
-        return kernel_to_distance(kernel_matrix(fs, self.kernel))
+        k = kernel_matrix(fs, self.kernel)
+        return kernel_to_distance(k, out=k)  # one n x n array: the kernel, then its distances
 
     @cached_property
     def _unit_rows(self) -> np.ndarray:
@@ -217,13 +218,19 @@ def load_result(out_dir: str) -> ClmdsResult:
 
 
 def _write_atomic(out_dir: str, artifacts: dict[str, str]):
+    """Write every artifact, or none: each is staged beside its name, then
+    replaces it. A staged file takes the mode a plain open would give it,
+    0o666 under the umask, as mkstemp's 0o600 survives the replace."""
     os.makedirs(out_dir, exist_ok=True)
+    umask = os.umask(0)  # the only way to read it
+    os.umask(umask)
     staged = []
     try:
         for name, text in artifacts.items():
             fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
             staged.append((tmp, os.path.join(out_dir, name)))
         for tmp, dst in staged:
             os.replace(tmp, dst)

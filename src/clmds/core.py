@@ -156,8 +156,13 @@ def _asymmetry(a: np.ndarray) -> float:
     at a time (|x - y| = |y - x|). It is non-finite if an entry is, or on
     overflow; both come without a numpy warning."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.max([np.max(np.abs(a[s, s.start:] - a[s.start:, s].T))
+        return np.max([_max_abs(a[s, s.start:] - a[s.start:, s].T)
                        for s in _row_blocks(*a.shape)], initial=0.0)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max |x|, taken in x: one row block of scratch, not two."""
+    return np.max(np.abs(x, out=x))
 
 
 # From this many entries a table of differences is cheaper as a matmul than as

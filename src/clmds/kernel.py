@@ -89,14 +89,25 @@ def _check_kernel(k: np.ndarray):
     return k, asym
 
 
-def kernel_to_distance(k: np.ndarray) -> DistanceMatrix:
+def kernel_to_distance(k: np.ndarray, *, out: np.ndarray | None = None) -> DistanceMatrix:
     """Induced distance D_ij = sqrt(1 - K_ij); 1 - D^2 gives K back up to rounding.
 
-    k is read only. `_check_kernel` refuses a k that is no kernel, and
-    `DistanceMatrix` alone checks the result, the one new n x n array.
+    By default k is read only, and the distances are one new n x n array.
+    With out=k they are written into k itself, bit for bit the same, and k
+    is given up: it becomes the read-only array of the result, so a build
+    holds one n x n array. Such a k must be a writeable, C-contiguous
+    float64 array. `_check_kernel` refuses a k that is no kernel, before
+    anything is written, and `DistanceMatrix` alone checks the result.
     """
+    if out is not None:
+        if out is not k:
+            raise ValidationError("out must be the kernel array itself")
+        if not (isinstance(k, np.ndarray) and k.dtype == np.float64
+                and k.flags.c_contiguous and k.flags.writeable):
+            raise ValidationError("a kernel converted in place must be a writeable, "
+                                  "C-contiguous float64 array")
     k, asym = _check_kernel(k)
-    return _distance_matrix_of(np.array(k, order="C"), asym)
+    return _distance_matrix_of(np.array(k, order="C") if out is None else k, asym)
 
 
 def _distance_matrix_of(sim: np.ndarray, asym: float) -> DistanceMatrix:

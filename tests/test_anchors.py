@@ -1,9 +1,11 @@
+import tracemalloc
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
-from clmds import (ClmdsConfig, Clustering, FeatureSet, HierarchySpec,
+from clmds import (ClmdsConfig, Clustering, DistanceMatrix, FeatureSet, HierarchySpec,
                    ValidationError, best_quadruple, candidate_vertices, clmds_embed,
                    euclidean_distances, select_anchors, simplex_volume_sq)
 from clmds import anchors
@@ -185,13 +187,154 @@ def test_anchor_search_pool_is_bounded_when_every_distance_ties(monkeypatch):
     # one-hot rows: every pair sits at sqrt(2), so the percentile cut keeps
     # all but the medoid of a 298-member cluster
     sizes = []
-    triple_table = anchors._triple_table
+    triple_blocks = anchors._triple_blocks
 
-    def recording(n):
+    def recording(n, size):
         sizes.append(n)
-        return triple_table(n)
-    monkeypatch.setattr(anchors, "_triple_table", recording)
+        return triple_blocks(n, size)
+    monkeypatch.setattr(anchors, "_triple_blocks", recording)
     D = euclidean_distances(FeatureSet(np.eye(300)))
     cfg = ClmdsConfig(hierarchy=HierarchySpec((3, 1)), iter_med=2)
     clmds_embed(D, cfg)
     assert sizes and max(sizes) <= anchors.MAX_POOL
+
+
+def _triple_table(n: int) -> tuple[np.ndarray, ...]:
+    """Every index triple j < k < l of range(n), in lexicographic order.
+
+    Returns the row gathers (j, k, l), the flat indices (jk, jl, kl) into
+    an n x n matrix, and start[i], the position of the first triple with
+    j >= i; the triples of range(i, n) are the suffix from start[i].
+    """
+    k_pair, l_pair = np.triu_indices(n, 1)  # pairs k < l, lexicographic
+    # the pairs with k > j are a suffix of the pair table
+    pair_start = np.searchsorted(k_pair, np.arange(n), side="right")
+    counts = k_pair.size - pair_start
+    j = np.repeat(np.arange(n), counts)
+    offsets = np.cumsum(counts) - counts
+    pos = np.arange(j.size) - offsets[j] + pair_start[j]
+    k, l = k_pair[pos], l_pair[pos]
+    start = np.append(offsets, j.size)
+    return j, k, l, j * n + k, j * n + l, k * n + l, start
+
+
+def per_origin_best_quadruple(D, candidates) -> np.ndarray:
+    """Oracle: the quadruple search as it was before it ran in blocks, word
+    for word. It held all n^3 / 6 triples, and each origin took all of
+    its triples at once."""
+    candidates = np.sort(np.asarray(candidates, dtype=int))
+    if candidates.size <= 4:
+        return candidates
+    d = D.block(candidates, candidates)
+    # no copy of a lower-indexed candidate
+    keep = np.flatnonzero(~np.tril(d == 0, k=-1).any(axis=1))
+    if keep.size > anchors.MAX_POOL:
+        keep = keep[np.sort(farthest_point_sample(d[np.ix_(keep, keep)], anchors.MAX_POOL))]
+    candidates, d = candidates[keep], d[np.ix_(keep, keep)]
+    n = candidates.size
+    if n <= 4:
+        return candidates
+    j, k, l, jk, jl, kl, start = _triple_table(n)
+    sq = d ** 2
+    flat = sq.ravel()
+    # all volumes <= 0 clamp to zero and the first quadruple wins
+    best_det, best = 0.0, [0, 1, 2, 3]
+    for a in range(n - 3):
+        s = slice(start[a + 1], None)  # the triples after origin a
+        row = sq[a]
+        gjj, gkk, gll = row[j[s]], row[k[s]], row[l[s]]
+        gjk = 0.5 * (gjj + gkk - flat[jk[s]])
+        gjl = 0.5 * (gjj + gll - flat[jl[s]])
+        gkl = 0.5 * (gkk + gll - flat[kl[s]])
+        det = (gjj * (gkk * gll - gkl * gkl) - gjk * (gjk * gll - gkl * gjl)
+               + gjl * (gjk * gkl - gkk * gjl))
+        i = int(np.argmax(det))  # first maximizer: lexicographic within a
+        if det[i] > best_det:  # strict: an earlier origin keeps a tie
+            t = start[a + 1] + i
+            best_det, best = det[i], [a, j[t], k[t], l[t]]
+    return candidates[best]
+
+
+def oracle_pools(rng):
+    """(name, points) of the pools the blocked search is checked on: random
+    2-d and 3-d points, integer lattices (many tied volumes), pools with
+    duplicates, zero-volume pools and pools of MAX_POOL points."""
+    for i in range(300):
+        n = int(rng.integers(5, 31))
+        family = ("random-2d", "random-3d", "lattice", "duplicates", "zero-volume")[i % 5]
+        if family == "random-2d":
+            pts = rng.normal(size=(n, 2))
+        elif family == "random-3d":
+            pts = rng.normal(size=(n, 3))
+        elif family == "lattice":
+            pts = rng.integers(0, 3, size=(n, 3)).astype(float)
+        elif family == "duplicates":
+            base = rng.normal(size=(max(2, n // 3), 3))
+            pts = base[rng.integers(0, base.shape[0], size=n)]
+        else:  # collinear or coplanar lattice points: every volume is exactly 0
+            pts = rng.integers(0, 4, size=(n, 3)).astype(float)
+            pts[:, 2 - i % 2:] = 0.0
+        yield family, pts
+    for family in ("random-3d", "lattice"):
+        n = anchors.MAX_POOL
+        pts = (rng.normal(size=(n, 3)) if family == "random-3d"
+               else rng.integers(0, 5, size=(n, 3)).astype(float))
+        yield family, pts
+
+
+def test_the_blocked_search_picks_what_the_per_origin_search_picks(monkeypatch):
+    # each pool runs with the default block and with blocks of a few to a
+    # few dozen per pool, so that origins meet many block boundaries
+    rng = np.random.default_rng(29)
+    default, seen = anchors._TRIPLE_BLOCK, {}
+    for i, (family, pts) in enumerate(oracle_pools(rng)):
+        D = euclidean_distances(FeatureSet(pts))
+        pool = np.arange(pts.shape[0])
+        want = per_origin_best_quadruple(D, pool)
+        triples = comb(pts.shape[0], 3)
+        for size in (default, max(1, triples // (2 + i % 25))):
+            monkeypatch.setattr(anchors, "_TRIPLE_BLOCK", size)
+            got = best_quadruple(D, pool)
+            assert np.array_equal(got, want), (i, family, size)
+        seen[family] = seen.get(family, 0) + 1
+    assert sum(seen.values()) >= 300 and len(seen) == 5
+
+
+def test_triple_blocks_are_the_lexicographic_triples_cut_in_order():
+    for n, size in ((4, 1), (7, 3), (12, 50), (30, 1 << 14)):
+        blocks = list(anchors._triple_blocks(n, size))
+        assert all(0 < j.size <= size for j, _, _ in blocks)
+        got = np.concatenate([np.stack(b, axis=1) for b in blocks])
+        assert np.array_equal(got, np.array(list(combinations(range(n), 3))))
+
+
+def test_a_nan_volume_never_wins():
+    # point 5 is 1e155 from every other point: its squared distances
+    # overflow, and every quadruple holding it has a NaN volume. The search
+    # then picks what it picks without point 5, here (0, 2, 3, 4). In the
+    # per-origin search a NaN cost its origin the whole turn, so every origin
+    # lost and it fell back to (0, 1, 2, 3), of a fifth of that volume.
+    pts = np.array([[0, 0, 5], [0, 0, 0], [1, 0, 0], [0, 0.2, 0], [1, 1, 0.5]])
+    d = np.full((6, 6), 1e155)
+    d[:5, :5] = euclidean_distances(FeatureSet(pts)).d
+    np.fill_diagonal(d, 0.0)
+    D = DistanceMatrix(d)
+    got = best_quadruple(D, np.arange(6))
+    assert got.tolist() == [0, 2, 3, 4]
+    assert np.array_equal(got, best_quadruple(DistanceMatrix(d[:5, :5]), np.arange(5)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert per_origin_best_quadruple(D, np.arange(6)).tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("n", [67, anchors.MAX_POOL])
+def test_anchor_search_memory_does_not_grow_with_the_cube_of_the_pool(n):
+    # 5.7 and 19.4 MiB when it held every triple at once
+    D = euclidean_distances(FeatureSet(np.random.default_rng(n).normal(size=(n, 3))))
+    best_quadruple(D, np.arange(n))  # lazy imports and caches, outside the traced call
+    tracemalloc.start()
+    try:
+        best_quadruple(D, np.arange(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20

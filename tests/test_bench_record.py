@@ -139,7 +139,8 @@ def test_each_workload_round_takes_one_calibration_reading_per_side(tmp_path, mo
     # two workloads, one pair: each has 3 rounds (the pair, the traced run and
     # the seed-1 digests), so each side gets 6 readings, each one before the
     # runs of its round and in their order
-    spec = {"run_seconds": 45, "workloads": [{"name": "w1"}, {"name": "w2"}]}
+    spec = {"run_seconds": 45, "workloads": [{"name": "w1"}, {"name": "w2"}],
+            "end_to_end": [{"name": "embed_s", "better": "lower"}]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     other = tmp_path / "other"
     (other / "perfbench").mkdir(parents=True)
@@ -161,11 +162,16 @@ def test_each_workload_round_takes_one_calibration_reading_per_side(tmp_path, mo
     monkeypatch.setattr(record, "checkout_state", lambda path: {
         "commit": str(path), "package_lines": 7 if path == tmp_path else 9})
     assert record.main(["--label", "t", "--against", str(other), "--pairs", "1"]) == 0
-    assert "lines of src/clmds/*.py: this 7, against 9\n" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "lines of src/clmds/*.py: this 7, against 9\n" in printed
+    # every run read embed_s 1.25: no side is better in the one untraced pair
+    assert ("w1 embed_s (lower is better): this 1.25 [1.25, 1.25], against 1.25 [1.25, 1.25]; "
+            "this better in 0/1 pairs, claim does not hold\n") in printed
     saved = json.loads((tmp_path / "BENCH_t.json").read_text())
     # every run printed the one digest of dataset 0 and none of dataset 1
     assert saved["digests_agree"] == {"agree": 2, "differ": [],
                                       "unrepeated": ["w1 seed 1", "w2 seed 1"]}
+    assert saved["metrics"]["w2"]["embed_s"]["pairs"] == 1
     got = saved["calibration"]
     # rounds alternate which side runs first; each round calibrates both sides
     # before it runs them
@@ -179,3 +185,69 @@ def test_each_workload_round_takes_one_calibration_reading_per_side(tmp_path, mo
     assert got["this"]["best_s"] == 0.01 and got["against"]["best_s"] == 0.02
     assert record.calibration_summary([{"best_s": 0.2}]) == {"readings": [{"best_s": 0.2}],
                                                             "best_s": 0.2}
+
+
+def test_quartiles_read_between_order_statistics_as_numpy_does():
+    assert record.quartiles([3.0]) == {"q1": 3.0, "median": 3.0, "q3": 3.0}
+    assert record.quartiles([4.0, 1.0, 3.0, 2.0]) == {"q1": 1.75, "median": 2.5, "q3": 3.25}
+    got = record.quartiles([float(v) for v in range(1, 11)])
+    assert got == {"q1": 3.25, "median": 5.5, "q3": 7.75}
+
+
+END_TO_END = [{"name": "peak_rss_mb", "better": "lower"},
+              {"name": "containment", "better": "higher"}]
+
+
+def _metric_runs(this, against, workload="w"):
+    """Untraced seed-0 runs, pair by pair, of peak_rss_mb and containment
+    values, plus a traced and a seed-1 run per side that must not count."""
+    runs = []
+    for side, values in (("this", this), ("against", against)):
+        for pair, (rss, cont) in enumerate([*values, (1e9, -1e9), (1e9, -1e9)]):
+            metrics = {"peak_rss_mb": {"value": rss}, "containment": {"value": cont}}
+            runs.append({"workload": workload, "side": side, "pair": pair,
+                         "seed": int(pair > len(values)), "trace": int(pair == len(values)),
+                         "result": {"metrics": metrics}})
+    return runs
+
+
+def test_metric_summary_counts_pairs_won_in_the_direction_of_better():
+    # this side: lower peak RSS in 9 pairs of 10, and containment the same
+    # in every pair, so never better
+    this = [(52.0 + 0.01 * p, 0.9) for p in range(9)] + [(55.3, 0.9)]
+    against = [(55.2 + 0.01 * (p % 3), 0.9) for p in range(10)]
+    got = record.metric_summary(_metric_runs(this, against), END_TO_END)["w"]
+    rss = got["peak_rss_mb"]
+    assert rss["better"] == "lower" and rss["pairs"] == 10 and rss["won"] == 9
+    assert rss["against"] == record.quartiles([v for v, _ in against])
+    assert rss["this"]["median"] == pytest.approx(52.045)
+    assert rss["claim_holds"]
+    cont = got["containment"]
+    assert cont["better"] == "higher" and cont["won"] == 0 and not cont["claim_holds"]
+    lines = record.summary_lines({"w": got})
+    assert len(lines) == 2 and all("\n" not in line for line in lines)
+    assert lines[0].startswith("w peak_rss_mb (lower is better): this 52.045 [")
+    assert lines[0].endswith("this better in 9/10 pairs, claim holds")
+    assert lines[1].endswith("this better in 0/10 pairs, claim does not hold")
+    json.dumps(got)
+
+
+@pytest.mark.parametrize("this, holds", [
+    ([(54.0, 0.9)] * 8 + [(56.0, 0.9)] * 2, False),  # 8 of 10 pairs
+    ([(55.25, 0.9)] * 10, False),  # 10 of 10, but a gain of 0.15 within a spread of 0.2
+    ([(55.1, 0.9)] * 10, True),
+], ids=["eight-pairs", "within-spread", "holds"])
+def test_the_claim_rule_needs_nine_pairs_and_a_gain_beyond_the_spread(this, holds):
+    against = [(55.3, 0.9), (55.5, 0.9)] * 5  # median 55.4, quartiles 55.3 and 55.5
+    got = record.metric_summary(_metric_runs(this, against), END_TO_END)["w"]["peak_rss_mb"]
+    assert got["won"] == (8 if this[-1][0] > 55.5 else 10)
+    assert got["claim_holds"] is holds
+
+
+def test_metric_summary_of_one_side_has_no_pairs():
+    runs = [r for r in _metric_runs([(50.0, 0.9), (51.0, 0.8)], []) if r["side"] == "this"]
+    got = record.metric_summary(runs, END_TO_END)["w"]
+    assert got["peak_rss_mb"] == {"better": "lower",
+                                  "this": {"q1": 50.25, "median": 50.5, "q3": 50.75}}
+    assert record.summary_lines({"w": got})[1] == (
+        "w containment (higher is better): this 0.85 [0.825, 0.875]")

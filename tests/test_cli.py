@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -343,6 +344,24 @@ def test_a_failed_replace_removes_every_staged_file(tmp_path, monkeypatch):
         clmds.cli._write_atomic(str(out), {"a.txt": "new a\n", "b.txt": "new b\n"})
     assert len(calls) == 2
     assert sorted(p.name for p in out.iterdir()) == ["a.txt"]  # no staged file is left
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_artifacts_take_the_mode_the_umask_gives(tmp_path, capsys, umask):
+    # each artifact is staged by mkstemp, at 0o600, and a replace keeps the
+    # staged file's mode
+    inp, _ = write_features(tmp_path)
+    old = os.umask(umask)
+    try:
+        assert run(embed_args(inp, tmp_path / "out"), capsys)[0] == 0
+        assert run(["datagen", "s-curve", "--n", "50", "--output-dir", tmp_path / "s"],
+                   capsys)[0] == 0
+    finally:
+        os.umask(old)
+    written = [*(tmp_path / "out").iterdir(), *(tmp_path / "s").iterdir()]
+    assert {"coords.csv", "result.json", "features.csv"} <= {p.name for p in written}
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 def test_embed_n_iso_above_a_merge_target(tmp_path, capsys):

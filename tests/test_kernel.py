@@ -175,6 +175,47 @@ def test_kernel_to_distance_leaves_the_kernel_unchanged():
     assert np.array_equal(d.d, np.sqrt(np.clip(1.0 - before, 0.0, None)))
 
 
+@pytest.mark.parametrize("asymmetry", [0.0, 5e-10])
+def test_in_place_conversion_gives_the_copying_calls_bits(asymmetry):
+    # with a sub-tolerance asymmetry the conversion also averages k in place
+    fs, _, _ = gen_holes_dataset(HolesSpec(n_points=300, n_holes=4, seed=2))
+    k = kernel_matrix(fs, KernelConfig(zeta=2.0, normalize=True))
+    k[7, 3] -= asymmetry
+    want = kernel_to_distance(k).d
+    got = kernel_to_distance(k, out=k)
+    assert got.d is k and not k.flags.writeable
+    assert got.d.tobytes() == want.tobytes()
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("make", [lambda k: k.astype(np.float32), np.asfortranarray, read_only,
+                                  lambda k: k.tolist()],
+                         ids=["float32", "fortran", "read-only", "list"])
+def test_in_place_conversion_refuses_an_array_it_cannot_overwrite(make):
+    fs = FeatureSet(unit_rows(np.random.default_rng(3).normal(size=(6, 4)) + 2.0))
+    bad = make(kernel_matrix(fs))
+    before = np.array(bad)
+    with pytest.raises(ValidationError, match="writeable, C-contiguous float64"):
+        kernel_to_distance(bad, out=bad)
+    assert np.array_equal(np.asarray(bad), before)
+
+
+def test_in_place_conversion_writes_nothing_into_a_refused_kernel():
+    fs = FeatureSet(unit_rows(np.random.default_rng(3).normal(size=(6, 4)) + 2.0))
+    k = kernel_matrix(fs)
+    with pytest.raises(ValidationError, match="out must be the kernel array itself"):
+        kernel_to_distance(k, out=k.copy())
+    k[5, 0] = k[0, 5] = 1.0 + 1e-11
+    before = k.copy()
+    with pytest.raises(ValidationError, match=r"kernel entries must lie in \[0, 1\]"):
+        kernel_to_distance(k, out=k)
+    assert np.array_equal(k, before) and k.flags.writeable
+
+
 # a kernel of three row blocks, with its fault in the last row
 N_BLOCKED = int(np.sqrt(2.5 * _BLOCK_ENTRIES))
 
