@@ -92,7 +92,9 @@ class DistanceMatrix:
         idx = np.asarray(idx, dtype=int)
         if np.array_equal(idx, np.arange(self.n_points)):
             return self
-        return DistanceMatrix(self.d[np.ix_(idx, idx)])
+        sub = self.d[np.ix_(idx, idx)]
+        sub.flags.writeable = False  # as every built matrix: k-medoids needs exact symmetry
+        return DistanceMatrix(sub)
 
 
 def validate_distance_matrix(raw) -> DistanceMatrix:

@@ -41,11 +41,13 @@ def unit_descriptors(fs: FeatureSet, cfg: KernelConfig) -> np.ndarray:
 def kernel_matrix(fs: FeatureSet, cfg: KernelConfig = KernelConfig()) -> np.ndarray:
     """Polynomial similarity K_ij = (q_i . q_j)^zeta for unit-norm descriptors.
 
-    Negative dot products are clamped to zero before exponentiation so
-    fractional zeta stays defined. Each dot product is summed in an order
-    that depends on neither the number of rows nor the pair's position (a
-    BLAS product's does), so the kernel of a block of descriptors is that
-    block of the full kernel, bit for bit, and K is exactly symmetric.
+    Dot products are clipped into [0, 1] before exponentiation: below, so
+    fractional zeta stays defined; above, as rows within `unit_descriptors`'
+    1e-6 of unit norm give dot products up to (1 + 1e-6)^2. Each dot product
+    is summed in an order that depends on neither the number of rows nor
+    the pair's position (a BLAS product's does), so the kernel of a block of
+    descriptors is that block of the full kernel, bit for bit, and K is
+    exactly symmetric.
     """
     q = unit_descriptors(fs, cfg)
     k = _similarities(q, q, cfg.zeta)
@@ -54,9 +56,9 @@ def kernel_matrix(fs: FeatureSet, cfg: KernelConfig = KernelConfig()) -> np.ndar
 
 
 def _similarities(p: np.ndarray, q: np.ndarray, zeta: float) -> np.ndarray:
-    """(p_i . q_j)^zeta, dot products clamped to zero first, in one array."""
+    """(p_i . q_j)^zeta in one array, dot products clipped into [0, 1] (why: `kernel_matrix`)."""
     k = np.einsum("ik,jk->ij", p, q)
-    np.clip(k, 0.0, None, out=k)
+    np.clip(k, 0.0, 1.0, out=k)
     k **= zeta  # in place, through the same power as k ** zeta
     return k
 

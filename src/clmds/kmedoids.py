@@ -22,9 +22,7 @@ Beyond one (k, n) row buffer per call, the state of a restart is a few
 bytes per point: its labels in the smallest unsigned type that holds k,
 rewritten in place, the previous labels and one sort order. Arrays made
 anew each iteration above glibc's mmap threshold (128 KiB at first) are
-fresh mappings that fault every page. With int64 label stacks and sort
-keys, the finest k-medoids of s-curve dataset 3 (k=100, 2000 points)
-took 5.7-6.2 K minor faults in a fresh process; with these, 3.0-3.4 K.
+fresh mappings that fault every page, and the small types keep them few.
 
 From k n = _THREAD_MIN_ELEMENTS on, the stack splits into one contiguous
 group of rows per usable core (`core._run_groups`, as the starts of an

@@ -88,37 +88,39 @@ class ClmdsConfig:
 
 def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
                     seed: int = 0, n_min: int = 1) -> SparseSelection:
-    """Select the sparse index set, of at least n_min points: uniform
-    random, CUR-style row norms, or an explicit user list.
-    `SparseSelection` refuses a list with a repeated or negative index."""
+    """Select the sparse index set: all points ("none"), uniform random,
+    CUR-style row norms, or an explicit user list. Its size is checked to
+    reach n_min, the finest cluster count, here alone and before any
+    distance is read; `SparseSelection` refuses a repeated or negative index."""
     _check_counts(0, seed=seed)
     _check_counts(1, n_min=n_min)
     n = D.n_points
     everything = np.arange(n)
-    if not isinstance(sparsify, str):
+    mode = sparsify if isinstance(sparsify, str) else "list"
+    sp = everything  # mode "none"
+    if mode == "list":
         items = list(sparsify)
         if not all(_is_integer(i) for i in items):  # dtype=int would truncate them
             raise ValidationError("explicit sparse list entries must be integer point indices")
         sp = np.asarray(items, dtype=int)
         if np.any(sp >= n):
             raise ValidationError("explicit sparse list index out of range")
-    else:
-        if sparsify == "none":
-            return SparseSelection(everything, np.empty(0, dtype=int))
+    elif mode in ("random", "cur"):
         _check_counts(1, n_sparse=n_sparse)
         if n_sparse > n:
             raise ValidationError(f"n_sparse must be at most N = {n}, got {n_sparse}")
-        if sparsify == "random":
-            sp = np.random.default_rng(seed).choice(n, size=n_sparse, replace=False)
-        elif sparsify == "cur":
-            # each norm over its whole row, one block of rows at a time
-            norms = np.concatenate([np.linalg.norm(D.block(everything[s], everything), axis=1)
-                                    for s in _row_blocks(n, n)])
-            sp = np.lexsort((everything, -norms))[:n_sparse]  # descending norm, ties low index
-        else:
-            raise ValidationError(f"unknown sparsify mode {sparsify!r}")
-    if sp.size < n_min:
-        raise ValidationError(f"sparse set size {sp.size} below finest cluster count {n_min}")
+    elif mode != "none":
+        raise ValidationError(f"unknown sparsify mode {sparsify!r}")
+    size = n_sparse if mode in ("random", "cur") else sp.size
+    if size < n_min:
+        raise ValidationError(f"sparse set size {size} below finest cluster count {n_min}")
+    if mode == "random":
+        sp = np.random.default_rng(seed).choice(n, size=n_sparse, replace=False)
+    elif mode == "cur":
+        # each norm over its whole row, one block of rows at a time
+        norms = np.concatenate([np.linalg.norm(D.block(everything[s], everything), axis=1)
+                                for s in _row_blocks(n, n)])
+        sp = np.lexsort((everything, -norms))[:n_sparse]  # descending norm, ties low index
     return SparseSelection(sp, np.setdiff1d(everything, sp))
 
 
@@ -183,10 +185,11 @@ def clmds_embed(D, cfg: ClmdsConfig, features: FeatureSet | None = None) -> Clmd
     and every coarser level reads the few distances it needs through
     `block`, which must equal the dense matrix's entries bit for bit, a
     repeated index included (0 between a point and itself).
-    `sparsify="cur"` reads every row through `block`, one row block at a
-    time. Points left out get estimated coordinates when descriptor vectors
-    are supplied; otherwise the result covers the sparse subset only
-    (estimation needs vectors). With `cfg.kernel_eta` set, a distance above
+    `sparsify_select` alone refuses fewer points than finest clusters, before
+    any distance is read; "cur" then reads every row through `block`, a row
+    block at a time. Points left out get estimated coordinates when
+    descriptor vectors are supplied; otherwise the result covers the sparse
+    subset only. With `cfg.kernel_eta` set, a distance above
     1 raises a ValidationError.
 
     One clock times the run: each stage ends with `done(stage)`, which adds
@@ -194,9 +197,6 @@ def clmds_embed(D, cfg: ClmdsConfig, features: FeatureSet | None = None) -> Clmd
     stages cover the run from the clock's start and add up to `total`, read
     once after the last stage.
     """
-    n = D.n_points
-    if cfg.hierarchy.levels[0] > n:
-        raise ValidationError("finest cluster count exceeds number of points")
     timings = {}
     start = last = time.perf_counter()
 
@@ -265,7 +265,6 @@ def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig, done) -> ClmdsResult
     per_level = [LevelArtifacts(clustering=c0, anchors=anchors,
                                 local_stresses=local_stresses)]
     comp = [np.eye(3) for _ in range(c0.n_clusters)]
-    finest_group = np.arange(c0.n_clusters)  # each finest cluster's current cluster
 
     prev = c0
     for target in levels[1:]:
@@ -273,7 +272,7 @@ def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig, done) -> ClmdsResult
         level = hierarchy_merge(prev, D, target, cfg.kmedoids, next(seeds))
         done("merge")
         grouping = level.assignment[prev.medoids]
-        unions, stitches, anchor_stresses = [], [], []
+        next_anchors, stitches, anchor_stresses = [], [], []
         for g in range(target):
             member_ids = np.flatnonzero(grouping == g)
             union = np.concatenate([anchors[i] for i in member_ids])
@@ -303,12 +302,11 @@ def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig, done) -> ClmdsResult
                 stitches.append(Stitch(group=g, kind=tr.kind, matrix=tr.matrix,
                                        anchor_indices=a_idx, anchors_local=a_loc,
                                        anchors_global=a_glo))
-                for fc in np.flatnonzero(finest_group == i):
+                for fc in np.flatnonzero(prev.assignment[c0.medoids] == i):  # finest clusters in i
                     comp[fc] = tr.matrix @ comp[fc]
-            unions.append(union)
-        finest_group = grouping[finest_group]
-        # the top level has nothing left to stitch into
-        anchors = None if target == 1 else [best_quadruple(D, u) for u in unions]
+            if target > 1:  # the top level has nothing left to stitch into
+                next_anchors.append(best_quadruple(D, union))
+        anchors = next_anchors or None
         per_level.append(LevelArtifacts(
             clustering=level, anchors=anchors, stitches=stitches,
             anchor_stress=float(np.sum(anchor_stresses)),

@@ -219,18 +219,18 @@ def apply_transform(T: Transform2D, points: np.ndarray) -> np.ndarray:
 
 
 def fit_similarity(src: np.ndarray, dst: np.ndarray) -> Transform2D:
-    """Rotation + scale + translation fixing two correspondences exactly."""
+    """Rotation + scale + translation fixing two correspondences exactly.
+    Coincident sources are refused: `choose_best_transform` translates them."""
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
     zl = complex(*src[0]), complex(*src[1])
     zg = complex(*dst[0]), complex(*dst[1])
     denom = zl[1] - zl[0]
     if abs(denom) < 1e-300:
-        alpha = complex(1.0, 0.0)
-    else:
-        alpha = (zg[1] - zg[0]) / denom
-        if abs(alpha) < 1e-6:  # coincident global anchors; keep invertible
-            alpha = complex(1e-6, 0.0)
+        raise DegenerateGeometryError("coincident source points in similarity fit")
+    alpha = (zg[1] - zg[0]) / denom
+    if abs(alpha) < 1e-6:  # coincident global anchors; keep invertible
+        alpha = complex(1e-6, 0.0)
     beta = zg[0] - alpha * zl[0]
     m = np.array([
         [alpha.real, -alpha.imag, beta.real],

@@ -17,7 +17,7 @@ import clmds
 from clmds import (ClmdsConfig, HierarchySpec, KernelConfig, Stitch,
                    ValidationError, clmds_embed, euclidean_distances, kernel_matrix,
                    kernel_to_distance, load_feature_set, voronoi_containment)
-from clmds.cli import (build_run_config, load_result, main, parse_config,
+from clmds.cli import (FeatureDistances, build_run_config, load_result, main, parse_config,
                        result_to_coords_csv, result_to_json)
 
 
@@ -285,6 +285,26 @@ def test_embed_descriptor_kind_weighted(tmp_path, capsys):
     code, _, err = run(argv, capsys)
     assert code == 0, err
     assert (out / "coords.csv").exists()
+
+
+def test_float32_descriptors_with_repeated_rows_embed(tmp_path, capsys):
+    # unit rows rounded through float32 keep their norms within 1e-6 of 1, and a
+    # repeated row's dot product with itself may exceed 1: the kernel clips it,
+    # so the dense build and the blocks agree, and the embedding runs
+    raw = np.abs(np.random.default_rng(0).normal(size=(60, 8)))
+    raw = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32).astype(float)
+    raw[30:40] = raw[0:10]
+    fs = clmds.FeatureSet(raw)
+    # the case under test: the kernel's own sums put some such dot products above 1
+    assert np.max(np.einsum("ik,jk->ij", raw[0:10], raw[30:40])) > 1.0
+    idx = np.arange(60)
+    dist = FeatureDistances(fs, KernelConfig())
+    assert np.array_equal(dist.submatrix(idx).d, dist.block(idx, idx))
+    inp = tmp_path / "desc.csv"
+    inp.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in raw) + "\n")
+    code, _, err = run(["embed", "--set", f"input={inp}", "--set", "input_kind=descriptors",
+                        "--set", "hierarchy=6,1", "--output-dir", tmp_path / "out"], capsys)
+    assert code == 0, err
 
 
 def test_weighted_distances_input_is_the_weighted_library_call(tmp_path, capsys):

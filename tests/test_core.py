@@ -253,6 +253,17 @@ def test_submatrix_is_the_block():
         assert np.array_equal(sub.d, dm.d[np.ix_(idx, idx)])
 
 
+def test_a_submatrix_is_read_only_as_every_built_matrix():
+    # a write would leave an asymmetric DistanceMatrix, and k-medoids relies on
+    # its exact symmetry
+    fs = FeatureSet(np.random.default_rng(5).normal(size=(6, 3)))
+    sub = euclidean_distances(fs).submatrix([0, 1, 2])
+    assert not sub.d.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        sub.d[0, 1] = 99.0
+    assert np.array_equal(sub.d, sub.d.T)
+
+
 def test_run_groups_keeps_the_order_and_raises_the_first_groups_error():
     caller = threading.current_thread()
 

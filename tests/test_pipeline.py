@@ -681,6 +681,48 @@ def test_k_exceeding_n_errors():
         clmds_embed(D, base_config(levels=(8, 1)))
 
 
+class _Unreadable:
+    """A distance source of n points whose distances must not be read."""
+
+    def __init__(self, n):
+        self.n_points = n
+
+    def submatrix(self, *idx):
+        raise AssertionError("a distance was read")
+
+    block = submatrix
+
+
+@pytest.mark.parametrize("n, sparsify, n_sparse", [
+    (20, "cur", 5), (20, "random", 5), (20, list(range(5)), None), (6, "none", None)])
+def test_too_few_points_for_the_finest_level_are_refused_before_any_read(n, sparsify,
+                                                                         n_sparse):
+    # "cur" read every distance before this refusal, through block
+    cfg = base_config(levels=(8, 1), sparsify=sparsify, n_sparse=n_sparse)
+    size = n if sparsify == "none" else 5
+    with pytest.raises(ValidationError,
+                       match=f"sparse set size {size} below finest cluster count 8"):
+        clmds_embed(_Unreadable(n), cfg)
+
+
+def test_each_finest_transform_composes_the_stitches_of_its_clusters():
+    centers = [np.r_[(i % 4) * 7.0, (i // 4) * 7.0, (i % 3) * 2.0] for i in range(12)]
+    D = euclidean_distances(blobs(centers, per=8, seed=21))
+    res = clmds_embed(D, base_config(levels=(12, 6, 3, 1)))
+    medoids = res.clustering.medoids
+    expected = [np.eye(3) for _ in medoids]
+    for prev, level in zip(res.per_level, res.per_level[1:]):
+        grouping = level.clustering.assignment[prev.clustering.medoids]
+        # stitches go group by group, each group's members in increasing order
+        order = np.concatenate([np.flatnonzero(grouping == g)
+                                for g in range(level.clustering.n_clusters)])
+        matrix_of = {int(i): s.matrix for i, s in zip(order, level.stitches)}
+        for fc, m in enumerate(medoids):
+            expected[fc] = matrix_of[int(prev.clustering.assignment[m])] @ expected[fc]
+    for got, want in zip(res.cluster_transforms, expected):
+        assert np.array_equal(got, want)
+
+
 def test_timings_recorded():
     fs, D = three_blob_problem(seed=13)
     # every hierarchy merges at least once; (3, 2, 1) merges by k-medoids

@@ -118,10 +118,26 @@ def test_homography_of_a_collinear_quadrilateral_raises():
         fit_homography(line, SQUARE)
 
 
-def test_similarity_of_coincident_sources_is_a_translation():
-    # no rotation or scale is defined: the first source goes to the first target
-    t = fit_similarity(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([[4.0, 6.0], [0.0, 0.0]]))
-    assert np.array_equal(t.matrix, translation([3.0, 4.0]).matrix)
+def test_similarity_of_coincident_sources_raises():
+    # no rotation or scale is defined; the ladder's translation rung owns this case
+    with pytest.raises(DegenerateGeometryError, match="coincident source points"):
+        fit_similarity(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([[4.0, 6.0], [0.0, 0.0]]))
+    cluster = np.array([[1.0, 2.0], [3.0, 2.0]])
+    t, mapped = choose_best_transform(cluster, np.array([[1.0, 2.0], [1.0, 2.0]]),
+                                      np.array([[4.0, 6.0], [0.0, 0.0]]))
+    assert np.array_equal(t.matrix, translation([1.0, 1.0]).matrix)  # onto the anchors' mean
+    assert np.array_equal(mapped, cluster + 1.0)
+
+
+def test_the_floored_similarity_of_nearly_coincident_anchors_stays_invertible():
+    # |alpha| is floored at 1e-6, and Transform2D refuses |det| = |alpha|^2 <= 1e-12:
+    # the floored map passes by one ulp
+    cluster = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
+    glo = np.array([[2.0, 3.0], [2.0 + 1e-9, 3.0]])
+    t, mapped = choose_best_transform(cluster, cluster[:2], glo)
+    assert t.kind == "affine" and np.all(np.isfinite(t.matrix)) and np.all(np.isfinite(mapped))
+    assert np.linalg.det(t.matrix[:2, :2]) == pytest.approx(1e-12, rel=1e-9)
+    assert np.array_equal(mapped[0], [2.0, 3.0])
 
 
 def test_affine_collinear_rejected():
