@@ -17,7 +17,7 @@ from .transforms import (DegenerateGeometryError, PerspectiveDivideError, Transf
 
 __all__ = [
     "Clustering", "ClmdsConfig", "ClmdsResult",
-    "DegenerateGeometryError", "DistanceMatrix", "FeatureSet", "HierarchySpec",
+    "DegenerateGeometryError", "DistanceMatrix", "FeatureDistances", "FeatureSet", "HierarchySpec",
     "HolesSpec", "KernelConfig", "KmedoidsConfig", "LevelArtifacts", "MdsConfig",
     "PerspectiveDivideError", "SparseSelection", "Stitch", "Transform2D", "TransformPlan",
     "ValidationError", "apply_transform", "best_quadruple", "candidate_vertices",
@@ -31,3 +31,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # the CLI module on first use, so `python -m clmds.cli` runs it once
+    if name != "FeatureDistances":
+        raise AttributeError(f"module 'clmds' has no attribute {name!r}")
+    from .cli import FeatureDistances
+    return FeatureDistances

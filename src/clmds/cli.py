@@ -95,11 +95,10 @@ def build_run_config(cfg: dict) -> ClmdsConfig:
 
 class FeatureDistances:
     """Distances among feature vectors, built only for the points asked for:
-    Euclidean, or induced by the kernel of `kernel` on descriptors.
-
-    Every row is checked on construction, also those outside any block,
-    since out-of-sample estimation uses them all. The unit rows that blocks
-    read are made on the first `block` call, and kept.
+    Euclidean, or induced by the kernel of `kernel` on descriptors. It carries
+    its `features`, from which `clmds_embed` estimates the points left out, by
+    these distances. Every row is checked on construction; the unit rows that
+    blocks read are made on the first `block` call, and kept.
     """
 
     def __init__(self, features: FeatureSet, kernel: KernelConfig | None = None):
@@ -257,16 +256,15 @@ def cmd_embed(args) -> int:
     plot = _parse(cfg, "plot")
 
     kind = cfg["input_kind"]
-    features = None
     if kind == "distances":
-        D = load_distance_matrix(cfg["input"])
+        source = load_distance_matrix(cfg["input"])
     elif kind in ("features", "descriptors"):
-        features = load_feature_set(cfg["input"])
-        D = FeatureDistances(features, kernel if kind == "descriptors" else None)
+        source = FeatureDistances(load_feature_set(cfg["input"]),
+                                  kernel if kind == "descriptors" else None)
     else:
         raise ValidationError(f"unknown input kind {kind!r}")
 
-    result = clmds_embed(D, run_cfg, features=features)
+    result = clmds_embed(source, run_cfg)
     artifacts = {
         "coords.csv": result_to_coords_csv(result),
         "result.json": result_to_json(result),

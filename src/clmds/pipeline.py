@@ -158,8 +158,7 @@ def hierarchy_merge(previous: Clustering, D, target: int,
 
 @dataclass(frozen=True)
 class _Subset:
-    """The points idx of a distance source, numbered 0, 1, ... in that
-    order, read through the source's `block`."""
+    """The points idx of a distance source, numbered 0, 1, ..., read through its `block`."""
 
     source: object
     idx: np.ndarray
@@ -172,30 +171,27 @@ class _Subset:
         return self.source.block(self.idx[rows], self.idx[cols])
 
 
-def clmds_embed(D, cfg: ClmdsConfig, features: FeatureSet | None = None) -> ClmdsResult:
+def clmds_embed(source, cfg: ClmdsConfig) -> ClmdsResult:
     """Run the full pipeline on a distance source.
 
-    D is any object with `n_points`, `submatrix(idx) -> DistanceMatrix` and
-    `block(rows, cols) -> ndarray` that builds only the distances asked
-    for, as `DistanceMatrix` and the CLI's feature distances do. The
-    pipeline builds the dense matrix of the points it embeds (the sparse
-    subset, every point when sparsify is "none") once, through
-    `submatrix`. That matrix serves the finest level alone: k-medoids, the
-    local MDS and the anchor search. It is dropped before the first merge,
-    and every coarser level reads the few distances it needs through
-    `block`, which must equal the dense matrix's entries bit for bit, a
-    repeated index included (0 between a point and itself).
-    `sparsify_select` alone refuses fewer points than finest clusters, before
-    any distance is read; "cur" then reads every row through `block`, a row
-    block at a time. Points left out get estimated coordinates when
-    descriptor vectors are supplied; otherwise the result covers the sparse
-    subset only. With `cfg.kernel_eta` set, a distance above
-    1 raises a ValidationError.
+    source is any object with `n_points`, `submatrix(idx) -> DistanceMatrix`
+    and `block(rows, cols) -> ndarray` that builds only the distances asked
+    for, as `DistanceMatrix` and `FeatureDistances` do. The dense matrix of
+    the points embedded (the sparse subset, or every point) is built once,
+    through `submatrix`, and serves the finest level alone: k-medoids, the
+    local MDS and the anchor search. It is dropped before the first merge;
+    every coarser level reads the few distances it needs through `block`,
+    which must equal the dense matrix's entries bit for bit, a repeated
+    index included (0 between a point and itself). `sparsify_select` alone
+    refuses fewer points than finest clusters, before any distance is read.
+    Points left out are estimated when the source carries its `features`
+    (`estimate_out_of_sample`); else the result covers the sparse subset
+    only, `estimation_available` False. With `cfg.kernel_eta` set, a
+    distance above 1 raises a ValidationError.
 
     One clock times the run: each stage ends with `done(stage)`, which adds
     the time since the previous stage ended to `timings[stage]`, so the
-    stages cover the run from the clock's start and add up to `total`, read
-    once after the last stage.
+    stages cover the run and add up to `total`, read after the last stage.
     """
     timings = {}
     start = last = time.perf_counter()
@@ -206,15 +202,14 @@ def clmds_embed(D, cfg: ClmdsConfig, features: FeatureSet | None = None) -> Clmd
         timings[stage] = timings.get(stage, 0.0) + (now - last)
         last = now
 
-    sel = sparsify_select(D, cfg.sparsify, cfg.n_sparse, seed=cfg.seed,
+    sel = sparsify_select(source, cfg.sparsify, cfg.n_sparse, seed=cfg.seed,
                           n_min=cfg.hierarchy.levels[0])
     done("sparsify")
-    result = _core_run(D, sel.sparse, cfg, done)
-    if sel.complement.size:
-        result.estimation_available = features is not None
-        if features is not None:
-            result = estimate_out_of_sample(features, result, sel)
-            done("estimate")
+    result = _core_run(source, sel.sparse, cfg, done)
+    result.estimation_available = not sel.complement.size or hasattr(source, "features")
+    if sel.complement.size and result.estimation_available:
+        result = estimate_out_of_sample(source, result, sel)
+        done("estimate")
     timings["total"] = time.perf_counter() - start
     result.timings = timings
     return result
@@ -323,18 +318,21 @@ def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig, done) -> ClmdsResult
     )
 
 
-def estimate_out_of_sample(fs: FeatureSet, sparse_result: ClmdsResult,
+def estimate_out_of_sample(source, sparse_result: ClmdsResult,
                            sparse_sel: SparseSelection) -> ClmdsResult:
     """Complete a sparse embedding to the full dataset.
 
-    Non-sparse points join the cluster of their nearest medoid in
-    descriptor space; per cluster an affine from descriptors to local 2-d
-    coordinates is fitted on the sparse members and composed with the
-    cluster's stitching transform. Clusters with fewer than 3 sparse
-    members, and points that this map sends to infinity, are placed at the
+    source is the distance source that clustered the sparse points, with its
+    `features`, or a `FeatureSet`, read as the Euclidean distances of its
+    rows. Each non-sparse point joins the cluster of its nearest medoid by
+    these distances, ties to the lower cluster. Per cluster, an affine from
+    the features to local 2-d coordinates, fitted on the sparse members and
+    composed with the cluster's stitch, places it. Clusters with fewer than 3
+    sparse members, and points that this map sends to infinity, go to the
     cluster's transformed mean local coordinate; their clusters are flagged.
     """
-    x = fs.vectors
+    euclidean = isinstance(source, FeatureSet)
+    x = (source if euclidean else source.features).vectors
     n = x.shape[0]
     sp, comp_idx = sparse_sel.sparse, sparse_sel.complement
     if sp.size != sparse_result.n_points:
@@ -344,32 +342,29 @@ def estimate_out_of_sample(fs: FeatureSet, sparse_result: ClmdsResult,
                               f"must split the {n} feature rows exactly")
     c = sparse_result.clustering
     med_orig = sp[c.medoids]
-
+    dist = (pairwise_distances(x[comp_idx], x[med_orig]) if euclidean
+            else source.block(comp_idx, med_orig))
+    nearest = np.argmin(dist, axis=1)  # ties to the lower cluster
+    assignment = np.empty(n, dtype=int)
+    assignment[sp], assignment[comp_idx] = c.assignment, nearest
     coords = np.empty((n, 2))
     coords[sp] = sparse_result.coords
-    assignment = np.empty(n, dtype=int)
-    assignment[sp] = c.assignment
-    estimated = np.zeros(n, dtype=bool)
     fallback = []
-
-    if comp_idx.size:
-        nearest = np.argmin(pairwise_distances(x[comp_idx], x[med_orig]), axis=1)
-        assignment[comp_idx] = nearest
-        estimated[comp_idx] = True
-        for k in np.unique(nearest):
-            new_pts = comp_idx[nearest == k]
-            t_k = sparse_result.cluster_transforms[k]
-            members = c.members(k)
-            y_loc = sparse_result.local_coords[k]
-            a_tilde, _ = least_squares_affine(x[sp[members]], y_loc)
-            coords[new_pts], far = project(t_k @ a_tilde, x[new_pts])
-            far |= members.size < 3  # too few sparse members to fit the affine
-            if np.any(far):
-                coords[new_pts[far]] = project(t_k, y_loc.mean(axis=0))[0]
-                fallback.append(int(k))
+    for k in np.unique(nearest):
+        new_pts = comp_idx[nearest == k]
+        t_k = sparse_result.cluster_transforms[k]
+        members = c.members(k)
+        y_loc = sparse_result.local_coords[k]
+        a_tilde, _ = least_squares_affine(x[sp[members]], y_loc)
+        coords[new_pts], far = project(t_k @ a_tilde, x[new_pts])
+        far |= members.size < 3  # too few sparse members to fit the affine
+        if np.any(far):
+            coords[new_pts[far]] = project(t_k, y_loc.mean(axis=0))[0]
+            fallback.append(int(k))
 
     return replace(
         sparse_result, coords=coords, clustering=Clustering(assignment, med_orig),
-        sparse_indices=sp, estimated_mask=estimated, estimation_available=True,
-        fallback_clusters=fallback, timings=dict(sparse_result.timings),
+        sparse_indices=sp, estimated_mask=np.isin(np.arange(n), comp_idx),
+        estimation_available=True, fallback_clusters=fallback,
+        timings=dict(sparse_result.timings),
     )

@@ -9,14 +9,15 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import clmds
-from clmds import (ClmdsConfig, HierarchySpec, KernelConfig, Stitch,
-                   ValidationError, clmds_embed, euclidean_distances, kernel_matrix,
-                   kernel_to_distance, load_feature_set, voronoi_containment)
+from clmds import (ClmdsConfig, HierarchySpec, KernelConfig, SparseSelection, Stitch,
+                   ValidationError, clmds_embed, estimate_out_of_sample, euclidean_distances,
+                   kernel_matrix, kernel_to_distance, load_feature_set, voronoi_containment)
 from clmds.cli import (FeatureDistances, build_run_config, load_result, main, parse_config,
                        result_to_coords_csv, result_to_json)
 
@@ -175,8 +176,8 @@ def test_artifacts_load_back_to_the_result(tmp_path):
         return ClmdsConfig(hierarchy=HierarchySpec((4, 2, 1)), iter_med=5, **kw)
 
     runs = {
-        "full": clmds_embed(D, cfg(), features=fs),
-        "completed": clmds_embed(D, cfg(sparsify="random", n_sparse=20), features=fs),
+        "full": clmds_embed(D, cfg()),
+        "completed": clmds_embed(FeatureDistances(fs), cfg(sparsify="random", n_sparse=20)),
         "sparse-only": clmds_embed(D, cfg(sparsify="cur", n_sparse=20)),  # no vectors
     }
     assert runs["completed"].estimated_mask.sum() == 16
@@ -524,8 +525,25 @@ def test_embed_equals_the_full_matrix_library_call(tmp_path, capsys, kind, spars
         D = euclidean_distances(fs)
     else:
         D = kernel_to_distance(kernel_matrix(fs, KernelConfig(zeta=2.0, eta=2, normalize=True)))
-    expected = result_to_coords_csv(clmds_embed(D, cfg, features=fs))
-    assert (out / "coords.csv").read_text() == expected
+    # the full matrix, carrying the features: estimation reads its entries too
+    full = SimpleNamespace(n_points=D.n_points, submatrix=D.submatrix, block=D.block,
+                           features=fs)
+    result = clmds_embed(full, cfg)
+    assert (out / "coords.csv").read_text() == result_to_coords_csv(result)
+    # each estimated point joins the medoid nearest by the distance that
+    # clustered, ties to the lower cluster (argmin's first minimum)
+    est, medoids = np.flatnonzero(result.estimated_mask), result.clustering.medoids
+    assert est.size == (0 if sparsify == "none" else 110 - result.sparse_indices.size)
+    nearest = np.argmin(D.block(est, medoids), axis=1)
+    assert np.array_equal(result.clustering.assignment[est], nearest)
+    # a bare matrix carries no features: the sparse points alone
+    bare = clmds_embed(D, cfg)
+    assert bare.n_points == result.sparse_indices.size
+    assert bare.estimation_available == (sparsify == "none")
+    if kind == "features" and est.size:  # the feature-set form's Euclidean rule, same bits
+        sel = SparseSelection(result.sparse_indices, est)
+        completed = estimate_out_of_sample(fs, bare, sel)
+        assert result_to_coords_csv(completed) == result_to_coords_csv(result)
 
 
 @pytest.mark.parametrize("normalize, bad_row, message", [
@@ -560,6 +578,17 @@ def test_import_loads_no_scipy():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_cli_module_runs_as_a_script_without_a_warning():
+    # the package loads clmds.cli for its FeatureDistances on first use, not
+    # at import, so `python -m clmds.cli` runs the module once: runpy warns
+    # when the package import has already run it
+    src = str(Path(clmds.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "clmds.cli", "--help"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from clmds import (ClmdsConfig, ClmdsResult, Clustering, DistanceMatrix, FeatureSet,
-                   HierarchySpec, HolesSpec, KernelConfig, KmedoidsConfig, MdsConfig,
+from clmds import (ClmdsConfig, ClmdsResult, Clustering, DistanceMatrix, FeatureDistances,
+                   FeatureSet, HierarchySpec, HolesSpec, KernelConfig, KmedoidsConfig, MdsConfig,
                    SparseSelection, ValidationError, clmds_embed, estimate_out_of_sample,
                    euclidean_distances, gen_holes_dataset, gen_s_curve, hierarchy_merge,
                    kernel_matrix, kernel_to_distance, kmedoids_best,
                    medoid_weighted_distance, sparsify_select, voronoi_containment)
 from clmds import cli, core, kernel, pipeline
-from clmds.cli import FeatureDistances
 
 
 def blobs(centers, per=12, spread=0.15, seed=0, dims=3):
@@ -328,7 +327,8 @@ def test_the_dense_matrix_is_gone_before_the_anchor_mds(monkeypatch, sparsify):
     assert len(dense) == 1
     assert freed == [[True]] * 4
     # the blocks that the coarser levels read give the matrix's embedding
-    assert np.array_equal(res.coords, clmds_embed(D, cfg).coords)
+    # (of the sparse points: the matrix carries no features to estimate from)
+    assert np.array_equal(res.coords[res.sparse_indices], clmds_embed(D, cfg).coords)
 
 
 def test_a_feature_embedding_holds_about_one_matrix(monkeypatch):
@@ -587,9 +587,9 @@ def test_rigid_motion_keeps_the_kmedoids_labels():
 
 
 def test_sparse_with_features_estimates_everyone():
-    fs, D = three_blob_problem(seed=8)
+    fs, _ = three_blob_problem(seed=8)
     cfg = base_config(sparsify="random", n_sparse=18, seed=2)
-    res = clmds_embed(D, cfg, features=fs)
+    res = clmds_embed(FeatureDistances(fs), cfg)
     assert res.coords.shape == (36, 2)
     assert np.all(np.isfinite(res.coords))
     assert res.estimation_available
@@ -602,10 +602,10 @@ def test_sparse_with_features_estimates_everyone():
 
 
 def test_sparse_estimation_deterministic():
-    fs, D = three_blob_problem(seed=9)
+    fs, _ = three_blob_problem(seed=9)
     cfg = base_config(sparsify="cur", n_sparse=20, seed=4)
-    a = clmds_embed(D, cfg, features=fs)
-    b = clmds_embed(D, cfg, features=fs)
+    a = clmds_embed(FeatureDistances(fs), cfg)
+    b = clmds_embed(FeatureDistances(fs), cfg)
     assert np.array_equal(a.coords, b.coords)
     assert np.array_equal(a.estimated_mask, b.estimated_mask)
 
@@ -621,11 +621,11 @@ def test_sparse_without_features_covers_subset_only():
 
 
 def test_small_sparse_cluster_uses_fallback_placement():
-    fs, D = three_blob_problem(seed=11)
+    fs, _ = three_blob_problem(seed=11)
     # explicit sparse list: blob 0 keeps 8 points, blobs 1 and 2 only 2 each
     sparse = list(range(8)) + [12, 13] + [24, 25]
     cfg = base_config(sparsify=sparse, seed=0)
-    res = clmds_embed(D, cfg, features=fs)
+    res = clmds_embed(FeatureDistances(fs), cfg)
     assert np.all(np.isfinite(res.coords))
     assert len(res.fallback_clusters) >= 1
 
@@ -728,14 +728,13 @@ def test_timings_recorded():
     # every hierarchy merges at least once; (3, 2, 1) merges by k-medoids
     stages = ("sparsify", "distances", "kmedoids", "local_mds", "anchors",
               "anchor_mds", "merge", "stitching")
-    sparse_stages = stages + ("estimate",)
-    # a full matrix, and the CLI's feature input, whose distances are built
-    # inside clmds_embed
-    for dist in (D, FeatureDistances(fs)):
+    # a full matrix, which carries no features and so estimates nothing, and
+    # the CLI's feature input, whose distances are built inside clmds_embed
+    for dist, sparse_stages in ((D, stages), (FeatureDistances(fs), stages + ("estimate",))):
         for cfg, keys in ((base_config(), stages),
                           (base_config(levels=(3, 2, 1)), stages),
                           (base_config(sparsify="random", n_sparse=18, seed=2), sparse_stages)):
-            res = clmds_embed(dist, cfg, features=fs)
+            res = clmds_embed(dist, cfg)
             assert set(res.timings) == set(keys) | {"total"}
             assert all(res.timings[key] >= 0.0 for key in keys)
             # the stages are disjoint, so they cannot add up to more than the total
@@ -753,8 +752,8 @@ def test_the_stages_cover_the_run(monkeypatch, problem, levels, sparse):
     # the final read of total comes after the last stage
     ticks = iter(range(10_000))
     monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
-    fs, D = problem()
-    res = clmds_embed(D, base_config(levels=levels, **sparse), features=fs)
+    fs, _ = problem()
+    res = clmds_embed(FeatureDistances(fs), base_config(levels=levels, **sparse))
     assert res.estimated_mask.any() == bool(sparse)
     stages = sum(t for key, t in res.timings.items() if key != "total")
     assert res.timings["total"] - stages == 1.0
