@@ -7,9 +7,7 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 import typing
-from functools import cached_property
 
 import numpy as np
 
@@ -97,14 +95,13 @@ class FeatureDistances:
     """Distances among feature vectors, built only for the points asked for:
     Euclidean, or induced by the kernel of `kernel` on descriptors. It carries
     its `features`, from which `clmds_embed` estimates the points left out, by
-    these distances. Every row is checked on construction; the unit rows that
-    blocks read are made on the first `block` call, and kept.
+    these distances. With a kernel, the unit rows that blocks read are made
+    on construction, which checks every row, and kept.
     """
 
     def __init__(self, features: FeatureSet, kernel: KernelConfig | None = None):
-        if kernel is not None:
-            unit_descriptors(features, kernel)
         self.features, self.kernel = features, kernel
+        self._unit_rows = None if kernel is None else unit_descriptors(features, kernel)
 
     @property
     def n_points(self) -> int:
@@ -116,10 +113,6 @@ class FeatureDistances:
             return euclidean_distances(fs)
         k = kernel_matrix(fs, self.kernel)
         return kernel_to_distance(k, out=k)  # one n x n array: the kernel, then its distances
-
-    @cached_property
-    def _unit_rows(self) -> np.ndarray:
-        return unit_descriptors(self.features, self.kernel)
 
     def block(self, rows, cols) -> np.ndarray:
         """The distances from the points rows to the points cols, built for
@@ -218,19 +211,17 @@ def load_result(out_dir: str) -> ClmdsResult:
 
 def _write_atomic(out_dir: str, artifacts: dict[str, str]):
     """Write every artifact, or none: each is staged beside its name, then
-    replaces it. A staged file takes the mode a plain open would give it,
-    0o666 under the umask, as mkstemp's 0o600 survives the replace."""
+    replaces it. A staged file is opened exclusively ("x") under a random
+    name, so the OS gives it the mode of a plain open, 0o666 under the
+    umask, which the replace keeps."""
     os.makedirs(out_dir, exist_ok=True)
-    umask = os.umask(0)  # the only way to read it
-    os.umask(umask)
     staged = []
     try:
         for name, text in artifacts.items():
-            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
-            with os.fdopen(fd, "w") as fh:
+            tmp = os.path.join(out_dir, f".{name}.{os.urandom(8).hex()}")
+            with open(tmp, "x") as fh:
+                staged.append((tmp, os.path.join(out_dir, name)))
                 fh.write(text)
-            os.chmod(tmp, 0o666 & ~umask)
-            staged.append((tmp, os.path.join(out_dir, name)))
         for tmp, dst in staged:
             os.replace(tmp, dst)
     except BaseException:

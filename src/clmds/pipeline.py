@@ -71,11 +71,7 @@ class ClmdsConfig:
         self.kmedoids, self.mds  # their constructors check the values
         if self.kernel_eta is not None:
             KernelConfig(eta=self.kernel_eta)
-        mode = self.sparsify if isinstance(self.sparsify, str) else "list"
-        if mode not in ("none", "random", "cur", "list"):
-            raise ValidationError(f"unknown sparsify mode {self.sparsify!r}")
-        if mode in ("random", "cur"):  # its upper bound N is known only once the input is read
-            _check_counts(1, n_sparse=self.n_sparse)
+        _sparsify_mode(self.sparsify, self.n_sparse)
 
     @property
     def kmedoids(self) -> KmedoidsConfig:  # the finest level's; each call sets the seed
@@ -86,6 +82,21 @@ class ClmdsConfig:
         return MdsConfig(n_init=self.mds_n_init, max_iter=self.mds_max_iter, eps=self.mds_eps)
 
 
+def _sparsify_mode(sparsify, n_sparse) -> str:
+    """The mode of a sparsify setting, "list" for explicit indices, checked
+    with n_sparse as far as it can be before N is known: "random" and "cur"
+    need a positive integer n_sparse, and no other mode takes one."""
+    mode = sparsify if isinstance(sparsify, str) else "list"
+    if mode not in ("none", "random", "cur", "list"):
+        raise ValidationError(f"unknown sparsify mode {sparsify!r}")
+    if mode in ("random", "cur"):
+        _check_counts(1, n_sparse=n_sparse)
+    elif n_sparse is not None:
+        raise ValidationError(f"n_sparse={n_sparse!r} is read by sparsify random or cur only, "
+                              f"not by {'an explicit list' if mode == 'list' else mode}")
+    return mode
+
+
 def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
                     seed: int = 0, n_min: int = 1) -> SparseSelection:
     """Select the sparse index set: all points ("none"), uniform random,
@@ -94,9 +105,9 @@ def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
     distance is read; `SparseSelection` refuses a repeated or negative index."""
     _check_counts(0, seed=seed)
     _check_counts(1, n_min=n_min)
+    mode = _sparsify_mode(sparsify, n_sparse)
     n = D.n_points
     everything = np.arange(n)
-    mode = sparsify if isinstance(sparsify, str) else "list"
     sp = everything  # mode "none"
     if mode == "list":
         items = list(sparsify)
@@ -105,12 +116,8 @@ def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
         sp = np.asarray(items, dtype=int)
         if np.any(sp >= n):
             raise ValidationError("explicit sparse list index out of range")
-    elif mode in ("random", "cur"):
-        _check_counts(1, n_sparse=n_sparse)
-        if n_sparse > n:
-            raise ValidationError(f"n_sparse must be at most N = {n}, got {n_sparse}")
-    elif mode != "none":
-        raise ValidationError(f"unknown sparsify mode {sparsify!r}")
+    elif mode != "none" and n_sparse > n:
+        raise ValidationError(f"n_sparse must be at most N = {n}, got {n_sparse}")
     size = n_sparse if mode in ("random", "cur") else sp.size
     if size < n_min:
         raise ValidationError(f"sparse set size {size} below finest cluster count {n_min}")
@@ -124,36 +131,32 @@ def sparsify_select(D: DistanceMatrix, sparsify, n_sparse: int | None,
     return SparseSelection(sp, np.setdiff1d(everything, sp))
 
 
-def hierarchy_merge(previous: Clustering, D, target: int,
-                    km_cfg: KmedoidsConfig | None = None, seed: int = 0) -> Clustering:
-    """Merge a clustering down to `target` clusters by k-medoids on its medoids.
+def hierarchy_merge(previous: Clustering, D, km_cfg: KmedoidsConfig) -> Clustering:
+    """Merge a clustering down to ``km_cfg.k`` clusters by k-medoids, run
+    with km_cfg as given, on its medoids taken in increasing point index.
 
     D is any distance source with `n_points` and `block(rows, cols)`; the
-    merge reads only the block among the previous medoids. Each merged
-    cluster keeps, as its medoid, the previous medoid with the least summed
-    distance to the other previous medoids it absorbs, taken from that
-    block with the members in increasing point index, so that ties go to
-    the lowest index (see `kmedoids.medoid`) also where the previous
-    medoids are not sorted.
+    merge reads only the block among the previous medoids. The merged
+    medoids are k-medoids' own: converged, each is the member of its group
+    with the least summed distance to the others, ties to the lowest point
+    index (see `kmedoids.medoid`), whatever order the previous medoids come
+    in. A merge to one cluster picks that medoid directly.
     """
-    if target >= previous.n_clusters:
+    if km_cfg.k >= previous.n_clusters:
         raise ValidationError("merge target must be below the current cluster count")
     if previous.n_points != D.n_points:
         raise ValidationError(f"clustering of {previous.n_points} points does not match "
                               f"a distance matrix of {D.n_points}")
-    medoids = previous.medoids
+    medoids = np.sort(previous.medoids)
     among = DistanceMatrix(D.block(medoids, medoids))
-    if target == 1:
-        grouping = np.zeros(medoids.shape[0], dtype=int)
+    if km_cfg.k == 1:
+        grouping = np.zeros(medoids.size, dtype=int)
+        picks = medoid(among.d, np.arange(medoids.size))[None]
     else:
-        km_cfg = km_cfg or KmedoidsConfig(k=target)
-        # n_iso fits the finest level; a merge target may be below it
-        km_cfg = replace(km_cfg, k=target, n_iso=min(km_cfg.n_iso, target), seed=seed)
-        grouping = kmedoids_best(among, km_cfg).assignment
-    by_index = np.argsort(medoids)  # rows of `among` in increasing point index
-    picks = np.array([medoid(among.d, by_index[grouping[by_index] == g])
-                      for g in range(target)], dtype=int)
-    return Clustering(grouping[previous.assignment], medoids[picks])
+        merged = kmedoids_best(among, km_cfg)
+        grouping, picks = merged.assignment, merged.medoids
+    row = np.searchsorted(medoids, previous.medoids)  # each previous cluster's row of `among`
+    return Clustering(grouping[row][previous.assignment], medoids[picks])
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,9 @@ def _core_run(source, sparse: np.ndarray, cfg: ClmdsConfig, done) -> ClmdsResult
     prev = c0
     for target in levels[1:]:
         done("stitching")
-        level = hierarchy_merge(prev, D, target, cfg.kmedoids, next(seeds))
+        # the finest level's settings; n_iso fits it, and a merge's k may be below it
+        merge_cfg = replace(cfg.kmedoids, k=target, n_iso=min(cfg.n_iso, target), seed=next(seeds))
+        level = hierarchy_merge(prev, D, merge_cfg)
         done("merge")
         grouping = level.assignment[prev.medoids]
         next_anchors, stitches, anchor_stresses = [], [], []
@@ -324,19 +329,21 @@ def estimate_out_of_sample(source, sparse_result: ClmdsResult,
 
     source is the distance source that clustered the sparse points, with its
     `features`, or a `FeatureSet`, read as the Euclidean distances of its
-    rows. Each non-sparse point joins the cluster of its nearest medoid by
-    these distances, ties to the lower cluster. Per cluster, an affine from
-    the features to local 2-d coordinates, fitted on the sparse members and
-    composed with the cluster's stitch, places it. Clusters with fewer than 3
-    sparse members, and points that this map sends to infinity, go to the
-    cluster's transformed mean local coordinate; their clusters are flagged.
+    rows. sparse_sel.sparse must be the result's `sparse_indices`, the rows
+    its coordinates belong to. Each non-sparse point joins the cluster of
+    its nearest medoid by these distances, ties to the lower cluster. Per
+    cluster, an affine from the features to local 2-d coordinates, fitted
+    on the sparse members and composed with the cluster's stitch, places
+    it. Clusters with fewer than 3 sparse members, and points that this map
+    sends to infinity, go to the cluster's transformed mean local
+    coordinate; their clusters are flagged.
     """
     euclidean = isinstance(source, FeatureSet)
     x = (source if euclidean else source.features).vectors
     n = x.shape[0]
     sp, comp_idx = sparse_sel.sparse, sparse_sel.complement
-    if sp.size != sparse_result.n_points:
-        raise ValidationError("sparse selection does not match the sparse result")
+    if not np.array_equal(sp, sparse_result.sparse_indices):
+        raise ValidationError("sparse selection does not match the sparse result's sparse_indices")
     if not np.array_equal(np.union1d(sp, comp_idx), np.arange(n)):  # the two are disjoint
         raise ValidationError(f"sparse set ({sp.size}) and complement ({comp_idx.size}) "
                               f"must split the {n} feature rows exactly")

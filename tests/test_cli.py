@@ -369,8 +369,8 @@ def test_a_failed_replace_removes_every_staged_file(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
 def test_artifacts_take_the_mode_the_umask_gives(tmp_path, capsys, umask):
-    # each artifact is staged by mkstemp, at 0o600, and a replace keeps the
-    # staged file's mode
+    # each artifact is staged by a plain exclusive open, and a replace keeps
+    # the staged file's mode
     inp, _ = write_features(tmp_path)
     old = os.umask(umask)
     try:
@@ -381,6 +381,23 @@ def test_artifacts_take_the_mode_the_umask_gives(tmp_path, capsys, umask):
         os.umask(old)
     written = [*(tmp_path / "out").iterdir(), *(tmp_path / "s").iterdir()]
     assert {"coords.csv", "result.json", "features.csv"} <= {p.name for p in written}
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
+
+def test_a_write_never_touches_the_process_umask(tmp_path, monkeypatch):
+    # setting the umask to read it would leave it 0 for every other thread
+    # of the process until it is set back
+    umask = os.umask(0o022)
+    os.umask(umask)
+
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    clmds.cli._write_atomic(str(tmp_path / "out"), {"a.txt": "a\n", "b.txt": "b\n"})
+    written = sorted((tmp_path / "out").iterdir())
+    assert [p.name for p in written] == ["a.txt", "b.txt"]
     for path in written:
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
@@ -431,11 +448,14 @@ def test_malformed_value_names_its_key_and_form(tmp_path, capsys, item, form):
     assert err.startswith(f"error: {key}") and form in err, err
 
 
-# random and cur need n_sparse >= 1; only its upper bound N waits for the input
+# random and cur need n_sparse >= 1, and no other mode takes it; only its
+# upper bound N waits for the input
 @pytest.mark.parametrize("items, key", [
     (["plot=maybe"], "plot"), (["sparsify=random"], "n_sparse"),
     (["sparsify=random", "n_sparse=0"], "n_sparse"), (["sparsify=cur", "n_sparse=-4"], "n_sparse"),
-], ids=["plot=maybe", "random", "random-n_sparse=0", "cur-n_sparse=-4"])
+    (["n_sparse=5"], "n_sparse"), (["sparsify=1,4,6", "n_sparse=5"], "n_sparse"),
+], ids=["plot=maybe", "random", "random-n_sparse=0", "cur-n_sparse=-4", "none-n_sparse=5",
+        "list-n_sparse=5"])
 def test_malformed_key_is_named_before_the_input_is_read(tmp_path, capsys, items, key):
     extra = [arg for item in items for arg in ("--set", item)]
     code, _, err = run(embed_args(tmp_path / "missing.csv", tmp_path / "out", extra), capsys)
@@ -509,7 +529,8 @@ def test_embed_equals_the_full_matrix_library_call(tmp_path, capsys, kind, spars
     # lie farther apart than 1, which the medoid weighting refuses
     weighted = "true" if kind == "descriptors" else "false"
     sets = [f"input={data / 'features.csv'}", f"input_kind={kind}", "hierarchy=4,2,1",
-            "iter_med=10", "mds_n_init=2", f"sparsify={sparsify}", "n_sparse=40",
+            "iter_med=10", "mds_n_init=2", f"sparsify={sparsify}",
+            *(["n_sparse=40"] if sparsify in ("random", "cur") else []),
             "normalize=true", f"weighted={weighted}", "zeta=2.0", "eta=2"]
     out = tmp_path / "out"
     argv = ["embed", "--output-dir", out]

@@ -89,8 +89,7 @@ def test_block_equals_the_block_of_the_full_matrix(source):
 
 
 def test_kernel_blocks_make_the_unit_rows_once(monkeypatch):
-    # the constructor checks the rows and the first block makes them; later
-    # blocks reuse them (6 calls before: the constructor's and one per block)
+    # the constructor checks and makes them, and every block reuses them
     fs = FeatureSet(np.random.default_rng(8).normal(size=(60, 5)))
     cfg = KernelConfig(zeta=2.0, normalize=True)
     full = kernel_to_distance(kernel_matrix(fs, cfg)).d
@@ -103,7 +102,7 @@ def test_kernel_blocks_make_the_unit_rows_once(monkeypatch):
     for start in range(0, 50, 10):
         rows = np.arange(start, start + 10)
         assert dist.block(rows, rows).tobytes() == full[np.ix_(rows, rows)].tobytes()
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_sparsify_cur_takes_its_norms_in_row_blocks():
@@ -162,7 +161,7 @@ def test_hierarchy_merge_pairs_of_blobs():
     fs = blobs(centers, per=6, spread=0.1, dims=2, seed=1)
     D = euclidean_distances(fs)
     c4 = kmedoids_best(D, KmedoidsConfig(k=4, iter_med=30, seed=0))
-    c2 = hierarchy_merge(c4, D, 2)
+    c2 = hierarchy_merge(c4, D, KmedoidsConfig(k=2))
     assert c2.n_clusters == 2
     # the two left blobs merge together, the two right blobs together
     left = set(c2.assignment[:12].tolist())
@@ -170,26 +169,62 @@ def test_hierarchy_merge_pairs_of_blobs():
     assert len(left) == 1 and len(right) == 1 and left != right
     # merged medoid is an original medoid
     assert set(c2.medoids.tolist()) <= set(c4.medoids.tolist())
-    with pytest.raises(ValidationError):
-        hierarchy_merge(c4, D, 4)
+    with pytest.raises(ValidationError, match="below the current cluster count"):
+        hierarchy_merge(c4, D, KmedoidsConfig(k=4))
     # a distance matrix over fewer or more points than the clustering's 24
     for per in (3, 7):
         with pytest.raises(ValidationError):
-            hierarchy_merge(c4, euclidean_distances(blobs(centers, per=per, dims=2)), 2)
+            hierarchy_merge(c4, euclidean_distances(blobs(centers, per=per, dims=2)),
+                            KmedoidsConfig(k=2))
 
 
 def test_hierarchy_merge_caps_n_iso_at_the_target():
-    # n_iso=5 is valid at the finest level (k=6); the merge to 3 picks 3
+    # n_iso=5 is valid at the finest level (k=6); the pipeline's merge to 3
+    # picks 3, as the merge given n_iso=3 does
     _, D = six_blob_problem()
     km = KmedoidsConfig(k=6, n_iso=5, iter_med=20, seed=0)
     c6 = kmedoids_best(D, km)
-    c3 = hierarchy_merge(c6, D, 3, km, seed=4)
+    c3 = hierarchy_merge(c6, D, replace(km, k=3, n_iso=3, seed=4))
     assert c3.n_clusters == 3
-    capped = hierarchy_merge(c6, D, 3, replace(km, n_iso=3), seed=4)
-    assert np.array_equal(c3.assignment, capped.assignment)
-    assert np.array_equal(c3.medoids, capped.medoids)
     res = clmds_embed(D, ClmdsConfig(hierarchy=HierarchySpec((6, 3, 1)), n_iso=5, iter_med=20))
     assert [lv.clustering.n_clusters for lv in res.per_level] == [6, 3, 1]
+
+
+def _merge_problem():
+    # 30 s-curve clusters, whose medoids a single random k-medoids start
+    # groups differently from seed to seed
+    D = euclidean_distances(gen_s_curve(300, seed=2))
+    return D, kmedoids_best(D, KmedoidsConfig(k=30, iter_med=5, seed=0))
+
+
+def test_hierarchy_merge_runs_its_config_as_given():
+    # k is the target, and the seed reaches k-medoids: from a single random
+    # start, the merge differs from seed to seed
+    D, c30 = _merge_problem()
+    merges = {hierarchy_merge(c30, D, KmedoidsConfig(k=5, n_iso=0, iter_med=1, seed=s))
+              .assignment.tobytes() for s in range(8)}
+    assert len(merges) > 1
+    for k in (12, 5, 1):
+        level = hierarchy_merge(c30, D, KmedoidsConfig(k=k, seed=3))
+        assert level.n_clusters == k
+        assert set(level.medoids.tolist()) <= set(c30.medoids.tolist())
+
+
+def test_hierarchy_merge_keeps_k_medoids_own_medoids():
+    # the merged medoids are those of k-medoids on the previous medoids in
+    # increasing point index, whatever order the previous level lists them in
+    D, c30 = _merge_problem()
+    meds = c30.medoids  # sorted: k-medoids gives them in increasing index
+    km = KmedoidsConfig(k=6, iter_med=10, seed=7)
+    direct = kmedoids_best(DistanceMatrix(D.d[np.ix_(meds, meds)]), km)
+    level = hierarchy_merge(c30, D, km)
+    assert np.array_equal(level.medoids, meds[direct.medoids])
+    assert np.array_equal(level.assignment, direct.assignment[c30.assignment])
+    perm = np.random.default_rng(1).permutation(30)  # relabel the previous clusters
+    shuffled = Clustering(np.argsort(perm)[c30.assignment], meds[perm])
+    again = hierarchy_merge(shuffled, D, km)
+    assert np.array_equal(again.assignment, level.assignment)
+    assert np.array_equal(again.medoids, level.medoids)
 
 
 def test_hierarchy_merge_ties_go_to_the_lowest_index_of_unsorted_medoids():
@@ -208,7 +243,7 @@ def test_hierarchy_merge_ties_go_to_the_lowest_index_of_unsorted_medoids():
     previous = Clustering(assignment, medoids)
     for target in (1, 2, 3):
         for seed in range(5):
-            level = hierarchy_merge(previous, D, target, seed=seed)
+            level = hierarchy_merge(previous, D, KmedoidsConfig(k=target, seed=seed))
             grouping = level.assignment[medoids]
             assert [int(m) for m in level.medoids] == [int(medoids[grouping == g].min())
                                                        for g in range(target)]
@@ -780,11 +815,11 @@ def test_calls_take_sub_seeds_in_spawn_order(monkeypatch, levels):
         calls.append(("local" if w is None else "anchor", cfg.seed, cfg.n_init))
         return real_mds(D, w, cfg)
 
-    def merge(previous, D, target, km_cfg=None, seed=0):
-        calls.append(("merge", seed))
+    def merge(previous, D, km_cfg):
+        calls.append(("merge", km_cfg.seed))
         in_merge.append(True)
         try:
-            return real_merge(previous, D, target, km_cfg, seed)
+            return real_merge(previous, D, km_cfg)
         finally:
             in_merge.pop()
 
@@ -822,18 +857,19 @@ def test_every_setting_reaches_the_calls_it_configures(monkeypatch):
         mds_cfgs.append(("local" if w is None else "anchor", cfg))
         return real_mds(D, w, cfg)
 
-    def merge(previous, D, target, km_cfg=None, seed=0):
+    def merge(previous, D, km_cfg):
         merge_cfgs.append(km_cfg)
-        return real_merge(previous, D, target, km_cfg, seed)
+        return real_merge(previous, D, km_cfg)
 
     monkeypatch.setattr(pipeline, "kmedoids_best", km)
     monkeypatch.setattr(pipeline, "mds_embed", embed)
     monkeypatch.setattr(pipeline, "hierarchy_merge", merge)
     clmds_embed(D, cfg)
 
-    # the finest level, then the merge to 3 (the merge to 1 draws nothing)
+    # the finest level, then the merge to 3 (the merge to 1 picks its medoid
+    # without k-medoids); each merge's own config, n_iso capped at its k
     assert [(c.k, c.n_iso, c.iter_med) for c in km_cfgs] == [(6, 2, 7), (3, 2, 7)]
-    assert [(c.k, c.n_iso, c.iter_med) for c in merge_cfgs] == [(6, 2, 7)] * 2
+    assert [(c.k, c.n_iso, c.iter_med) for c in merge_cfgs] == [(3, 2, 7), (1, 1, 7)]
     assert [(kind, c.n_init, c.max_iter, c.eps) for kind, c in mds_cfgs] == (
         [("local", 1, 150, 1e-5)] * 6 + [("anchor", 3, 150, 1e-5)] * 4)
 
@@ -937,16 +973,29 @@ def test_estimation_needs_the_selection_to_split_every_row(complement):
         estimate_out_of_sample(fs, sparse, SparseSelection(np.arange(20), complement))
 
 
-def test_a_selection_of_another_size_than_the_result_is_refused():
+@pytest.mark.parametrize("sparse", [np.arange(19), np.arange(1, 21)],
+                         ids=["another-size", "same-size"])
+def test_a_selection_other_than_the_results_is_refused(sparse):
+    # the result's sparse coordinates would go to the wrong rows
     fs, _ = three_blob_problem(seed=12)
-    sparse = clmds_embed(euclidean_distances(FeatureSet(fs.vectors[:20])), base_config())
+    result = clmds_embed(euclidean_distances(FeatureSet(fs.vectors[:20])), base_config())
     with pytest.raises(ValidationError, match="does not match the sparse result"):
-        estimate_out_of_sample(fs, sparse, SparseSelection(np.arange(19), np.arange(19, 36)))
+        estimate_out_of_sample(fs, result, SparseSelection(sparse, np.setdiff1d(np.arange(36),
+                                                                                sparse)))
 
 
 def test_an_unknown_sparsify_mode_is_refused_at_construction():
     with pytest.raises(ValidationError, match="unknown sparsify mode 'bogus'"):
         base_config(sparsify="bogus")
+
+
+@pytest.mark.parametrize("sparsify", ["none", [0, 3, 5, 8]], ids=["none", "list"])
+def test_n_sparse_is_refused_where_nothing_reads_it(sparsify):
+    # only random and cur take n_sparse; elsewhere it would be ignored
+    with pytest.raises(ValidationError, match="n_sparse"):
+        ClmdsConfig(HierarchySpec((3, 1)), sparsify=sparsify, n_sparse=5)
+    with pytest.raises(ValidationError, match="n_sparse"):
+        sparsify_select(three_blob_problem()[1], sparsify, 5)
 
 
 @pytest.mark.parametrize("levels", [(6, 1), (6, 3, 1)])
